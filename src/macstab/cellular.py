@@ -17,11 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
-from .linalg import Matrix, Vector, extend_to_basis, unit_vec
+from .linalg import DegreeCohomology, Matrix
 from .homology import action_sign, reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
-    DEFAULT_GROUP_CAP,
     PermGroup,
     Permutation,
     restriction_sign,
@@ -32,26 +31,6 @@ from .simplicial import SimplicialComplex, face_key, full_subcomplex
 DEFAULT_ORACLE_CAP = 7
 
 Cell = tuple[frozenset, frozenset]  # (L: circle coords, I: disc coords)
-
-
-@dataclass
-class _DegreePiece:
-    cells: list[Cell]
-    betti: int = 0
-    representatives: list[Vector] = field(default_factory=list)
-    image_basis: list[Vector] = field(default_factory=list)
-    _proj: Matrix | None = None
-
-    def project(self, cochain) -> Vector:
-        if self.betti == 0:
-            return ()
-        if self._proj is None:
-            cols = self.image_basis + self.representatives
-            self._proj = Matrix.from_columns(cols, nrows=len(self.cells))
-        sol = self._proj.solve(cochain)
-        if sol is None:
-            raise ValidationError("cochain is not a cocycle in its block")
-        return sol[len(self.image_basis):]
 
 
 class Block:
@@ -85,23 +64,10 @@ class Block:
                     below = sum(1 for l in L if l != x and l < x)
                     mat.data[row][col] = Fraction((-1) ** below)
             self.d[deg] = mat
-        self.pieces: dict[int, _DegreePiece] = {}
-        for deg, cells in sorted(self.cells_by_degree.items()):
-            n = len(cells)
-            d_out = self.d.get(deg)
-            d_in = self.d.get(deg - 1)
-            cocycles = (
-                d_out.nullspace()
-                if d_out is not None and d_out.rows
-                else [unit_vec(n, k) for k in range(n)]
-            )
-            image = d_in.column_space_basis() if d_in is not None else []
-            reps = extend_to_basis(image, cocycles)
-            piece = _DegreePiece(cells=cells)
-            piece.betti = len(reps)
-            piece.representatives = reps
-            piece.image_basis = image
-            self.pieces[deg] = piece
+        self.pieces = {
+            deg: DegreeCohomology(len(cells), self.d.get(deg - 1), self.d[deg])
+            for deg, cells in sorted(self.cells_by_degree.items())
+        }
 
     def dim(self, i: int) -> int:
         piece = self.pieces.get(i)
@@ -154,11 +120,6 @@ def betti_cellular(Z: MomentAngleCellComplex, split_by_multidegree: bool = False
     return Z.betti()
 
 
-def _koszul_sign(g: Permutation, L: frozenset) -> int:
-    # odd (circle) factors anticommute; even factors move freely
-    return action_sign(g, L)
-
-
 def block_action_matrix(
     Z: MomentAngleCellComplex, g: Permutation, J: frozenset, i: int
 ) -> Matrix:
@@ -171,7 +132,8 @@ def block_action_matrix(
     for col, (L, I) in enumerate(src):
         gL = frozenset(g.act_vertex(v) for v in L)
         gI = frozenset(g.act_vertex(v) for v in I)
-        mat.data[pos[(gL, gI)]][col] = Fraction(_koszul_sign(g, L))
+        # odd (circle) factors anticommute; even factors move freely
+        mat.data[pos[(gL, gI)]][col] = Fraction(action_sign(g, L))
     return mat
 
 
@@ -248,7 +210,6 @@ def compare_with_hochster(
     degrees,
     flip_koszul: bool = False,
     cap: int = DEFAULT_ORACLE_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> DiffReport:
     """Cross-check the split pipeline against the cellular one, orbit by orbit.
 

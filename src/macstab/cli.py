@@ -52,9 +52,6 @@ def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True):
                        help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
     p.add_argument("--d", type=int, default=1, help="sphere dimension of the pair (default 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--deterministic", action="store_true", default=True,
-                   help="accepted for compatibility; runs are always deterministic")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cap-subsets", type=int, default=1 << 21)
     p.add_argument("--cap-group", type=int, default=200_000)
     p.add_argument("--cap-support", type=int, default=8)
@@ -70,9 +67,21 @@ def _caps(args) -> dict:
     }
 
 
+def _read_json(path: str):
+    """Parsed JSON from a file, or from stdin when `path` is '-'."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read {path!r}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{path!r} is not valid JSON: {err}") from None
+
+
 def _load_custom(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     complexes = {}
     for key, doc in data.get("complexes", {}).items():
         K, _ = parse_complex(doc)
@@ -95,12 +104,7 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
         K, G = fam.instantiate(args.m)
         return K, G, args.m
     if getattr(args, "input", None):
-        raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"input is not valid JSON: {err}") from None
-        K, G = parse_complex(doc)
+        K, G = parse_complex(_read_json(args.input))
         return K, G, None
     raise ValidationError("provide --input FILE or --family SPEC --m N")
 
@@ -185,9 +189,10 @@ def cmd_decompose(args) -> int:
 
 def _parse_range(text: str) -> range:
     lo, _, hi = text.partition("..")
-    if not hi:
-        raise ValidationError("range must look like A..B")
-    return range(int(lo), int(hi) + 1)
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ValidationError(f"range {text!r} must look like A..B") from None
 
 
 def cmd_scan(args) -> int:
@@ -197,7 +202,7 @@ def cmd_scan(args) -> int:
     payload: dict = {"family": fam.description, "degree": args.degree}
     scan = None
     if not args.betti_only:
-        scan = multiplicity_scan(fam, pair, args.degree, ms, threads=args.threads)
+        scan = multiplicity_scan(fam, pair, args.degree, ms)
         payload["multiplicities"] = {
             str(m): {_partition_key(b): mult for b, mult in t.items()}
             for m, t in scan.tables.items()
@@ -281,7 +286,7 @@ def cmd_oracle(args) -> int:
         degrees = list(range(0, 2 * len(K.vertices) + 1))
     diff = compare_with_hochster(
         K, G, degrees,
-        flip_koszul=args.flip_koszul, cap=args.cap_oracle, group_cap=args.cap_group,
+        flip_koszul=args.flip_koszul, cap=args.cap_oracle,
     )
     payload = {
         "degrees": degrees,

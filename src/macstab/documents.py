@@ -53,6 +53,8 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
         raise ValidationError(f"document lacks {missing} section") from None
     by_id: dict[str, Vertex] = {}
     for k, rec in enumerate(vrecs):
+        if not isinstance(rec, dict):
+            raise ValidationError(f"vertex #{k} must be an object {{id, index?, tag}}")
         if "id" not in rec:
             raise ValidationError(f"vertex #{k} has no id")
         vid = str(rec["id"])
@@ -94,12 +96,12 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
     return K, group
 
 
-def make_report(command: str, payload: dict, caps: dict, deterministic: bool = True) -> dict:
+def make_report(command: str, payload: dict, caps: dict) -> dict:
     return {
         "tool": "macstab",
         "version": __version__,
         "command": command,
-        "deterministic": bool(deterministic),
+        "deterministic": True,
         "caps": dict(sorted(caps.items())),
         "conventions": {
             "orbit_representative": "lexicographically least subset in vertex order",

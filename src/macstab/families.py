@@ -105,17 +105,20 @@ class CustomFamily(Family):
 
 
 def parse_family(spec: str, custom_loader=None) -> Family:
-    if spec.startswith("skeleton:"):
-        return SkeletonFamily(int(spec.split(":", 1)[1]))
-    if spec.startswith("join:"):
-        parts = spec.split(":", 1)[1]
-        return JoinSkeletonsFamily(tuple(int(x) for x in parts.split(",")))
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "skeleton":
+            return SkeletonFamily(int(arg))
+        if kind == "join":
+            return JoinSkeletonsFamily(tuple(int(x) for x in arg.split(",")))
+    except ValueError:
+        raise ValidationError(f"family {spec!r}: expected integers after ':'") from None
     if spec == "vccube":
         return VcCubeDualFamily()
-    if spec.startswith("custom:"):
+    if kind == "custom":
         if custom_loader is None:
             raise ValidationError("no loader available for custom families")
-        return custom_loader(spec.split(":", 1)[1])
+        return custom_loader(arg)
     raise ValidationError(f"unknown family {spec!r}")
 
 
@@ -305,7 +308,6 @@ def multiplicity_scan(
     pair: SpherePair,
     i: int,
     m_range,
-    threads: int = 1,
 ) -> StabilityScanReport:
     """Padded multiplicity tables over a window, with the observed onset.
 
@@ -321,22 +323,10 @@ def multiplicity_scan(
         family=f.description, degree=i, sphere_dim=pair.d, m_values=ms
     )
 
-    def compute(m: int):
+    for m in ms:
         K, G = f.instantiate(m)
-        table = sym_irreducible_decomposition(K, pair, i, m)
-        b = betti_at_degree(K, pair, i, G)
-        return m, table, b
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, ms))
-    else:
-        results = [compute(m) for m in ms]
-    for m, table, b in results:
-        report.tables[m] = table
-        report.betti[m] = b
+        report.tables[m] = sym_irreducible_decomposition(K, pair, i, m)
+        report.betti[m] = betti_at_degree(K, pair, i, G)
     last = report.tables[ms[-1]]
     onset = ms[-1]
     for m in reversed(ms):

@@ -9,12 +9,11 @@ the permutation that re-sorts the image vertex tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .linalg import Matrix, Vector, extend_to_basis, unit_vec
+from .linalg import DegreeCohomology, Matrix, Vector
 from .perms import Permutation, act_on_subset, sort_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
@@ -39,60 +38,22 @@ def coboundary_matrices(K: SimplicialComplex) -> list[Matrix]:
     return out
 
 
-@dataclass
-class _DegreeData:
-    faces: list
-    betti: int
-    representatives: list[Vector]
-    image_basis: list[Vector]
-    d_out: Matrix | None  # C^p -> C^{p+1}, None when the target is zero
-    _proj_matrix: Matrix | None = None
-
-    def project(self, cochain) -> Vector:
-        """Coordinates of a cocycle in the representative basis, mod coboundaries."""
-        k = len(self.image_basis)
-        if self.betti == 0:
-            return ()
-        if self._proj_matrix is None:
-            cols = self.image_basis + self.representatives
-            self._proj_matrix = Matrix.from_columns(cols, nrows=len(self.faces))
-        if self.d_out is not None and any(
-            x != 0 for x in self.d_out.mul_vec(cochain)
-        ):
-            raise ValidationError("projection of a non-cocycle")
-        sol = self._proj_matrix.solve(cochain)
-        if sol is None:
-            raise ValidationError("cochain is not in the cocycle span")
-        return sol[k:]
-
-
 class CohomologyBasis:
     """Per-degree dimensions and representative cocycles of H̃^*(K; Q)."""
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        self.degrees: dict[int, _DegreeData] = {}
+        self.degrees: dict[int, DegreeCohomology] = {}
+        self._faces: dict[int, list] = {}
         if K.is_void:
             return
         mats = coboundary_matrices(K)
-        faces = {p: K.faces_of_dim(p) for p in range(-1, K.dim + 1)}
         for p in range(-1, K.dim + 1):
-            n = len(faces[p])
-            d_out = mats[p + 1] if p < K.dim else None
-            d_in = mats[p] if p >= 0 else None  # mats[-1+1]=d_{-1} when p=0
-            if p == -1:
-                d_in = None
-            cocycles = d_out.nullspace() if d_out is not None else [
-                unit_vec(n, i) for i in range(n)
-            ]
-            image = d_in.column_space_basis() if d_in is not None else []
-            reps = extend_to_basis(image, cocycles)
-            self.degrees[p] = _DegreeData(
-                faces=faces[p],
-                betti=len(reps),
-                representatives=reps,
-                image_basis=image,
-                d_out=d_out,
+            self._faces[p] = K.faces_of_dim(p)
+            self.degrees[p] = DegreeCohomology(
+                len(self._faces[p]),
+                d_in=mats[p] if p >= 0 else None,  # mats[p] is d_{p-1}
+                d_out=mats[p + 1] if p < K.dim else None,
             )
 
     def dim(self, p: int) -> int:
@@ -103,8 +64,7 @@ class CohomologyBasis:
         return {p: d.betti for p, d in self.degrees.items() if d.betti}
 
     def faces(self, p: int):
-        data = self.degrees.get(p)
-        return data.faces if data else []
+        return self._faces.get(p, [])
 
     def representatives(self, p: int) -> list[Vector]:
         data = self.degrees.get(p)

@@ -5,6 +5,8 @@ Small dense matrices over Q with arbitrary-precision entries
 fraction-free (Bareiss) elimination on an integer-scaled copy so intermediate
 swell stays polynomial; kernels, images and solves use plain rational
 row reduction, which is exact and fast at the sizes this package handles.
+`DegreeCohomology` is the one cohomology kernel that both the split pipeline
+(`homology`) and the cellular model (`cellular`) build on.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+from .errors import ValidationError
 
 Vector = tuple[Fraction, ...]
 
@@ -26,15 +30,6 @@ def zero_vec(n: int) -> Vector:
 
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def add_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale_vec(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 class Matrix:
@@ -102,13 +97,6 @@ class Matrix:
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        t = Matrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t.data[j][i] = self.data[i][j]
-        return t
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -244,21 +232,50 @@ def _bareiss_rank(m: Matrix) -> int:
 
 
 def extend_to_basis(base: list[Vector], candidates: list[Vector]) -> list[Vector]:
-    """Greedily pick candidates extending `base` to an independent family.
+    """The candidates that extend `base` to an independent family, in input order.
 
-    Returns the chosen candidates in input order.  Exact: a candidate is kept
-    iff it increases the rank of the accumulated column matrix.
+    One rref of the column matrix [base | candidates]: a column is a pivot
+    exactly when it is outside the span of the columns before it, so the
+    pivot candidates are the ones a greedy rank-increase test would keep.
     """
     if not candidates:
         return []
-    n = len(candidates[0])
-    chosen: list[Vector] = []
-    current = list(base)
-    rank = Matrix.from_columns(current, nrows=n).rank() if current else 0
-    for v in candidates:
-        trial = Matrix.from_columns(current + [v], nrows=n)
-        if trial.rank() > rank:
-            chosen.append(v)
-            current.append(v)
-            rank += 1
-    return chosen
+    _, pivots = Matrix.from_columns(base + candidates).rref()
+    k = len(base)
+    return [candidates[j - k] for j in pivots if j >= k]
+
+
+class DegreeCohomology:
+    """Cohomology of a cochain complex C^{p-1} -> C^p -> C^{p+1} at C^p.
+
+    `n` is the dimension of C^p; `d_in` and `d_out` are the coboundaries into
+    and out of it, None where the neighbouring group is zero.  The
+    representatives extend a basis of the coboundaries (pivot columns of
+    `d_in`) by cocycles taken in order from the nullspace basis of `d_out`.
+    """
+
+    def __init__(self, n: int, d_in: Matrix | None, d_out: Matrix | None):
+        self.n = n
+        self.d_out = d_out
+        cocycles = (
+            d_out.nullspace() if d_out is not None
+            else [unit_vec(n, i) for i in range(n)]
+        )
+        self.image_basis = d_in.column_space_basis() if d_in is not None else []
+        self.representatives = extend_to_basis(self.image_basis, cocycles)
+        self.betti = len(self.representatives)
+        self._proj: Matrix | None = None
+
+    def project(self, cochain) -> Vector:
+        """Coordinates of a cocycle in the representative basis, mod coboundaries."""
+        if self.betti == 0:
+            return ()
+        if self.d_out is not None and any(self.d_out.mul_vec(cochain)):
+            raise ValidationError("projection of a non-cocycle")
+        if self._proj is None:
+            cols = self.image_basis + self.representatives
+            self._proj = Matrix.from_columns(cols, nrows=self.n)
+        sol = self._proj.solve(cochain)
+        if sol is None:
+            raise ValidationError("cochain is not in the cocycle span")
+        return sol[len(self.image_basis):]

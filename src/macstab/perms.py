@@ -232,9 +232,6 @@ class OrbitTable:
     transversal: dict[frozenset, Permutation] = field(default_factory=dict)
     total_subsets: int = 0
 
-    def orbit_of(self, rep: frozenset) -> list[frozenset]:
-        return [s for s, g in self.transversal.items() if self.rep_of(s) == rep]
-
     def rep_of(self, subset: frozenset) -> frozenset:
         g = self.transversal[subset]
         return frozenset(g.inverse().act_vertex(v) for v in subset)

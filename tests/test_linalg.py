@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from macstab.linalg import Matrix, extend_to_basis, unit_vec
+from macstab.linalg import Matrix, extend_to_basis, unit_vec, vec
 
 
 def test_rank_and_rref_agree_small():
@@ -46,6 +46,42 @@ def test_extend_to_basis_skips_dependent():
     ]
     chosen = extend_to_basis(base, cands)
     assert chosen == [cands[1], cands[3]]
+
+
+def _greedy_extend(base, candidates):
+    """Reference: keep a candidate iff it raises the rank of the columns so far."""
+    if not candidates:
+        return []
+    n = len(candidates[0])
+    current = list(base)
+    rank = Matrix.from_columns(current, nrows=n).rank() if current else 0
+    chosen = []
+    for v in candidates:
+        if Matrix.from_columns(current + [v], nrows=n).rank() > rank:
+            chosen.append(v)
+            current.append(v)
+            rank += 1
+    return chosen
+
+
+@st.composite
+def _base_and_candidates(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    vectors = st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n).map(vec),
+        max_size=5,
+    )
+    base = draw(vectors)
+    # repeat some base vectors and their combinations so the base is often dependent
+    if base and draw(st.booleans()):
+        base = base + [tuple(a + b for a, b in zip(base[0], base[-1]))]
+    return base, draw(vectors)
+
+
+@given(_base_and_candidates())
+def test_extend_to_basis_matches_greedy_rank_loop(case):
+    base, candidates = case
+    assert extend_to_basis(base, candidates) == _greedy_extend(base, candidates)
 
 
 def test_rational_entries_survive():
