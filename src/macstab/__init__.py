@@ -57,8 +57,6 @@ from .hochster import (  # noqa: F401
 )
 from .cellular import (  # noqa: F401
     MomentAngleCellComplex,
-    betti_cellular,
-    build_cell_complex,
     cellular_action_trace,
     compare_with_hochster,
 )

@@ -23,6 +23,7 @@ from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
     PermGroup,
     Permutation,
+    is_g_complex,
     restriction_sign,
     subset_orbit_reps,
 )
@@ -87,6 +88,7 @@ class MomentAngleCellComplex:
             raise CapExceeded(f"{n} vertices exceed the cellular cap {cap}")
         self.K = K
         self.blocks: dict[frozenset, Block] = {}
+        # own loop, not perms.vertex_subsets: the oracle checks hochster.betti, which uses it
         for r in range(n + 1):
             for J in combinations(K.vertices, r):
                 Jw = frozenset(J)
@@ -106,18 +108,6 @@ class MomentAngleCellComplex:
         return {
             J: block.dims() for J, block in self.blocks.items() if block.dims()
         }
-
-
-def build_cell_complex(
-    K: SimplicialComplex, cap: int = DEFAULT_ORACLE_CAP
-) -> MomentAngleCellComplex:
-    return MomentAngleCellComplex(K, cap=cap)
-
-
-def betti_cellular(Z: MomentAngleCellComplex, split_by_multidegree: bool = False):
-    if split_by_multidegree:
-        return Z.betti_by_multidegree()
-    return Z.betti()
 
 
 def block_action_matrix(
@@ -219,7 +209,9 @@ def compare_with_hochster(
     the honest cellular action).  `flip_koszul` deliberately corrupts the
     twist to demonstrate the comparison has teeth.
     """
-    Z = build_cell_complex(K, cap=cap)
+    if not is_g_complex(K, G):
+        raise ValidationError("the group does not preserve the complex")
+    Z = MomentAngleCellComplex(K, cap=cap)
     table = subset_orbit_reps(K, G)
     report = DiffReport()
     degrees = list(degrees)

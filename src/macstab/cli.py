@@ -14,7 +14,7 @@ import sys
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
 from .cellular import compare_with_hochster
-from .documents import dumps_report, make_report, parse_complex
+from .documents import dumps_report, expect, make_report, parse_complex, parse_int
 from .families import (
     CustomFamily,
     betti_growth,
@@ -27,18 +27,17 @@ from .families import (
 )
 from .hochster import (
     SpherePair,
-    basis_classes,
     betti,
     betti_split,
     class_is_zero_in_cohomology,
     cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
+    spanning_classes,
     sym_irreducible_decomposition,
 )
-from .homology import reduced_cohomology
-from .perms import PermGroup
-from .simplicial import SimplicialComplex, full_subcomplex
+from .perms import PermGroup, vertex_subsets
+from .simplicial import SimplicialComplex
 
 
 def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True):
@@ -81,11 +80,11 @@ def _read_json(path: str):
 
 
 def _load_custom(path: str):
-    data = _read_json(path)
+    data = expect(_read_json(path), dict, f"custom family {path!r}")
     complexes = {}
-    for key, doc in data.get("complexes", {}).items():
+    for key, doc in expect(data.get("complexes", {}), dict, f"{path!r}: 'complexes'").items():
         K, _ = parse_complex(doc)
-        complexes[int(key)] = K
+        complexes[parse_int(key, f"{path!r}: rank")] = K
 
     def builder(m: int) -> SimplicialComplex:
         if m not in complexes:
@@ -201,7 +200,9 @@ def cmd_scan(args) -> int:
     ms = _parse_range(args.m_range)
     payload: dict = {"family": fam.description, "degree": args.degree}
     scan = None
-    if not args.betti_only:
+    if args.betti_only:
+        fit, values, diffs = betti_growth(fam, pair, args.degree, ms)
+    else:
         scan = multiplicity_scan(fam, pair, args.degree, ms)
         payload["multiplicities"] = {
             str(m): {_partition_key(b): mult for b, mult in t.items()}
@@ -211,7 +212,7 @@ def cmd_scan(args) -> int:
         payload["certified_within_window"] = scan.certified
         payload["weight"] = scan.weight
         payload["betti"] = {str(m): b for m, b in scan.betti.items()}
-    fit, values, diffs = betti_growth(fam, pair, args.degree, ms)
+        fit, values, diffs = scan.fit, list(scan.betti.values()), scan.diff_table
     payload["betti_values"] = dict(zip(map(str, sorted(set(ms))), values))
     payload["difference_table"] = diffs
     if fit is None:
@@ -241,8 +242,6 @@ def _write_scan_csv(path, family, degree, scan, values, ms):
 
 
 def cmd_check_family(args) -> int:
-    from itertools import combinations
-
     fam = parse_family(args.family, custom_loader=_load_custom)
     ms = _parse_range(args.m_range)
     d0 = min(ms)
@@ -259,11 +258,10 @@ def cmd_check_family(args) -> int:
     Kd, _ = fam.instantiate(d0)
     stab_results = {}
     ok_all = True
-    for size in range(1, args.max_stab_size + 1):
-        for J in combinations(Kd.vertices, size):
-            ok = check_stabiliser_consistent(fam, frozenset(J), ms)
-            stab_results[_subset_key(J)] = ok
-            ok_all = ok_all and ok
+    for J in vertex_subsets(Kd.vertices, args.max_stab_size, min_size=1):
+        ok = check_stabiliser_consistent(fam, J, ms)
+        stab_results[_subset_key(J)] = ok
+        ok_all = ok_all and ok
     results["stabiliser_consistent"] = stab_results
     # vertex stability + stabiliser splitting is what the stability theory
     # needs; face stability at the same degree is reported informationally
@@ -279,9 +277,9 @@ def cmd_check_family(args) -> int:
 def cmd_oracle(args) -> int:
     K, G, _ = _resolve_input(args)
     if G is None:
-        G = PermGroup.trivial(max(len(K.vertices), 1))
+        G = PermGroup.trivial(max((v.index or 1 for v in K.vertices), default=1))
     if args.degrees:
-        degrees = [int(x) for x in args.degrees.split(",")]
+        degrees = [parse_int(x, "--degrees entry") for x in args.degrees.split(",")]
     else:
         degrees = list(range(0, 2 * len(K.vertices) + 1))
     diff = compare_with_hochster(
@@ -309,19 +307,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_product(args) -> int:
-    from itertools import combinations as combos
-
     K, G, _ = _resolve_input(args)
-    n = len(K.vertices)
-    if 2**n > args.cap_subsets:
-        raise CapExceeded("too many subsets for a product table")
-    supports = []
-    for r in range(n + 1):
-        for J in combos(K.vertices, r):
-            Jw = frozenset(J)
-            if reduced_cohomology(full_subcomplex(K, Jw)).total_dim():
-                supports.append(Jw)
-    classes = [c for J in supports for c in basis_classes(K, J)]
+    classes = spanning_classes(K, args.cap_subsets)
     table = []
     for a in classes:
         for b in classes:
@@ -338,7 +325,7 @@ def cmd_product(args) -> int:
     if args.check_equivariance:
         if G is None:
             raise ValidationError("--check-equivariance needs a group")
-        ok = g_algebra_equivariance_check(K, G)
+        ok = g_algebra_equivariance_check(K, G, args.cap_subsets)
         payload["equivariant"] = ok
     _emit(args, make_report("product", payload, _caps(args)))
     return 0 if ok else 3

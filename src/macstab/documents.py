@@ -43,12 +43,27 @@ def serialize_complex(
     return doc
 
 
-def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
-    if not isinstance(doc, dict):
-        raise ValidationError("document must be a JSON object")
+def parse_int(value, what: str) -> int:
+    """int(value), or a ValidationError naming `what`."""
     try:
-        vrecs = doc["vertices"]
-        frecs = doc["facets"]
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
+
+
+def expect(value, kind: type, what: str):
+    """`value` when it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        name = "an array" if kind is list else "an object"
+        raise ValidationError(f"{what} must be {name}, not {value!r}")
+    return value
+
+
+def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
+    expect(doc, dict, "document")
+    try:
+        vrecs = expect(doc["vertices"], list, "'vertices'")
+        frecs = expect(doc["facets"], list, "'facets'")
     except KeyError as missing:
         raise ValidationError(f"document lacks {missing} section") from None
     by_id: dict[str, Vertex] = {}
@@ -62,14 +77,15 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
             raise ValidationError(f"duplicate vertex id {vid!r} (vertex #{k})")
         index = rec.get("index")
         if index is not None:
-            index = int(index)
+            index = parse_int(index, f"vertex {vid!r}: index")
             if index < 1:
                 raise ValidationError(f"vertex {vid!r}: index must be >= 1")
-        by_id[vid] = Vertex(index, int(rec.get("tag", 0)))
+        by_id[vid] = Vertex(index, parse_int(rec.get("tag", 0), f"vertex {vid!r}: tag"))
     if len(set(by_id.values())) != len(by_id):
         raise ValidationError("two vertex ids map to the same (index, tag) label")
     facets = []
     for k, ids in enumerate(frecs):
+        expect(ids, list, f"facet #{k}")
         try:
             facets.append(frozenset(by_id[str(x)] for x in ids))
         except KeyError as bad:
@@ -77,14 +93,16 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
     K = SimplicialComplex(list(by_id.values()), facets)
     group = None
     if "group" in doc and doc["group"] is not None:
-        grec = doc["group"]
-        degree = int(grec.get("degree", 0))
+        grec = expect(doc["group"], dict, "'group'")
+        degree = parse_int(grec.get("degree", 0), "group degree")
         gens = []
-        for k, images in enumerate(grec.get("generators", [])):
+        for k, images in enumerate(expect(grec.get("generators", []), list, "group generators")):
+            what = f"group generator #{k}"
+            images = tuple(parse_int(x, f"{what} entry") for x in expect(images, list, what))
             try:
-                gens.append(Permutation(tuple(int(x) for x in images)))
+                gens.append(Permutation(images))
             except ValidationError:
-                raise ValidationError(f"group generator #{k} is not a bijection")
+                raise ValidationError(f"{what} is not a bijection") from None
         if not gens:
             gens = [Permutation.identity(max(degree, 1))]
         if degree and any(g.degree != degree for g in gens):

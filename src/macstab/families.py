@@ -11,22 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations as iter_permutations
+from itertools import permutations as iter_permutations
 from math import factorial
 
 from .errors import ValidationError
-from .hochster import SpherePair, sym_irreducible_decomposition
+from .hochster import SpherePair, nonzero_summands, orbit_summands, padded_table
 from .perms import (
     PermGroup,
     Permutation,
-    subset_orbit_reps,
     stabilizer_order_in_sym,
     support_split,
+    vertex_subsets,
 )
 from .simplicial import (
     SimplicialComplex,
     Vertex,
-    full_subcomplex,
     join,
     skeleton,
     vc_cube_dual,
@@ -180,7 +179,7 @@ def check_r_vertex_stable(f: Family, r: int, d: int, m_range) -> bool:
         if m < d:
             continue
         Km, _ = f.instantiate(m)
-        for S in combinations(Km.vertices, r + 1):
+        for S in vertex_subsets(Km.vertices, r + 1, min_size=r + 1):
             idx = {v.index for v in S if v.index is not None}
             if len(idx) > d:
                 return False
@@ -288,19 +287,8 @@ def betti_at_degree(
     K: SimplicialComplex, pair: SpherePair, i: int, group: PermGroup
 ) -> int:
     """b_i alone, over orbit representatives pruned by the vanishing bound."""
-    max_size = i // pair.d if pair.d >= 1 else None
-    table = subset_orbit_reps(K, group, max_size=max_size)
-    from .homology import reduced_cohomology
-
-    total = 0
-    for rep in table.representatives:
-        p = pair.simplicial_degree(i, len(rep))
-        if p < -1:
-            continue
-        total += table.orbit_sizes[rep] * reduced_cohomology(
-            full_subcomplex(K, rep)
-        ).dim(p)
-    return total
+    table, summands = nonzero_summands(K, group, pair, i)
+    return sum(table.orbit_sizes[rep] * dim for rep, _, dim in summands)
 
 
 def multiplicity_scan(
@@ -312,7 +300,8 @@ def multiplicity_scan(
     """Padded multiplicity tables over a window, with the observed onset.
 
     Stabilization is certified only within the window: the onset is the least
-    scanned m from which the padded tables stay constant to the end.
+    scanned m from which the padded tables stay constant to the end.  Each
+    rank's orbit table is built once and gives both its table and b_i(m).
     """
     if pair.d < 1:
         raise ValidationError("multiplicity scans need a sphere of dimension >= 1")
@@ -324,9 +313,10 @@ def multiplicity_scan(
     )
 
     for m in ms:
-        K, G = f.instantiate(m)
-        report.tables[m] = sym_irreducible_decomposition(K, pair, i, m)
-        report.betti[m] = betti_at_degree(K, pair, i, G)
+        K, _ = f.instantiate(m)
+        summands = orbit_summands(K, pair, i, m)
+        report.tables[m] = padded_table(summands, m)
+        report.betti[m] = sum(s.orbit_size * s.dim for s in summands)
     last = report.tables[ms[-1]]
     onset = ms[-1]
     for m in reversed(ms):
@@ -337,6 +327,9 @@ def multiplicity_scan(
     report.onset = onset
     report.certified = onset < ms[-1]
     report.weight = table_weight(last)
+    values = list(report.betti.values())
+    report.fit = _fit_tail(ms, values)
+    report.diff_table = _difference_table(values)
     return report
 
 

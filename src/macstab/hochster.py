@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
 from .linalg import Vector, zero_vec
@@ -36,6 +35,7 @@ from .perms import (
     restriction_sign,
     subset_orbit_reps,
     support_split,
+    vertex_subsets,
 )
 from .simplicial import SimplicialComplex, face_key, full_subcomplex
 from .symrep import (
@@ -69,17 +69,13 @@ class SpherePair:
     def simplicial_degree(self, i: int, j_size: int) -> int:
         return i - self.d * j_size - 1
 
+    def max_subset_size(self, i: int) -> int | None:
+        """Largest |J| reaching ambient degree i (no bound when d = 0)."""
+        return i // self.d if self.d else None
+
 
 MOMENT_ANGLE = SpherePair(1)
 REAL_MOMENT_ANGLE = SpherePair(0)
-
-
-def _subset_iter(K: SimplicialComplex, cap: int):
-    n = len(K.vertices)
-    if 2**n > cap:
-        raise CapExceeded(f"2^{n} subsets exceed cap {cap}")
-    for r in range(n + 1):
-        yield from (frozenset(c) for c in combinations(K.vertices, r))
 
 
 def betti(
@@ -95,14 +91,14 @@ def betti(
     """
     out: dict[int, int] = {}
     if group is not None:
+        if not is_g_complex(K, group):
+            raise ValidationError("the group does not preserve the complex")
         table = subset_orbit_reps(K, group, cap=cap)
         items = [(rep, table.orbit_sizes[rep]) for rep in table.representatives]
     else:
-        items = [(J, 1) for J in _subset_iter(K, cap)]
+        items = [(J, 1) for J in vertex_subsets(K.vertices, cap=cap)]
     for J, mult in items:
-        coh = reduced_cohomology(full_subcomplex(K, J))
-        for p, dim in coh.dims().items():
-            i = pair.ambient_degree(p, len(J))
+        for i, dim in _ambient_dims(K, pair, J).items():
             out[i] = out.get(i, 0) + mult * dim
     return dict(sorted(out.items()))
 
@@ -113,15 +109,13 @@ def betti_split(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[frozenset, dict[int, int]]:
     """Per-subset contribution table {J: {ambient degree: dimension}}."""
-    out: dict[frozenset, dict[int, int]] = {}
-    for J in _subset_iter(K, cap):
-        coh = reduced_cohomology(full_subcomplex(K, J))
-        row = {
-            pair.ambient_degree(p, len(J)): dim for p, dim in coh.dims().items()
-        }
-        if row:
-            out[J] = dict(sorted(row.items()))
-    return out
+    rows = ((J, _ambient_dims(K, pair, J)) for J in vertex_subsets(K.vertices, cap=cap))
+    return {J: row for J, row in rows if row}
+
+
+def _ambient_dims(K: SimplicialComplex, pair: SpherePair, J) -> dict[int, int]:
+    coh = reduced_cohomology(full_subcomplex(K, J))
+    return {pair.ambient_degree(p, len(J)): dim for p, dim in coh.dims().items()}
 
 
 @dataclass
@@ -173,6 +167,21 @@ def summand_character(
     return out
 
 
+def nonzero_summands(
+    K: SimplicialComplex, G: PermGroup, pair: SpherePair, i: int, cap: int = DEFAULT_SUBSET_CAP
+) -> tuple[OrbitTable, list[tuple[frozenset, int, int]]]:
+    """The orbit table of the subsets reaching ambient degree i, and (rep, p, dim)
+    for each representative with dim H̃^p(K_rep) > 0, p = i - d|rep| - 1."""
+    table = subset_orbit_reps(K, G, max_size=pair.max_subset_size(i), cap=cap)
+    summands = []
+    for rep in table.representatives:
+        p = pair.simplicial_degree(i, len(rep))
+        dim = reduced_cohomology(full_subcomplex(K, rep)).dim(p)
+        if dim:
+            summands.append((rep, p, dim))
+    return table, summands
+
+
 def equivariant_decomposition(
     K: SimplicialComplex,
     G: PermGroup,
@@ -180,24 +189,14 @@ def equivariant_decomposition(
     i: int,
     subset_cap: int = DEFAULT_SUBSET_CAP,
     group_cap: int = DEFAULT_GROUP_CAP,
-    orbit_table: OrbitTable | None = None,
 ) -> EquivariantReport:
     """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero."""
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
-    max_size = (i // pair.d) if pair.d >= 1 else None
-    if orbit_table is None:
-        orbit_table = subset_orbit_reps(K, G, max_size=max_size, cap=subset_cap)
+    table, summands = nonzero_summands(K, G, pair, i, cap=subset_cap)
     report = EquivariantReport(degree=i, pair=pair, betti=0)
-    for rep in orbit_table.representatives:
-        p = pair.simplicial_degree(i, len(rep))
-        if p < -1:
-            continue
-        coh = reduced_cohomology(full_subcomplex(K, rep))
-        dim = coh.dim(p)
-        if dim == 0:
-            continue
-        gens = orbit_table.stabilizer_gens[rep]
+    for rep, p, dim in summands:
+        gens = table.stabilizer_gens[rep]
         gen_char = summand_character(K, rep, gens, p, pair)
         elem_char = None
         order = None
@@ -210,7 +209,7 @@ def equivariant_decomposition(
         report.components.append(
             MultidegreeComponent(
                 rep=rep,
-                orbit_size=orbit_table.orbit_sizes[rep],
+                orbit_size=table.orbit_sizes[rep],
                 degree_p=p,
                 ambient_degree=i,
                 dim=dim,
@@ -220,7 +219,7 @@ def equivariant_decomposition(
                 element_character=elem_char,
             )
         )
-        report.betti += orbit_table.orbit_sizes[rep] * dim
+        report.betti += table.orbit_sizes[rep] * dim
     report.components.sort(key=lambda c: face_key(c.rep))
     return report
 
@@ -244,6 +243,7 @@ class OrbitSummand:
     """One orbit summand of a fixed ambient degree, before induction to Σ_m."""
 
     rep: frozenset
+    orbit_size: int
     support: tuple[int, ...]
     dim: int
     finite_character: ClassFunction  # character of Ind to Sym(support)
@@ -262,17 +262,9 @@ def orbit_summands(
     if pair.d < 1:
         raise ValidationError("representation routines need a sphere of dimension >= 1")
     _validate_indexed(K, m)
-    G = PermGroup.symmetric(m)
-    table = subset_orbit_reps(K, G, max_size=i // pair.d, cap=subset_cap)
+    table, summands = nonzero_summands(K, PermGroup.symmetric(m), pair, i, cap=subset_cap)
     out: list[OrbitSummand] = []
-    for rep in table.representatives:
-        p = pair.simplicial_degree(i, len(rep))
-        if p < -1:
-            continue
-        coh = reduced_cohomology(full_subcomplex(K, rep))
-        dim = coh.dim(p)
-        if dim == 0:
-            continue
+    for rep, p, dim in summands:
         support, finite_part, _ = support_split(rep, K, m, cap=support_cap)
         char = summand_character(K, rep, finite_part, p, pair)
         b = len(support)
@@ -289,6 +281,7 @@ def orbit_summands(
         out.append(
             OrbitSummand(
                 rep=rep,
+                orbit_size=table.orbit_sizes[rep],
                 support=support,
                 dim=dim,
                 finite_character=psi,
@@ -310,8 +303,13 @@ def sym_irreducible_decomposition(
     Route: decompose each orbit summand over the symmetric group of its index
     support, then add horizontal strips out to rank m.
     """
+    return padded_table(orbit_summands(K, pair, i, m, support_cap=support_cap), m)
+
+
+def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
+    """Sum of the horizontal-strip inductions of the summands to Σ_m, padded."""
     result: dict[Partition, int] = {}
-    for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
+    for summand in summands:
         for mu, mult in summand.mu_multiplicities.items():
             for lam in pieri_induce(mu, m):
                 base = unpad(lam)
@@ -374,6 +372,13 @@ class CohomologyClass:
     subset: frozenset
     degree: int
     cochain: Vector
+
+
+def spanning_classes(
+    K: SimplicialComplex, cap: int = DEFAULT_SUBSET_CAP
+) -> list[CohomologyClass]:
+    """Basis classes of every subset, subsets in enumeration order."""
+    return [c for J in vertex_subsets(K.vertices, cap=cap) for c in basis_classes(K, J)]
 
 
 def basis_classes(K: SimplicialComplex, J) -> list[CohomologyClass]:
@@ -489,16 +494,13 @@ def classes_equal_in_cohomology(
     return class_is_zero_in_cohomology(K, CohomologyClass(a.subset, a.degree, diff))
 
 
-def g_algebra_equivariance_check(K: SimplicialComplex, G: PermGroup) -> bool:
+def g_algebra_equivariance_check(
+    K: SimplicialComplex, G: PermGroup, cap: int = DEFAULT_SUBSET_CAP
+) -> bool:
     """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes."""
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
-    supports = [
-        J
-        for J in _subset_iter(K, DEFAULT_SUBSET_CAP)
-        if reduced_cohomology(full_subcomplex(K, J)).total_dim() > 0
-    ]
-    spanning = [c for J in supports for c in basis_classes(K, J)]
+    spanning = spanning_classes(K, cap)
     for g in G.generators:
         for a in spanning:
             for b in spanning:

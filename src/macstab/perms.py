@@ -241,6 +241,23 @@ class OrbitTable:
         return len(enumerate_group(gens, cap))
 
 
+def vertex_subsets(
+    vertices,
+    max_size: int | None = None,
+    cap: int = DEFAULT_SUBSET_CAP,
+    min_size: int = 0,
+):
+    """Subsets of sizes min_size..max_size, size by size in `combinations`
+    order; their count is checked against `cap` before the first is made."""
+    verts = list(vertices)
+    n = len(verts)
+    sizes = range(min_size, n + 1 if max_size is None else min(max_size, n) + 1)
+    count = sum(comb(n, r) for r in sizes)
+    if count > cap:
+        raise CapExceeded(f"subset enumeration {count} exceeds cap {cap}")
+    return (frozenset(c) for r in sizes for c in combinations(verts, r))
+
+
 def subset_orbit_reps(
     K: SimplicialComplex,
     G: PermGroup,
@@ -251,19 +268,10 @@ def subset_orbit_reps(
 
     Representatives are the lexicographically least subsets of their orbits
     (in vertex sort order); stabilizer generators come from Schreier's lemma
-    with duplicates and the identity removed.
+    with duplicates and the identity removed.  BFS seeds follow `face_key`
+    order, which fixes the Schreier generators reported.
     """
-    verts = list(K.vertices)
-    n = len(verts)
-    limit = n if max_size is None else min(max_size, n)
-    count = sum(comb(n, r) for r in range(limit + 1))
-    if count > cap:
-        raise CapExceeded(f"subset enumeration {count} exceeds cap {cap}")
-
-    all_subsets = []
-    for r in range(limit + 1):
-        all_subsets.extend(frozenset(c) for c in combinations(verts, r))
-
+    all_subsets = list(vertex_subsets(K.vertices, max_size, cap))
     table = OrbitTable(group=G, total_subsets=len(all_subsets))
     ident = G.identity()
     assigned: dict[frozenset, Permutation] = {}

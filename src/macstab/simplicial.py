@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import ValidationError
 
@@ -218,8 +217,3 @@ def vc_cube_dual(m: int) -> SimplicialComplex:
         rim = deleted - {zeros[i]}
         facets.append(rim | {cone})
     return SimplicialComplex(zeros + ones + [cone], facets)
-
-
-def skeleton_face_count(m: int, k: int, j: int) -> int:
-    """Number of j-faces of skeleton(m, k)."""
-    return comb(m, j + 1) if j <= k else 0

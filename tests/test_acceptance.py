@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 
-from macstab.cellular import build_cell_complex, compare_with_hochster
+from macstab.cellular import MomentAngleCellComplex, compare_with_hochster
 from macstab.families import (
     JoinSkeletonsFamily,
     SkeletonFamily,
@@ -331,7 +331,7 @@ def test_criterion_10_manifold_duality():
         for m in (2, 3, 4):
             K = vc_cube_dual(m)
             hoch = betti(K)
-            cell = build_cell_complex(K, cap=2 * m + 1).betti()
+            cell = MomentAngleCellComplex(K, cap=2 * m + 1).betti()
             assert hoch == cell, f"m={m}: {hoch} != {cell}"
             top = 3 * m + 1
             for i in range(top + 1):

@@ -4,10 +4,9 @@ from itertools import combinations
 import pytest
 
 from macstab.cellular import (
+    MomentAngleCellComplex,
     assemble_global_boundary,
-    betti_cellular,
     block_trace,
-    build_cell_complex,
     cellular_action_trace,
     compare_with_hochster,
 )
@@ -26,20 +25,20 @@ from macstab.simplicial import (
 
 def test_sanity_disc_circle_sphere():
     # one vertex whose face is present: a disc; absent: a circle
-    assert build_cell_complex(point()).betti() == {0: 1}
-    assert build_cell_complex(skeleton(1, -1)).betti() == {0: 1, 1: 1}
-    assert build_cell_complex(skeleton(2, 0)).betti() == {0: 1, 3: 1}
+    assert MomentAngleCellComplex(point()).betti() == {0: 1}
+    assert MomentAngleCellComplex(skeleton(1, -1)).betti() == {0: 1, 1: 1}
+    assert MomentAngleCellComplex(skeleton(2, 0)).betti() == {0: 1, 3: 1}
 
 
 def test_cell_count(square):
-    Z = build_cell_complex(square)
+    Z = MomentAngleCellComplex(square)
     expected = sum(2 ** (4 - len(f)) for f in square.all_faces())
     assert Z.cell_count() == expected
 
 
 def test_global_boundary_squares_to_zero(square):
     for K in [square, skeleton(3, 0), vc_cube_dual(2)]:
-        glob = assemble_global_boundary(build_cell_complex(K))
+        glob = assemble_global_boundary(MomentAngleCellComplex(K))
         degs = sorted(glob)
         for d in degs:
             if d + 1 in degs and glob[d].cols and glob[d + 1].cols:
@@ -47,7 +46,7 @@ def test_global_boundary_squares_to_zero(square):
 
 
 def test_block_differentials_square_to_zero(square):
-    Z = build_cell_complex(square)
+    Z = MomentAngleCellComplex(square)
     for block in Z.blocks.values():
         for deg, mat in block.d.items():
             nxt = block.d.get(deg + 1)
@@ -59,13 +58,13 @@ def test_betti_matches_split_pipeline(square):
     corpus = [square, skeleton(2, 0), skeleton(3, 0), skeleton(4, 1),
               vc_cube_dual(2), vc_cube_dual(3)]
     for K in corpus:
-        assert build_cell_complex(K).betti() == betti(K)
+        assert MomentAngleCellComplex(K).betti() == betti(K)
 
 
 def test_euler_characteristic_from_cells(square):
     # alternating Betti sum equals the alternating cell count
     for K in [square, skeleton(3, 0), skeleton(4, 1), vc_cube_dual(2)]:
-        Z = build_cell_complex(K)
+        Z = MomentAngleCellComplex(K)
         cells = {}
         for block in Z.blocks.values():
             for deg, items in block.cells_by_degree.items():
@@ -76,8 +75,8 @@ def test_euler_characteristic_from_cells(square):
 
 
 def test_multidegree_split_matches_restrictions(square):
-    Z = build_cell_complex(square)
-    split = betti_cellular(Z, split_by_multidegree=True)
+    Z = MomentAngleCellComplex(square)
+    split = Z.betti_by_multidegree()
     for J, row in split.items():
         from macstab.homology import reduced_cohomology
 
@@ -88,7 +87,7 @@ def test_multidegree_split_matches_restrictions(square):
 
 
 def test_block_trace_identity_is_dimension(square):
-    Z = build_cell_complex(square)
+    Z = MomentAngleCellComplex(square)
     ident = Permutation.identity(4)
     for J, block in Z.blocks.items():
         for i, d in block.dims().items():
@@ -96,7 +95,7 @@ def test_block_trace_identity_is_dimension(square):
 
 
 def test_orbit_trace_square(square):
-    Z = build_cell_complex(square)
+    Z = MomentAngleCellComplex(square)
     v = {w.index: w for w in square.vertices}
     orbit = [frozenset({v[1], v[3]}), frozenset({v[2], v[4]})]
     swap = Permutation.from_cycles(4, (1, 3), (2, 4))
@@ -110,7 +109,7 @@ def test_orbit_trace_square(square):
 
 
 def test_trace_is_class_function(square):
-    Z = build_cell_complex(square)
+    Z = MomentAngleCellComplex(square)
     v = {w.index: w for w in square.vertices}
     top = frozenset(square.vertices)
     elements = enumerate_group([Permutation.from_cycles(4, (1, 2, 3, 4))])
@@ -122,7 +121,7 @@ def test_trace_is_class_function(square):
 
 def test_disjoint_points_transposition_trace():
     # the coordinate swap preserves orientation on each sphere block
-    Z = build_cell_complex(skeleton(3, 0))
+    Z = MomentAngleCellComplex(skeleton(3, 0))
     pairs = [frozenset({Vertex(a), Vertex(b)}) for a, b in [(1, 2), (1, 3), (2, 3)]]
     g = Permutation.from_cycles(3, (1, 2))
     assert cellular_action_trace(Z, g, 3, pairs) == 1
@@ -132,8 +131,8 @@ def test_disjoint_points_transposition_trace():
 
 def test_vertex_cap():
     with pytest.raises(CapExceeded):
-        build_cell_complex(skeleton(8, 0))
-    build_cell_complex(skeleton(8, 0), cap=8)
+        MomentAngleCellComplex(skeleton(8, 0))
+    MomentAngleCellComplex(skeleton(8, 0), cap=8)
 
 
 def test_compare_square(square, c4):

@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macstab.documents import dumps_report, make_report, parse_complex, serialize_complex
 from macstab.errors import ValidationError
@@ -204,13 +208,44 @@ def test_cli_exit_codes(tmp_path):
         (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..x"), None),
         (("betti", "--family", "join:1,,", "--m", "3"), None),
         (("betti", "--input", "-"), json.dumps({"vertices": [1, 2], "facets": [[1, 2]]})),
+        (("betti", "--family", "custom:-", "--m", "1"), "[1, 2]"),
+        (("betti", "--family", "custom:-", "--m", "1"),
+         json.dumps({"complexes": {"x": {"vertices": [], "facets": []}}})),
+        (("betti", "--input", "-"),
+         json.dumps({"vertices": [{"id": "a", "index": "q"}], "facets": [["a"]]})),
+        (("betti", "--input", "-"),
+         json.dumps({"vertices": [{"id": "a", "tag": "z"}], "facets": [["a"]]})),
+        (("betti", "--input", "-"),
+         json.dumps({"vertices": [{"id": "a", "index": 1}], "facets": [["a"]],
+                     "group": {"generators": ["x"]}})),
+        (("betti", "--input", "-"), json.dumps({"vertices": 5, "facets": []})),
+        (("betti", "--input", "-"), json.dumps({"vertices": [], "facets": 3})),
+        (("betti", "--input", "-"), json.dumps({"vertices": [], "facets": [], "group": [1]})),
+        (("oracle", "--input", "-", "--degrees", "1,x"),
+         json.dumps({"vertices": [{"id": "a", "index": 1}], "facets": [["a"]]})),
     ],
-    ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices"],
+    ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
+         "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
+         "vertices-int", "facets-int", "group-list", "degrees-x"],
 )
 def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     rc, _, err = run_cli(*argv, stdin=stdin)
     assert rc == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["betti", "oracle"])
+def test_cli_group_must_preserve_the_complex(command):
+    doc = {"vertices": [{"id": "a", "index": 3}], "facets": [],
+           "group": {"degree": 3, "generators": [[1, 3, 2]]}}
+    rc, _, err = run_cli(command, "--input", "-", stdin=json.dumps(doc))
+    assert rc == 1 and "does not preserve the complex" in err
+
+
+def test_cli_oracle_without_group_covers_every_index():
+    doc = {"vertices": [{"id": "a", "index": 2}], "facets": [["a"]]}
+    rc, out, _ = run_cli("oracle", "--input", "-", stdin=json.dumps(doc))
+    assert rc == 0 and report_of(out)["verdict"] == "no discrepancies"
 
 
 def test_cli_custom_family(tmp_path):
@@ -223,3 +258,88 @@ def test_cli_custom_family(tmp_path):
     rc, out, _ = run_cli("betti", "--family", f"custom:{path}", "--m", "3")
     assert rc == 0
     assert report_of(out)["degrees"] == {"0": 1, "3": 3, "4": 2}
+
+
+def _count_orbit_tables(monkeypatch):
+    """Replace perms.subset_orbit_reps, and every `from ... import` binding of
+    it, by a wrapper recording the vertex count of each complex it is given."""
+    import macstab.perms as perms
+
+    original = perms.subset_orbit_reps
+    sizes = []
+
+    def counting(K, *args, **kwargs):
+        sizes.append(len(K.vertices))
+        return original(K, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "macstab" and vars(mod).get("subset_orbit_reps") is original:
+            monkeypatch.setattr(mod, "subset_orbit_reps", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("extra", [(), ("--betti-only",)], ids=["full", "betti-only"])
+def test_cli_scan_builds_one_orbit_table_per_rank(monkeypatch, capsys, extra):
+    from macstab.cli import main
+
+    sizes = _count_orbit_tables(monkeypatch)
+    argv = ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..6", *extra]
+    assert main(argv) == 0
+    assert sizes == [4, 5, 6]
+    rep = report_of(capsys.readouterr().out)
+    # b_4 = 2·C(m, 3): each 3-point restriction has H̃^0 of rank 2
+    assert rep["betti_values"] == {"4": 8, "5": 20, "6": 40}
+    if not extra:
+        assert rep["betti"] == rep["betti_values"]
+
+
+_MALFORMED_DOCS = [[1, 2], 5, {"facets": []}, {"vertices": 5, "facets": 3},
+                   {"vertices": [], "facets": [], "group": [1]}]
+
+
+@st.composite
+def _document(draw):
+    """A complex document on at most 5 vertices, sometimes malformed."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_MALFORMED_DOCS))
+    labels = draw(st.lists(st.tuples(st.sampled_from([None, 1, 2, 3]), st.integers(0, 1)),
+                           max_size=5, unique=True))
+    ids = [f"v{k}" for k in range(len(labels))]
+    vertices = [{"id": i, "index": index, "tag": tag} for i, (index, tag) in zip(ids, labels)]
+    if vertices and draw(st.integers(0, 9)) == 0:
+        vertices[0][draw(st.sampled_from(["index", "tag"]))] = draw(st.sampled_from(["q", 0, None]))
+    pool = ids + ["x"] if draw(st.integers(0, 9)) == 0 else ids
+    facets = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=4)) if pool else []
+    doc = {"vertices": vertices, "facets": facets}
+    if draw(st.booleans()):
+        perms = st.permutations(list(range(1, 4)))
+        doc["group"] = draw(st.one_of(
+            st.fixed_dictionaries({"degree": st.just(3), "generators": st.lists(perms, max_size=2)}),
+            st.sampled_from([{"generators": [["x"]]}, {"degree": "x"}, {"generators": [[1, 1, 3]]}]),
+        ))
+    return doc
+
+
+_flags = st.one_of(
+    st.tuples(st.just("betti"), st.sampled_from([(), ("--per-multidegree",)])),
+    st.tuples(st.just("decompose"),
+              st.sampled_from([("--degree", x) for x in ("-1", "0", "3", "5")]
+                              + [("--degree", "3", "--irreducibles")])),
+    st.tuples(st.just("oracle"), st.sampled_from([(), ("--degrees", "0,3,4"), ("--degrees", "1,x")])),
+    st.tuples(st.just("product"), st.sampled_from([(), ("--check-equivariance",)])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_document(), flags=_flags, d=st.sampled_from(["0", "1", "2", "-1"]))
+def test_cli_fuzz_returns_an_exit_code(doc, flags, d):
+    from macstab.cli import main
+
+    command, extra = flags
+    argv = [command, "--input", "-", "--d", d, "--cap-subsets", "64",
+            "--cap-oracle", "5", *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), (argv, doc, err.getvalue())

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from macstab.errors import ValidationError
+from macstab.errors import CapExceeded, ValidationError
 from macstab.hochster import (
     MOMENT_ANGLE,
     REAL_MOMENT_ANGLE,
@@ -357,6 +357,12 @@ def test_equivariance_check(square, c4):
     assert g_algebra_equivariance_check(skeleton(4, 0), PermGroup.symmetric(4))
     assert g_algebra_equivariance_check(square, PermGroup.trivial(4))
     assert g_algebra_equivariance_check(vc_cube_dual(2), PermGroup.symmetric(2))
+
+
+def test_equivariance_check_honours_the_subset_cap(square, c4):
+    with pytest.raises(CapExceeded):
+        g_algebra_equivariance_check(square, c4, cap=15)
+    assert g_algebra_equivariance_check(square, c4, cap=16)
 
 
 def test_sphere_pair_validation():
