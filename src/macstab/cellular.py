@@ -21,6 +21,7 @@ from .linalg import DegreeCohomology, Matrix
 from .homology import action_sign, reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
+    DEFAULT_SUBSET_CAP,
     PermGroup,
     Permutation,
     is_g_complex,
@@ -200,6 +201,7 @@ def compare_with_hochster(
     degrees,
     flip_koszul: bool = False,
     cap: int = DEFAULT_ORACLE_CAP,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> DiffReport:
     """Cross-check the split pipeline against the cellular one, orbit by orbit.
 
@@ -212,11 +214,12 @@ def compare_with_hochster(
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
     Z = MomentAngleCellComplex(K, cap=cap)
-    table = subset_orbit_reps(K, G)
+    table = subset_orbit_reps(K, G, cap=subset_cap)
     report = DiffReport()
     degrees = list(degrees)
     for rep in table.representatives:
         coh = reduced_cohomology(full_subcomplex(K, rep))
+        gens = None
         for i in degrees:
             p = i - len(rep) - 1
             hoch_dim = coh.dim(p) if p >= -1 else 0
@@ -226,7 +229,7 @@ def compare_with_hochster(
                 continue
             if hoch_dim == 0:
                 continue
-            gens = table.stabilizer_gens[rep]
+            gens = gens or table.stabilizer_gens(rep)
             chars = summand_character(K, rep, gens, p, MOMENT_ANGLE)
             for g in gens:
                 lhs = chars[g]
@@ -235,7 +238,7 @@ def compare_with_hochster(
                 rhs = block_trace(Z, g, rep, i)
                 if lhs != rhs:
                     report.add("trace", rep, i, g, lhs, rhs)
-    hoch_betti = hochster_betti(K, MOMENT_ANGLE)
+    hoch_betti = hochster_betti(K, MOMENT_ANGLE, cap=subset_cap)
     cell_betti = Z.betti()
     for i in degrees:
         hb = hoch_betti.get(i, 0)

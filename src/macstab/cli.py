@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
-from .cellular import compare_with_hochster
+from .cellular import DEFAULT_ORACLE_CAP, compare_with_hochster
 from .documents import dumps_report, expect, make_report, parse_complex, parse_int
 from .families import (
     CustomFamily,
@@ -36,7 +36,13 @@ from .hochster import (
     spanning_classes,
     sym_irreducible_decomposition,
 )
-from .perms import PermGroup, vertex_subsets
+from .perms import (
+    DEFAULT_GROUP_CAP,
+    DEFAULT_SUBSET_CAP,
+    DEFAULT_SUPPORT_CAP,
+    PermGroup,
+    vertex_subsets,
+)
 from .simplicial import SimplicialComplex
 
 
@@ -51,10 +57,10 @@ def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True):
                        help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
     p.add_argument("--d", type=int, default=1, help="sphere dimension of the pair (default 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--cap-subsets", type=int, default=1 << 21)
-    p.add_argument("--cap-group", type=int, default=200_000)
-    p.add_argument("--cap-support", type=int, default=8)
-    p.add_argument("--cap-oracle", type=int, default=7)
+    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
+    p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap-oracle", type=int, default=DEFAULT_ORACLE_CAP)
 
 
 def _caps(args) -> dict:
@@ -64,6 +70,14 @@ def _caps(args) -> dict:
         "support": args.cap_support,
         "oracle_vertices": args.cap_oracle,
     }
+
+
+def _require_moment_angle(args) -> None:
+    """The cellular model and the transported cup product exist for d = 1 only."""
+    if args.d != 1:
+        raise ValidationError(
+            f"--d {args.d}: {args.command} covers only the moment-angle pair, d = 1"
+        )
 
 
 def _read_json(path: str):
@@ -201,9 +215,9 @@ def cmd_scan(args) -> int:
     payload: dict = {"family": fam.description, "degree": args.degree}
     scan = None
     if args.betti_only:
-        fit, values, diffs = betti_growth(fam, pair, args.degree, ms)
+        fit, values, diffs = betti_growth(fam, pair, args.degree, ms, args.cap_subsets)
     else:
-        scan = multiplicity_scan(fam, pair, args.degree, ms)
+        scan = multiplicity_scan(fam, pair, args.degree, ms, args.cap_support, args.cap_subsets)
         payload["multiplicities"] = {
             str(m): {_partition_key(b): mult for b, mult in t.items()}
             for m, t in scan.tables.items()
@@ -251,15 +265,15 @@ def cmd_check_family(args) -> int:
     for r in range(args.max_r + 1):
         stability[str(r)] = {
             "vertex_stable_at_degree": r + 1,
-            "vertex_stable": check_r_vertex_stable(fam, r, r + 1, ms),
+            "vertex_stable": check_r_vertex_stable(fam, r, r + 1, ms, args.cap_subsets),
             "face_stable": check_r_face_stable(fam, r, r + 1, ms),
         }
     results["stability"] = stability
     Kd, _ = fam.instantiate(d0)
     stab_results = {}
     ok_all = True
-    for J in vertex_subsets(Kd.vertices, args.max_stab_size, min_size=1):
-        ok = check_stabiliser_consistent(fam, J, ms)
+    for J in vertex_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets, min_size=1):
+        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support)
         stab_results[_subset_key(J)] = ok
         ok_all = ok_all and ok
     results["stabiliser_consistent"] = stab_results
@@ -275,6 +289,7 @@ def cmd_check_family(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     if G is None:
         G = PermGroup.trivial(max((v.index or 1 for v in K.vertices), default=1))
@@ -284,7 +299,7 @@ def cmd_oracle(args) -> int:
         degrees = list(range(0, 2 * len(K.vertices) + 1))
     diff = compare_with_hochster(
         K, G, degrees,
-        flip_koszul=args.flip_koszul, cap=args.cap_oracle,
+        flip_koszul=args.flip_koszul, cap=args.cap_oracle, subset_cap=args.cap_subsets,
     )
     payload = {
         "degrees": degrees,
@@ -307,6 +322,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_product(args) -> int:
+    _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     classes = spanning_classes(K, args.cap_subsets)
     table = []

@@ -17,6 +17,8 @@ from math import factorial
 from .errors import ValidationError
 from .hochster import SpherePair, nonzero_summands, orbit_summands, padded_table
 from .perms import (
+    DEFAULT_SUBSET_CAP,
+    DEFAULT_SUPPORT_CAP,
     PermGroup,
     Permutation,
     stabilizer_order_in_sym,
@@ -148,30 +150,19 @@ def check_consistent(f: Family, m_range) -> bool:
     return True
 
 
-def _index_relabellings(src_indices, d: int, order_preserving_first: bool = True):
-    """Injections of a small index set into 1..d."""
+def _index_relabellings(src_indices, d: int):
+    """Injections of a small index set into 1..d, the order-preserving one first."""
     src = sorted(src_indices)
-    c = len(src)
-    if c > d:
-        return
-    yield dict(zip(src, range(1, c + 1)))
-    for img in iter_permutations(range(1, d + 1), c):
-        mapping = dict(zip(src, img))
-        if mapping != dict(zip(src, range(1, c + 1))):
-            yield mapping
+    return (dict(zip(src, img)) for img in iter_permutations(range(1, d + 1), len(src)))
 
 
-def _relabel_set(S, mapping) -> frozenset | None:
-    out = set()
-    for v in S:
-        if v.index is None:
-            out.add(v)
-        else:
-            out.add(Vertex(mapping[v.index], v.tag))
-    return frozenset(out)
+def _relabel_set(S, mapping) -> frozenset:
+    return frozenset(v if v.index is None else Vertex(mapping[v.index], v.tag) for v in S)
 
 
-def check_r_vertex_stable(f: Family, r: int, d: int, m_range) -> bool:
+def check_r_vertex_stable(
+    f: Family, r: int, d: int, m_range, cap: int = DEFAULT_SUBSET_CAP
+) -> bool:
     """Every (r+1)-vertex collection at rank m is Σ_m-equivalent to one from rank d."""
     Kd, _ = f.instantiate(d)
     vd = set(Kd.vertices)
@@ -179,7 +170,7 @@ def check_r_vertex_stable(f: Family, r: int, d: int, m_range) -> bool:
         if m < d:
             continue
         Km, _ = f.instantiate(m)
-        for S in vertex_subsets(Km.vertices, r + 1, min_size=r + 1):
+        for S in vertex_subsets(Km.vertices, r + 1, cap, min_size=r + 1):
             idx = {v.index for v in S if v.index is not None}
             if len(idx) > d:
                 return False
@@ -201,18 +192,16 @@ def check_r_face_stable(f: Family, r: int, d: int, m_range) -> bool:
             idx = {v.index for v in face if v.index is not None}
             if len(idx) > d:
                 return False
-            ok = False
-            for mp in _index_relabellings(idx, d):
-                img = _relabel_set(face, mp)
-                if img is not None and Kd.has_face(img):
-                    ok = True
-                    break
-            if not ok:
+            if not any(
+                Kd.has_face(_relabel_set(face, mp)) for mp in _index_relabellings(idx, d)
+            ):
                 return False
     return True
 
 
-def check_stabiliser_consistent(f: Family, J, m_range) -> bool:
+def check_stabiliser_consistent(
+    f: Family, J, m_range, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> bool:
     """stab(J, m) = (finite part on the support) × Σ_{m-b} with b = |support|.
 
     Verified by the exact order identity against a brute-force stabilizer
@@ -227,7 +216,7 @@ def check_stabiliser_consistent(f: Family, J, m_range) -> bool:
         Km, _ = f.instantiate(m)
         if not Jw <= set(Km.vertices):
             return False
-        support, finite_part, comp_rank = support_split(Jw, Km, m)
+        support, finite_part, comp_rank = support_split(Jw, Km, m, support_cap)
         if comp_rank != m - len(support):
             return False
         expected = len(finite_part) * factorial(comp_rank)
@@ -270,10 +259,6 @@ class PolynomialFit:
 
 @dataclass
 class StabilityScanReport:
-    family: str
-    degree: int
-    sphere_dim: int
-    m_values: list[int] = field(default_factory=list)
     tables: dict[int, dict[Partition, int]] = field(default_factory=dict)
     onset: int | None = None
     certified: bool = False
@@ -284,10 +269,11 @@ class StabilityScanReport:
 
 
 def betti_at_degree(
-    K: SimplicialComplex, pair: SpherePair, i: int, group: PermGroup
+    K: SimplicialComplex, pair: SpherePair, i: int, group: PermGroup,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> int:
     """b_i alone, over orbit representatives pruned by the vanishing bound."""
-    table, summands = nonzero_summands(K, group, pair, i)
+    table, summands = nonzero_summands(K, group, pair, i, cap)
     return sum(table.orbit_sizes[rep] * dim for rep, _, dim in summands)
 
 
@@ -296,6 +282,8 @@ def multiplicity_scan(
     pair: SpherePair,
     i: int,
     m_range,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> StabilityScanReport:
     """Padded multiplicity tables over a window, with the observed onset.
 
@@ -308,13 +296,11 @@ def multiplicity_scan(
     ms = sorted(set(m_range))
     if not ms:
         raise ValidationError("empty scan range")
-    report = StabilityScanReport(
-        family=f.description, degree=i, sphere_dim=pair.d, m_values=ms
-    )
+    report = StabilityScanReport()
 
     for m in ms:
         K, _ = f.instantiate(m)
-        summands = orbit_summands(K, pair, i, m)
+        summands = orbit_summands(K, pair, i, m, support_cap, subset_cap)
         report.tables[m] = padded_table(summands, m)
         report.betti[m] = sum(s.orbit_size * s.dim for s in summands)
     last = report.tables[ms[-1]]
@@ -391,6 +377,7 @@ def betti_growth(
     pair: SpherePair,
     i: int,
     m_range,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> tuple[PolynomialFit | None, list[int], list[list[int]]]:
     """Exact finite-difference detection of eventually polynomial b_i(m).
 
@@ -402,6 +389,6 @@ def betti_growth(
     values = []
     for m in ms:
         K, G = f.instantiate(m)
-        values.append(betti_at_degree(K, pair, i, G))
+        values.append(betti_at_degree(K, pair, i, G, cap))
     fit = _fit_tail(ms, values)
     return fit, values, _difference_table(values)

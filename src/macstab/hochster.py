@@ -123,9 +123,7 @@ class MultidegreeComponent:
     rep: frozenset
     orbit_size: int
     degree_p: int
-    ambient_degree: int
     dim: int
-    stabilizer_gens: tuple[Permutation, ...]
     stabilizer_order: int | None
     generator_character: dict[Permutation, Fraction]
     element_character: dict[Permutation, Fraction] | None
@@ -138,7 +136,6 @@ class MultidegreeComponent:
 @dataclass
 class EquivariantReport:
     degree: int
-    pair: SpherePair
     betti: int
     components: list[MultidegreeComponent] = field(default_factory=list)
     irreducibles: dict[Partition, int] | None = None
@@ -194,9 +191,9 @@ def equivariant_decomposition(
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
     table, summands = nonzero_summands(K, G, pair, i, cap=subset_cap)
-    report = EquivariantReport(degree=i, pair=pair, betti=0)
+    report = EquivariantReport(degree=i, betti=0)
     for rep, p, dim in summands:
-        gens = table.stabilizer_gens[rep]
+        gens = table.stabilizer_gens(rep)
         gen_char = summand_character(K, rep, gens, p, pair)
         elem_char = None
         order = None
@@ -211,9 +208,7 @@ def equivariant_decomposition(
                 rep=rep,
                 orbit_size=table.orbit_sizes[rep],
                 degree_p=p,
-                ambient_degree=i,
                 dim=dim,
-                stabilizer_gens=gens,
                 stabilizer_order=order,
                 generator_character=gen_char,
                 element_character=elem_char,

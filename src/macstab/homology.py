@@ -76,17 +76,10 @@ class CohomologyBasis:
             return ()
         return data.project(cochain)
 
-    def total_dim(self) -> int:
-        return sum(d.betti for d in self.degrees.values())
-
 
 @lru_cache(maxsize=None)
 def reduced_cohomology(K: SimplicialComplex) -> CohomologyBasis:
     return CohomologyBasis(K)
-
-
-def betti_numbers(K: SimplicialComplex) -> dict[int, int]:
-    return reduced_cohomology(K).dims()
 
 
 def action_sign(g: Permutation, face) -> int:

@@ -2,14 +2,15 @@
 
 Permutations are stored in one-line notation on {1..m}.  A group is a
 generator list; element lists are only materialised under a cap, and
-stabilizers come out of orbit breadth-first search as Schreier generators.
+stabilizers come out of orbit breadth-first search as Schreier generators,
+computed on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations as iter_permutations
-from math import comb, factorial
+from math import comb
 
 from .errors import CapExceeded, ValidationError
 from .simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
@@ -131,7 +132,6 @@ def restriction_sign(g: Permutation, subset) -> int:
 class PermGroup:
     degree: int
     generators: tuple[Permutation, ...]
-    known_order: int | None = None
 
     def __post_init__(self):
         for g in self.generators:
@@ -149,23 +149,18 @@ class PermGroup:
                 Permutation.from_cycles(m, (1, 2)),
                 Permutation.from_cycles(m, tuple(range(1, m + 1))),
             )
-        return cls(max(m, 1), gens, known_order=factorial(m))
+        return cls(max(m, 1), gens)
 
     @classmethod
     def cyclic(cls, m: int) -> "PermGroup":
-        return cls(m, (Permutation.from_cycles(m, tuple(range(1, m + 1))),), known_order=m)
+        return cls(m, (Permutation.from_cycles(m, tuple(range(1, m + 1))),))
 
     @classmethod
     def trivial(cls, m: int) -> "PermGroup":
-        return cls(m, (Permutation.identity(m),), known_order=1)
+        return cls(m, (Permutation.identity(m),))
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        if self.known_order is not None:
-            return self.known_order
-        return len(enumerate_group(list(self.generators), cap))
 
 
 def enumerate_group(gens: list[Permutation], cap: int = DEFAULT_GROUP_CAP) -> list[Permutation]:
@@ -221,24 +216,29 @@ def is_g_complex(K: SimplicialComplex, G: PermGroup) -> bool:
 
 @dataclass
 class OrbitTable:
-    """Orbit representatives with sizes, Schreier stabilizer generators and
-    a transversal mapping each subset to an element carrying its representative
-    to it."""
+    """Orbit representatives with sizes, and each orbit as a map from its
+    subsets to the BFS words carrying the representative to them."""
 
     group: PermGroup
     representatives: list[frozenset] = field(default_factory=list)
     orbit_sizes: dict[frozenset, int] = field(default_factory=dict)
-    stabilizer_gens: dict[frozenset, tuple[Permutation, ...]] = field(default_factory=dict)
-    transversal: dict[frozenset, Permutation] = field(default_factory=dict)
+    orbits: dict[frozenset, dict[frozenset, Permutation]] = field(default_factory=dict)
     total_subsets: int = 0
 
-    def rep_of(self, subset: frozenset) -> frozenset:
-        g = self.transversal[subset]
-        return frozenset(g.inverse().act_vertex(v) for v in subset)
-
-    def stabilizer_order(self, rep: frozenset, cap: int = DEFAULT_GROUP_CAP) -> int:
-        gens = list(self.stabilizer_gens[rep]) or [self.group.identity()]
-        return len(enumerate_group(gens, cap))
+    def stabilizer_gens(self, rep: frozenset) -> tuple[Permutation, ...]:
+        """Schreier generators of the stabilizer of rep, with duplicates and
+        the identity removed; the identity alone when the stabilizer is trivial."""
+        words = self.orbits[rep]
+        stab: list[Permutation] = []
+        seen = set()
+        for s, ws in words.items():
+            for g in self.group.generators:
+                img = frozenset(g.act_vertex(v) for v in s)
+                sg = words[img].inverse() * (g * ws)
+                if not sg.is_identity() and sg not in seen:
+                    seen.add(sg)
+                    stab.append(sg)
+        return tuple(stab) if stab else (self.group.identity(),)
 
 
 def vertex_subsets(
@@ -266,19 +266,19 @@ def subset_orbit_reps(
 ) -> OrbitTable:
     """Orbits of vertex subsets under G, by BFS over the generator action.
 
-    Representatives are the lexicographically least subsets of their orbits
-    (in vertex sort order); stabilizer generators come from Schreier's lemma
-    with duplicates and the identity removed.  BFS seeds follow `face_key`
-    order, which fixes the Schreier generators reported.
+    Representatives are the `face_key`-least subsets of their orbits, listed
+    in `face_key` order; the BFS words fix the Schreier generators that
+    `OrbitTable.stabilizer_gens` reports.
     """
     all_subsets = list(vertex_subsets(K.vertices, max_size, cap))
     table = OrbitTable(group=G, total_subsets=len(all_subsets))
     ident = G.identity()
-    assigned: dict[frozenset, Permutation] = {}
-    for seed in sorted(all_subsets, key=lambda s: face_key(s)):
+    assigned: set[frozenset] = set()
+    # G permutes the vertices, so in face_key order the first unassigned seed is
+    # the least subset of its orbit: no rebasing and no sort are needed
+    for seed in sorted(all_subsets, key=face_key):
         if seed in assigned:
             continue
-        # BFS orbit with transversal words
         orbit = {seed: ident}
         frontier = [seed]
         while frontier:
@@ -291,27 +291,10 @@ def subset_orbit_reps(
                         orbit[img] = g * ts
                         nxt.append(img)
             frontier = nxt
-        rep = min(orbit, key=face_key)
-        # rebase the transversal on the true (lex-least) representative
-        to_rep = orbit[rep]
-        rebased = {s: w * to_rep.inverse() for s, w in orbit.items()}
-        # Schreier generators of the stabilizer of rep
-        stab: list[Permutation] = []
-        seen_stab = set()
-        for s, ws in rebased.items():
-            for g in G.generators:
-                img = frozenset(g.act_vertex(v) for v in s)
-                sg = rebased[img].inverse() * (g * ws)
-                if not sg.is_identity() and sg not in seen_stab:
-                    seen_stab.add(sg)
-                    stab.append(sg)
-        table.representatives.append(rep)
-        table.orbit_sizes[rep] = len(orbit)
-        table.stabilizer_gens[rep] = tuple(stab) if stab else (ident,)
-        for s, w in rebased.items():
-            assigned[s] = w
-    table.transversal = assigned
-    table.representatives.sort(key=face_key)
+        table.representatives.append(seed)
+        table.orbit_sizes[seed] = len(orbit)
+        table.orbits[seed] = orbit
+        assigned.update(orbit)
     return table
 
 

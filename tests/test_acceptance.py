@@ -73,7 +73,7 @@ def test_criterion_01_square_example(square, c4):
             frozenset({v[1], v[2], v[3], v[4]}),
         }
         assert set(table.representatives) == expected
-        stab = enumerate_group(list(table.stabilizer_gens[frozenset({v[1], v[3]})]))
+        stab = enumerate_group(list(table.stabilizer_gens(frozenset({v[1], v[3]}))))
         assert len(stab) == 2
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -223,15 +224,116 @@ def test_cli_exit_codes(tmp_path):
         (("betti", "--input", "-"), json.dumps({"vertices": [], "facets": [], "group": [1]})),
         (("oracle", "--input", "-", "--degrees", "1,x"),
          json.dumps({"vertices": [{"id": "a", "index": 1}], "facets": [["a"]]})),
+        (("oracle", "--family", "vccube", "--m", "3", "--d", "2"), None),
+        (("product", "--family", "skeleton:0", "--m", "3", "--d", "0"), None),
     ],
     ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
          "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
-         "vertices-int", "facets-int", "group-list", "degrees-x"],
+         "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d"],
 )
 def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     rc, _, err = run_cli(*argv, stdin=stdin)
     assert rc == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if "--d" in argv:
+        assert "--d" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..5", "--cap-subsets", "1"),
+        ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..5", "--cap-subsets", "1",
+         "--betti-only"),
+        ("scan", "--family", "vccube", "--degree", "5", "--m", "5..5", "--cap-support", "1"),
+        ("oracle", "--family", "skeleton:0", "--m", "4", "--cap-subsets", "1"),
+        ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-subsets", "1"),
+        ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-support", "1"),
+    ],
+    ids=["scan", "scan-betti-only", "scan-support", "oracle", "check-family",
+         "check-family-support"],
+)
+def test_cli_every_command_honours_its_caps(capsys, argv):
+    from macstab.cli import main
+
+    assert main(list(argv)) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--family", "skeleton:0", "--m", "5", "--degree", "3"),
+         "a341bf162898a1c2ba1b87df77751a7a461f7344cf41b84c8ea0e2243485c8fe"),
+        (("--family", "skeleton:1", "--m", "5", "--degree", "5"),
+         "738947d59a35c8540aabda24e176c2c7d31a1f2ce7a6dadc1d61d02268dd8391"),
+        (("--family", "vccube", "--m", "3", "--degree", "5"),
+         "66dea6ea98b4f8781b00f09723824a45e31ec7578caab5ae45af4a9c2863d0ec"),
+    ],
+    ids=["skeleton0-m5-deg3", "skeleton1-m5-deg5", "vccube-m3-deg5"],
+)
+def test_cli_decompose_report_is_pinned(capsys, argv, digest):
+    # the reports print the Schreier generators of each stabilizer, which
+    # depend on the order of the orbit breadth-first search
+    from macstab.cli import main
+
+    assert main(["decompose", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _count_stabilizer_calls(monkeypatch):
+    """Record the representative of every OrbitTable.stabilizer_gens call."""
+    from macstab.perms import OrbitTable
+
+    original = OrbitTable.stabilizer_gens
+    calls = []
+
+    def counting(self, rep):
+        calls.append(rep)
+        return original(self, rep)
+
+    monkeypatch.setattr(OrbitTable, "stabilizer_gens", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--family", "vccube", "--degree", "5", "--m", "3..4"),
+        ("scan", "--family", "vccube", "--degree", "5", "--m", "3..4", "--betti-only"),
+        ("betti", "--family", "vccube", "--m", "3"),
+        ("decompose", "--family", "vccube", "--m", "3", "--degree", "5"),
+    ],
+    ids=["scan", "scan-betti-only", "betti", "decompose"],
+)
+def test_cli_stabilizer_generators_only_where_read(monkeypatch, capsys, argv):
+    from macstab.cli import main
+
+    calls = _count_stabilizer_calls(monkeypatch)
+    assert main(list(argv)) == 0
+    if argv[0] == "decompose":
+        components = report_of(capsys.readouterr().out)["components"]
+        assert len(calls) == len(set(calls)) == len(components) > 0
+    else:
+        assert calls == []
+
+
+def test_cli_oracle_builds_stabilizer_generators_once_per_orbit(monkeypatch, tmp_path):
+    from macstab.cli import main
+
+    # a 4-cycle plus an unindexed point: the whole vertex set restricts to a
+    # circle and a point, so its summand is non-zero in two ambient degrees
+    names = "abcd"
+    doc = {
+        "vertices": [{"id": n, "index": k} for k, n in enumerate(names, 1)] + [{"id": "x"}],
+        "facets": [[names[k], names[(k + 1) % 4]] for k in range(4)] + [["x"]],
+        "group": {"degree": 4, "generators": [[2, 3, 4, 1]]},
+    }
+    path = tmp_path / "cycle_and_point.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_stabilizer_calls(monkeypatch)
+    assert main(["oracle", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == len(set(calls)) > 0
 
 
 @pytest.mark.parametrize("command", ["betti", "oracle"])

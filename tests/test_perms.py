@@ -15,8 +15,16 @@ from macstab.perms import (
     stabilizer_order_in_sym,
     subset_orbit_reps,
     support_split,
+    vertex_subsets,
 )
-from macstab.simplicial import SimplicialComplex, Vertex, skeleton, vc_cube_dual
+from macstab.simplicial import (
+    SimplicialComplex,
+    Vertex,
+    face_key,
+    join,
+    skeleton,
+    vc_cube_dual,
+)
 
 
 def perm(m, *cycles):
@@ -80,7 +88,7 @@ def test_subset_orbit_reps_square(square, c4):
     assert table.total_subsets == 16
     assert sum(table.orbit_sizes.values()) == 16
     J13 = frozenset({v[1], v[3]})
-    stab = enumerate_group(list(table.stabilizer_gens[J13]))
+    stab = enumerate_group(list(table.stabilizer_gens(J13)))
     assert sorted(g.images for g in stab) == [(1, 2, 3, 4), (3, 4, 1, 2)]
 
 
@@ -94,17 +102,28 @@ def test_subset_orbit_reps_skeleton(m, k):
 
 
 def test_orbit_stabilizer_identity(square, c4):
-    table = subset_orbit_reps(square, c4)
-    for rep in table.representatives:
-        stab_order = table.stabilizer_order(rep)
-        assert stab_order * table.orbit_sizes[rep] == 4
+    cases = [(square, c4, 4), (skeleton(5, 1), PermGroup.cyclic(5), 5)]
+    for m in (2, 3, 4):
+        G = PermGroup.symmetric(m)
+        for K in (skeleton(m, 0), skeleton(m, 1), vc_cube_dual(m),
+                  join(skeleton(m, 1), skeleton(m, 0))):
+            cases.append((K, G, factorial(m)))
+    for K, G, order in cases:
+        table = subset_orbit_reps(K, G)
+        covered = [s for rep in table.representatives for s in table.orbits[rep]]
+        assert len(covered) == len(set(covered)) == table.total_subsets
+        assert set(covered) == set(vertex_subsets(K.vertices))
+        for rep in table.representatives:
+            assert rep == min(table.orbits[rep], key=face_key)
+            stab_order = len(enumerate_group(list(table.stabilizer_gens(rep))))
+            assert stab_order * table.orbit_sizes[rep] == order
 
 
 def test_transversal_carries_rep(square, c4):
     table = subset_orbit_reps(square, c4)
-    for subset, g in table.transversal.items():
-        rep = table.rep_of(subset)
-        assert act_on_subset(g, rep, square) == subset
+    for rep, orbit in table.orbits.items():
+        for subset, g in orbit.items():
+            assert act_on_subset(g, rep, square) == subset
 
 
 def test_full_subcomplex_equivariance(square, c4):
