@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
-from .linalg import DegreeCohomology, Matrix
+from .linalg import Matrix, cochain_cohomology
 from .homology import action_sign, reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
@@ -66,10 +66,9 @@ class Block:
                     below = sum(1 for l in L if l != x and l < x)
                     mat.data[row][col] = Fraction((-1) ** below)
             self.d[deg] = mat
-        self.pieces = {
-            deg: DegreeCohomology(len(cells), self.d.get(deg - 1), self.d[deg])
-            for deg, cells in sorted(self.cells_by_degree.items())
-        }
+        self.pieces = cochain_cohomology(
+            {deg: len(cells) for deg, cells in self.cells_by_degree.items()}, self.d
+        )
 
     def dim(self, i: int) -> int:
         piece = self.pieces.get(i)

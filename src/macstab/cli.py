@@ -33,14 +33,18 @@ from .hochster import (
     cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
+    nonzero_summands,
+    orbit_summands,
+    padded_table,
     spanning_classes,
-    sym_irreducible_decomposition,
 )
+from .homology import reduced_cohomology
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
+    is_g_complex,
     vertex_subsets,
 )
 from .simplicial import SimplicialComplex
@@ -98,7 +102,13 @@ def _load_custom(path: str):
     complexes = {}
     for key, doc in expect(data.get("complexes", {}), dict, f"{path!r}: 'complexes'").items():
         K, _ = parse_complex(doc)
-        complexes[parse_int(key, f"{path!r}: rank")] = K
+        m = parse_int(key, f"{path!r}: rank")
+        if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
+            raise ValidationError(f"{path!r}: the complex for m={m} uses indices outside 1..{m}")
+        # scans enumerate Σ_m-orbits; a complex Σ_m does not preserve gives wrong sums
+        if not is_g_complex(K, PermGroup.symmetric(m)):
+            raise ValidationError(f"{path!r}: the complex for m={m} is not closed under Σ_{m}")
+        complexes[m] = K
 
     def builder(m: int) -> SimplicialComplex:
         if m not in complexes:
@@ -159,10 +169,13 @@ def cmd_decompose(args) -> int:
     pair = SpherePair(args.d)
     if G is None:
         raise ValidationError("decompose needs a group (document group or --family)")
-    report = equivariant_decomposition(
-        K, G, pair, args.degree,
-        subset_cap=args.cap_subsets, group_cap=args.cap_group,
-    )
+    if args.irreducibles and m is None:
+        raise ValidationError("--irreducibles needs a family input (index action)")
+    if not is_g_complex(K, G):
+        raise ValidationError("the group does not preserve the complex")
+    # one orbit table for both reports; a family's group is the index action of Σ_m
+    found = nonzero_summands(K, G, pair, args.degree, cap=args.cap_subsets)
+    report = equivariant_decomposition(K, G, pair, args.degree, found, group_cap=args.cap_group)
     comps = []
     for c in report.components:
         entry = {
@@ -188,11 +201,8 @@ def cmd_decompose(args) -> int:
         "components": comps,
     }
     if args.irreducibles:
-        if m is None:
-            raise ValidationError("--irreducibles needs a family input (index action)")
-        report.irreducibles = sym_irreducible_decomposition(
-            K, pair, args.degree, m, support_cap=args.cap_support
-        )
+        summands = orbit_summands(K, pair, args.degree, m, args.cap_support, found=found)
+        report.irreducibles = padded_table(summands, m)
         payload["irreducibles"] = {
             _partition_key(b): mult for b, mult in report.irreducibles.items()
         }
@@ -394,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one command's cache; kept after it returns so its statistics can be read
+    reduced_cohomology.cache_clear()
     try:
         return args.func(args)
     except ValidationError as err:

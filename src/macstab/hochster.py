@@ -164,9 +164,12 @@ def summand_character(
     return out
 
 
+NonzeroSummands = tuple[OrbitTable, list[tuple[frozenset, int, int]]]
+
+
 def nonzero_summands(
     K: SimplicialComplex, G: PermGroup, pair: SpherePair, i: int, cap: int = DEFAULT_SUBSET_CAP
-) -> tuple[OrbitTable, list[tuple[frozenset, int, int]]]:
+) -> NonzeroSummands:
     """The orbit table of the subsets reaching ambient degree i, and (rep, p, dim)
     for each representative with dim H̃^p(K_rep) > 0, p = i - d|rep| - 1."""
     table = subset_orbit_reps(K, G, max_size=pair.max_subset_size(i), cap=cap)
@@ -184,13 +187,15 @@ def equivariant_decomposition(
     G: PermGroup,
     pair: SpherePair,
     i: int,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    found: NonzeroSummands,
     group_cap: int = DEFAULT_GROUP_CAP,
 ) -> EquivariantReport:
-    """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero."""
-    if not is_g_complex(K, G):
-        raise ValidationError("the group does not preserve the complex")
-    table, summands = nonzero_summands(K, G, pair, i, cap=subset_cap)
+    """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero.
+
+    `found` is `nonzero_summands(K, G, pair, i)`, computed by a caller that
+    has checked that G preserves K.
+    """
+    table, summands = found
     report = EquivariantReport(degree=i, betti=0)
     for rep, p, dim in summands:
         gens = table.stabilizer_gens(rep)
@@ -252,12 +257,18 @@ def orbit_summands(
     m: int,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
+    found: NonzeroSummands | None = None,
 ) -> list[OrbitSummand]:
-    """Per-orbit data feeding both induction routes (index action of Σ_m)."""
+    """Per-orbit data feeding both induction routes (index action of Σ_m).
+
+    `found`, when given, is `nonzero_summands` of K under Σ_m at degree i.
+    """
     if pair.d < 1:
         raise ValidationError("representation routines need a sphere of dimension >= 1")
     _validate_indexed(K, m)
-    table, summands = nonzero_summands(K, PermGroup.symmetric(m), pair, i, cap=subset_cap)
+    if found is None:
+        found = nonzero_summands(K, PermGroup.symmetric(m), pair, i, cap=subset_cap)
+    table, summands = found
     out: list[OrbitSummand] = []
     for rep, p, dim in summands:
         support, finite_part, _ = support_split(rep, K, m, cap=support_cap)

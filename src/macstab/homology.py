@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .linalg import DegreeCohomology, Matrix, Vector
+from .linalg import DegreeCohomology, Matrix, Vector, cochain_cohomology
 from .perms import Permutation, act_on_subset, sort_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
@@ -47,14 +47,12 @@ class CohomologyBasis:
         self._faces: dict[int, list] = {}
         if K.is_void:
             return
-        mats = coboundary_matrices(K)
-        for p in range(-1, K.dim + 1):
-            self._faces[p] = K.faces_of_dim(p)
-            self.degrees[p] = DegreeCohomology(
-                len(self._faces[p]),
-                d_in=mats[p] if p >= 0 else None,  # mats[p] is d_{p-1}
-                d_out=mats[p + 1] if p < K.dim else None,
-            )
+        self._faces = {p: K.faces_of_dim(p) for p in range(-1, K.dim + 1)}
+        mats = coboundary_matrices(K)  # mats[p + 1] is d_p
+        self.degrees = cochain_cohomology(
+            {p: len(faces) for p, faces in self._faces.items()},
+            {p: mats[p + 1] for p in range(-1, K.dim)},
+        )
 
     def dim(self, p: int) -> int:
         data = self.degrees.get(p)

@@ -2,20 +2,23 @@
 
 Small dense matrices over Q with arbitrary-precision entries
 (``fractions.Fraction``); no floating point anywhere.  Rank is computed by
-fraction-free (Bareiss) elimination on an integer-scaled copy so intermediate
-swell stays polynomial; kernels, images and solves use plain rational
-row reduction, which is exact and fast at the sizes this package handles.
-`DegreeCohomology` is the one cohomology kernel that both the split pipeline
-(`homology`) and the cellular model (`cellular`) build on.
+sparse integer rank: fraction-free elimination on integer-scaled rows held as
+{column: entry} dicts, each divided by the gcd of its entries after every
+step, so the ±1 coboundaries stay sparse and small.  Kernels, images and
+solves use plain rational row reduction.  `DegreeCohomology` is the one
+cohomology kernel that both the split pipeline (`homology`) and the cellular
+model (`cellular`) build on; its dimension comes from ranks alone and its
+basis is built only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import OracleMismatch, ValidationError
 
 Vector = tuple[Fraction, ...]
 
@@ -117,13 +120,31 @@ class Matrix:
     def mul_vec(self, v: Sequence) -> Vector:
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix-vector product")
+        v = [Fraction(x) for x in v]
         return tuple(
-            sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0))
+            sum((a * x for a, x in zip(row, v) if a), Fraction(0))
             for row in self.data
         )
 
     def rank(self) -> int:
-        return _bareiss_rank(self)
+        """Rank by sparse fraction-free elimination over the integers.
+
+        Rows are reduced one at a time against the pivot rows kept so far,
+        each keyed by its least column, until they vanish or lead with a new
+        column; the pivot rows form an echelon basis of the row space.
+        """
+        pivots: dict[int, dict[int, int]] = {}
+        for entries in self.data:
+            row = _integer_row(entries)
+            while row:
+                c = min(row)
+                pivot = pivots.get(c)
+                if pivot is None:
+                    # a positive leading entry makes ±1 pivots cancel without scaling
+                    pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+                    break
+                row = _eliminate(row, pivot, c)
+        return len(pivots)
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -195,40 +216,33 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
-def _bareiss_rank(m: Matrix) -> int:
-    """Rank via fraction-free elimination on an integer-scaled copy."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[int]] = []
-    for row in m.data:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        a.append([int(x * denom) for x in row])
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, rows):
-            if all(x == 0 for x in a[i]):
-                continue
-            for j in range(cols):
-                if j == c:
-                    continue
-                a[i][j] = (piv * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+def _integer_row(entries: Sequence[Fraction]) -> dict[int, int]:
+    """The non-zero entries of a rational row, scaled to coprime integers."""
+    nonzero = {j: x for j, x in enumerate(entries) if x}
+    if not nonzero:
+        return {}
+    scale = lcm(*(x.denominator for x in nonzero.values()))
+    row = {j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()}
+    return _primitive(row)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """a·row − b·pivot with the column-c entry cancelled, made primitive again."""
+    g = gcd(pivot[c], row[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
+    for j, x in pivot.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out) if out else out
 
 
 def extend_to_basis(base: list[Vector], candidates: list[Vector]) -> list[Vector]:
@@ -249,22 +263,55 @@ class DegreeCohomology:
     """Cohomology of a cochain complex C^{p-1} -> C^p -> C^{p+1} at C^p.
 
     `n` is the dimension of C^p; `d_in` and `d_out` are the coboundaries into
-    and out of it, None where the neighbouring group is zero.  The
-    representatives extend a basis of the coboundaries (pivot columns of
-    `d_in`) by cocycles taken in order from the nullspace basis of `d_out`.
+    and out of it, None where the neighbouring group is zero, and `rank_in`,
+    `rank_out` their ranks (0 for None), so `betti` costs no elimination.
+    The representatives, built when first read, extend a basis of the
+    coboundaries (pivot columns of `d_in`) by cocycles taken in order from
+    the nullspace basis of `d_out`.
     """
 
-    def __init__(self, n: int, d_in: Matrix | None, d_out: Matrix | None):
+    def __init__(
+        self, n: int, d_in: Matrix | None, d_out: Matrix | None, rank_in: int, rank_out: int
+    ):
         self.n = n
+        self.d_in = d_in
         self.d_out = d_out
+        self.betti = n - rank_in - rank_out
+
+    @cached_property
+    def image_basis(self) -> list[Vector]:
+        return self.d_in.column_space_basis() if self.d_in is not None else []
+
+    @cached_property
+    def representatives(self) -> list[Vector]:
         cocycles = (
-            d_out.nullspace() if d_out is not None
-            else [unit_vec(n, i) for i in range(n)]
+            self.d_out.nullspace() if self.d_out is not None
+            else [unit_vec(self.n, i) for i in range(self.n)]
         )
-        self.image_basis = d_in.column_space_basis() if d_in is not None else []
-        self.representatives = extend_to_basis(self.image_basis, cocycles)
-        self.betti = len(self.representatives)
-        self._proj: Matrix | None = None
+        reps = extend_to_basis(self.image_basis, cocycles)
+        if len(reps) != self.betti:
+            raise OracleMismatch(
+                f"{len(reps)} cohomology representatives, but the ranks give {self.betti}"
+            )
+        return reps
+
+    @cached_property
+    def _coordinate_rows(self) -> list[dict[int, Fraction]]:
+        """Rows of a left inverse of P = [image_basis | representatives] that
+        read off the representative coordinates of a vector in the span of P.
+
+        One rref of [P | I_n] gives E·[P | I_n] with E·P = [I_k; 0] (P has full
+        column rank k), and E sits in the last n columns.
+        """
+        basis = self.image_basis + self.representatives
+        k = len(basis)
+        red, _ = Matrix.from_columns(
+            basis + [unit_vec(self.n, i) for i in range(self.n)], nrows=self.n
+        ).rref()
+        return [
+            {j: x for j, x in enumerate(red.data[r][k:]) if x}
+            for r in range(len(self.image_basis), k)
+        ]
 
     def project(self, cochain) -> Vector:
         """Coordinates of a cocycle in the representative basis, mod coboundaries."""
@@ -272,10 +319,25 @@ class DegreeCohomology:
             return ()
         if self.d_out is not None and any(self.d_out.mul_vec(cochain)):
             raise ValidationError("projection of a non-cocycle")
-        if self._proj is None:
-            cols = self.image_basis + self.representatives
-            self._proj = Matrix.from_columns(cols, nrows=self.n)
-        sol = self._proj.solve(cochain)
-        if sol is None:
-            raise ValidationError("cochain is not in the cocycle span")
-        return sol[len(self.image_basis):]
+        return tuple(
+            sum((x * cochain[j] for j, x in row.items()), Fraction(0))
+            for row in self._coordinate_rows
+        )
+
+
+def cochain_cohomology(
+    dims: dict[int, int], coboundaries: dict[int, Matrix]
+) -> dict[int, DegreeCohomology]:
+    """Cohomology at every degree p of a cochain complex with dim C^p = dims[p]
+    and d_p = coboundaries[p] : C^p -> C^{p+1} (absent where C^{p+1} is zero).
+
+    Each coboundary is ranked once; its rank serves both degrees next to it.
+    """
+    ranks = {p: d.rank() for p, d in coboundaries.items()}
+    return {
+        p: DegreeCohomology(
+            n, coboundaries.get(p - 1), coboundaries.get(p),
+            ranks.get(p - 1, 0), ranks.get(p, 0),
+        )
+        for p, n in sorted(dims.items())
+    }

@@ -362,6 +362,28 @@ def test_cli_custom_family(tmp_path):
     assert report_of(out)["degrees"] == {"0": 1, "3": 3, "4": 2}
 
 
+def test_cli_custom_family_must_be_closed_under_the_symmetric_group(tmp_path):
+    # paths 1–2–…–m: Σ_m moves the edge {1,2} to the non-edge {1,3}, and the
+    # orbit sums of a scan would miss J = {1,2,4}, an edge plus a point
+    def path_complex(m):
+        vertices = [{"id": f"v{i}", "index": i} for i in range(1, m + 1)]
+        return {"vertices": vertices, "facets": [[f"v{i}", f"v{i + 1}"] for i in range(1, m)]}
+
+    path = tmp_path / "paths.json"
+    path.write_text(json.dumps({"name": "paths", "complexes": {"4": path_complex(4)}}))
+    rc, out, err = run_cli("scan", "--family", f"custom:{path}", "--degree", "4", "--m", "4..4")
+    assert rc == 1 and out == ""
+    assert str(path) in err and "m=4" in err and "Traceback" not in err
+    rc, out, _ = run_cli("betti", "--input", "-", stdin=json.dumps(path_complex(4)))
+    assert rc == 0 and report_of(out)["degrees"]["4"] == 2
+    # a vertex index above the rank is named as such, before the closure check
+    bad = {"vertices": [{"id": "a", "index": 1}, {"id": "b", "index": 3}], "facets": [["a", "b"]]}
+    path.write_text(json.dumps({"name": "bad", "complexes": {"2": bad}}))
+    rc, out, err = run_cli("scan", "--family", f"custom:{path}", "--degree", "2", "--m", "2..2")
+    assert rc == 1 and out == ""
+    assert str(path) in err and "m=2" in err and "1..2" in err and "Traceback" not in err
+
+
 def _count_orbit_tables(monkeypatch):
     """Replace perms.subset_orbit_reps, and every `from ... import` binding of
     it, by a wrapper recording the vertex count of each complex it is given."""
@@ -445,3 +467,104 @@ def test_cli_fuzz_returns_an_exit_code(doc, flags, d):
             redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), (argv, doc, err.getvalue())
+
+
+def test_cli_decompose_irreducibles_builds_one_orbit_table(monkeypatch, capsys):
+    from macstab.cli import main
+
+    sizes = _count_orbit_tables(monkeypatch)
+    argv = ["decompose", "--family", "skeleton:1", "--m", "6", "--degree", "5", "--irreducibles"]
+    assert main(argv) == 0
+    assert sizes == [6]
+    rep = report_of(capsys.readouterr().out)
+    assert rep["components"] and rep["irreducibles"]
+
+
+def test_cli_cohomology_cache_is_scoped_to_one_command(monkeypatch, capsys):
+    import macstab.cli as cli
+    from macstab.homology import reduced_cohomology
+
+    original = cli.cmd_betti
+    at_start = []
+
+    def recording(args):
+        at_start.append(reduced_cohomology.cache_info().currsize)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_betti", recording)
+    for _ in range(2):
+        assert cli.main(["betti", "--family", "skeleton:0", "--m", "3"]) == 0
+        # kept after the command returns, so its statistics can be read
+        assert reduced_cohomology.cache_info().currsize > 0
+    assert at_start == [0, 0]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that every call appends its first argument to `calls`."""
+    original = getattr(owner, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_cli_betti_builds_no_cohomology_basis(monkeypatch, tmp_path):
+    import macstab.linalg as linalg
+    from macstab.cli import main
+
+    path = tmp_path / "vccube4.json"
+    path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
+    extends, nullspaces = [], []
+    _count_calls(monkeypatch, linalg, "extend_to_basis", extends)
+    _count_calls(monkeypatch, linalg.Matrix, "nullspace", nullspaces)
+    assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert extends == [] and nullspaces == []
+
+
+def test_cli_scan_factors_each_projection_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from macstab.cli import main
+    from macstab.linalg import DegreeCohomology, Matrix
+
+    solves, projected, active, factored = [], [], [], []
+    _count_calls(monkeypatch, Matrix, "solve", solves)
+    project, rref = DegreeCohomology.project, Matrix.rref
+
+    def counting_project(self, cochain):
+        projected.append(self)
+        active.append(self)
+        try:
+            return project(self, cochain)
+        finally:
+            active.pop()
+
+    def counting_rref(self):
+        if active:
+            factored.append(active[-1])
+        return rref(self)
+
+    monkeypatch.setattr(DegreeCohomology, "project", counting_project)
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    assert main(["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..8"]) == 0
+    assert solves == []
+    assert factored and max(Counter(factored).values()) == 1
+    assert len(projected) > len(factored)  # each factorisation serves several cochains
+
+
+def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
+    # negative control: the ranks give the Betti numbers, the dense basis
+    # must agree wherever it is built
+    from macstab.cli import main
+    from macstab.homology import reduced_cohomology
+    from macstab.linalg import Matrix
+
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: rank(self) + 1)
+    try:
+        assert main(["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"]) == 3
+    finally:
+        reduced_cohomology.cache_clear()  # drop the bases built with the wrong ranks
+    assert "internal mismatch" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from macstab.hochster import (
     cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
+    nonzero_summands,
     sym_decomposition_by_fusion,
     sym_irreducible_decomposition,
     summand_routes,
@@ -109,7 +110,9 @@ def test_betti_split_square(square):
 
 
 def test_equivariant_decomposition_square(square, c4):
-    report = equivariant_decomposition(square, c4, MOMENT_ANGLE, 3)
+    report = equivariant_decomposition(
+        square, c4, MOMENT_ANGLE, 3, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
+    )
     assert report.betti == 2 and report.check_total()
     (comp,) = report.components
     v = {w.index: w for w in square.vertices}
@@ -121,7 +124,9 @@ def test_equivariant_decomposition_square(square, c4):
 
 
 def test_equivariant_decomposition_degree_zero(square, c4):
-    report = equivariant_decomposition(square, c4, MOMENT_ANGLE, 0)
+    report = equivariant_decomposition(
+        square, c4, MOMENT_ANGLE, 0, nonzero_summands(square, c4, MOMENT_ANGLE, 0)
+    )
     (comp,) = report.components
     assert comp.rep == frozenset() and comp.dim == 1
     assert all(v == 1 for v in comp.element_character.values())
@@ -129,9 +134,8 @@ def test_equivariant_decomposition_degree_zero(square, c4):
 
 def test_equivariant_decomposition_skeleton_i3():
     m = 5
-    report = equivariant_decomposition(
-        skeleton(m, 0), PermGroup.symmetric(m), MOMENT_ANGLE, 3
-    )
+    K, G = skeleton(m, 0), PermGroup.symmetric(m)
+    report = equivariant_decomposition(K, G, MOMENT_ANGLE, 3, nonzero_summands(K, G, MOMENT_ANGLE, 3))
     (comp,) = report.components
     assert comp.rep == frozenset({Vertex(1), Vertex(2)})
     assert comp.dim == 1 and comp.orbit_size == comb(m, 2)
@@ -139,7 +143,9 @@ def test_equivariant_decomposition_skeleton_i3():
 
 
 def test_character_constant_on_classes_and_dim(square, c4):
-    report = equivariant_decomposition(square, c4, MOMENT_ANGLE, 3)
+    report = equivariant_decomposition(
+        square, c4, MOMENT_ANGLE, 3, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
+    )
     comp = report.components[0]
     ident = Permutation.identity(4)
     assert comp.element_character[ident] == comp.dim

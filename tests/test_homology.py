@@ -15,6 +15,7 @@ from macstab.homology import (
     lefschetz_cohomology_sum,
     reduced_cohomology,
 )
+from macstab.linalg import Matrix
 from macstab.perms import Permutation, enumerate_group
 from macstab.simplicial import (
     SimplicialComplex,
@@ -137,3 +138,25 @@ def test_dd_zero_and_euler_random(K):
     for a, b in zip(mats, mats[1:]):
         assert b.mul(a).is_zero()
     assert euler_check(K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.data())
+def test_projection_reads_coordinates_modulo_coboundaries(K, data):
+    # a cocycle built as Σ c_k·rep_k + d(y) projects to c, as the solve of
+    # [image basis | representatives] x = cocycle says
+    coh = reduced_cohomology(K)
+    mats = coboundary_matrices(K)
+    coefficient = st.integers(min_value=-3, max_value=3)
+    for p, piece in coh.degrees.items():
+        c = data.draw(st.lists(coefficient, min_size=piece.betti, max_size=piece.betti))
+        cochain = [sum(ck * rep[j] for ck, rep in zip(c, piece.representatives))
+                   for j in range(piece.n)]
+        if p >= 0:
+            d_in = mats[p]
+            y = data.draw(st.lists(coefficient, min_size=d_in.cols, max_size=d_in.cols))
+            cochain = [a + b for a, b in zip(cochain, d_in.mul_vec(y))]
+        assert coh.project(p, cochain) == tuple(Fraction(x) for x in c)
+        if piece.betti:
+            reference = Matrix.from_columns(piece.image_basis + piece.representatives)
+            assert reference.solve(cochain)[len(piece.image_basis):] == tuple(c)

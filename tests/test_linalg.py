@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from macstab.linalg import Matrix, extend_to_basis, unit_vec, vec
 
@@ -89,15 +89,23 @@ def test_rational_entries_survive():
     assert m.rank() == 1
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_rank_matches_rref_pivot_count(rows):
-    m = Matrix.from_rows(rows)
+_SIGNS = st.sampled_from([0, 0, 1, -1])
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of every shape up to 7x7, empty ones included: sparse ±1 entries
+    like a coboundary's, or small rationals."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = draw(st.sampled_from([_SIGNS, _RATIONALS]))
+    return Matrix(rows, cols, [[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_rank_matches_rref_pivot_count(m):
+    # the dense rational rref is the reference for the sparse integer rank
     _, pivots = m.rref()
     assert m.rank() == len(pivots)
 
