@@ -18,12 +18,13 @@ from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
 from .linalg import Matrix, cochain_cohomology
-from .homology import action_sign, reduced_cohomology
+from .homology import reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
     DEFAULT_SUBSET_CAP,
     PermGroup,
     Permutation,
+    action_sign,
     is_g_complex,
     restriction_sign,
     subset_orbit_reps,
@@ -40,14 +41,11 @@ class Block:
 
     def __init__(self, K: SimplicialComplex, J: frozenset):
         self.J = J
+        # K's faces come by dimension in face_key order, so each degree's cells do too
         self.cells_by_degree: dict[int, list[Cell]] = {}
-        faces_in_J = [f for f in K.all_faces() if f <= J]
-        for I in faces_in_J:
-            L = J - I
-            deg = len(J) + len(I)
-            self.cells_by_degree.setdefault(deg, []).append((L, I))
-        for deg in self.cells_by_degree:
-            self.cells_by_degree[deg].sort(key=lambda c: face_key(c[1]))
+        for I in K.all_faces():
+            if I <= J:
+                self.cells_by_degree.setdefault(len(J) + len(I), []).append((J - I, I))
         self._index = {
             (deg, cell): k
             for deg, cells in self.cells_by_degree.items()

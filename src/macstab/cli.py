@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
 from .cellular import DEFAULT_ORACLE_CAP, compare_with_hochster
@@ -132,10 +133,17 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
     raise ValidationError("provide --input FILE or --family SPEC --m N")
 
 
+def _open_for_writing(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as err:
+        raise ValidationError(f"cannot write {path!r}: {err.strerror}") from None
+
+
 def _emit(args, doc: dict) -> None:
     text = dumps_report(doc)
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_for_writing(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -213,9 +221,12 @@ def cmd_decompose(args) -> int:
 def _parse_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        ms = range(int(lo), int(hi) + 1)
     except ValueError:
         raise ValidationError(f"range {text!r} must look like A..B") from None
+    if not ms:
+        raise ValidationError(f"range {text!r} is empty: A..B needs A <= B")
+    return ms
 
 
 def cmd_scan(args) -> int:
@@ -254,7 +265,7 @@ def cmd_scan(args) -> int:
 
 
 def _write_scan_csv(path, family, degree, scan, values, ms):
-    with open(path, "w", newline="") as fh:
+    with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         bases = sorted({b for t in scan.tables.values() for b in t}) if scan else []
         writer.writerow(["family", "degree", "m", "betti"] + [_partition_key(b) for b in bases])
@@ -314,17 +325,7 @@ def cmd_oracle(args) -> int:
     payload = {
         "degrees": degrees,
         "flip_koszul": bool(args.flip_koszul),
-        "discrepancies": [
-            {
-                "kind": e.kind,
-                "subset": list(e.subset),
-                "degree": e.degree,
-                "element": e.element,
-                "combinatorial": e.combinatorial,
-                "cellular": e.cellular,
-            }
-            for e in diff.entries
-        ],
+        "discrepancies": [asdict(e) for e in diff.entries],
         "verdict": "no discrepancies" if diff.empty else f"{len(diff.entries)} discrepancies",
     }
     _emit(args, make_report("oracle", payload, _caps(args)))

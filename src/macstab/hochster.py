@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ValidationError
 from .linalg import Vector, zero_vec
-from .homology import action_sign, induced_cohomology_map, reduced_cohomology
+from .homology import induced_cohomology_map, reduced_cohomology
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
@@ -30,6 +30,7 @@ from .perms import (
     PermGroup,
     Permutation,
     act_on_subset,
+    action_sign,
     enumerate_group,
     is_g_complex,
     restriction_sign,

@@ -14,19 +14,16 @@ from functools import lru_cache
 
 from .errors import ValidationError
 from .linalg import DegreeCohomology, Matrix, Vector, cochain_cohomology
-from .perms import Permutation, act_on_subset, sort_sign
+from .perms import Permutation, act_on_subset, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
 
 def coboundary_matrices(K: SimplicialComplex) -> list[Matrix]:
     """Matrices d_p : C^p -> C^{p+1} for p = -1 .. dim-1 of the augmented complex."""
-    if K.is_void:
-        return []
-    faces = {p: K.faces_of_dim(p) for p in range(-1, K.dim + 1)}
     out = []
     for p in range(-1, K.dim):
-        lower = faces[p]
-        upper = faces[p + 1]
+        lower = K.faces_of_dim(p)
+        upper = K.faces_of_dim(p + 1)
         pos = {f: i for i, f in enumerate(lower)}
         mat = Matrix(len(upper), len(lower))
         for r, tau in enumerate(upper):
@@ -43,15 +40,9 @@ class CohomologyBasis:
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        self.degrees: dict[int, DegreeCohomology] = {}
-        self._faces: dict[int, list] = {}
-        if K.is_void:
-            return
-        self._faces = {p: K.faces_of_dim(p) for p in range(-1, K.dim + 1)}
         mats = coboundary_matrices(K)  # mats[p + 1] is d_p
-        self.degrees = cochain_cohomology(
-            {p: len(faces) for p, faces in self._faces.items()},
-            {p: mats[p + 1] for p in range(-1, K.dim)},
+        self.degrees: dict[int, DegreeCohomology] = cochain_cohomology(
+            K.face_counts(), {p: mats[p + 1] for p in range(-1, K.dim)}
         )
 
     def dim(self, p: int) -> int:
@@ -60,9 +51,6 @@ class CohomologyBasis:
 
     def dims(self) -> dict[int, int]:
         return {p: d.betti for p, d in self.degrees.items() if d.betti}
-
-    def faces(self, p: int):
-        return self._faces.get(p, [])
 
     def representatives(self, p: int) -> list[Vector]:
         data = self.degrees.get(p)
@@ -80,18 +68,12 @@ def reduced_cohomology(K: SimplicialComplex) -> CohomologyBasis:
     return CohomologyBasis(K)
 
 
-def action_sign(g: Permutation, face) -> int:
-    """Sign ε(g, σ) of re-sorting the image of an oriented simplex."""
-    ordered = sorted(face)
-    return sort_sign([g.act_vertex(v).sort_key for v in ordered])
-
-
 def cochain_action_matrix(
     g: Permutation, src: CohomologyBasis, dst: CohomologyBasis, p: int
 ) -> Matrix:
     """Matrix of σ* ↦ ε(g,σ)(g·σ)* from C^p of src to C^p of dst."""
-    src_faces = src.faces(p)
-    dst_faces = dst.faces(p)
+    src_faces = src.complex.faces_of_dim(p)
+    dst_faces = dst.complex.faces_of_dim(p)
     pos = {f: i for i, f in enumerate(dst_faces)}
     mat = Matrix(len(dst_faces), len(src_faces))
     for j, sigma in enumerate(src_faces):

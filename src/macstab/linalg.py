@@ -71,13 +71,6 @@ class Matrix:
                 m.data[i][j] = Fraction(x)
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
-
     def copy(self) -> "Matrix":
         return Matrix(self.rows, self.cols, self.data)
 
@@ -97,9 +90,6 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -119,13 +119,16 @@ def sort_sign(keys: list) -> int:
     return -1 if inversions % 2 else 1
 
 
+def action_sign(g: Permutation, face) -> int:
+    """Sign ε(g, σ) of re-sorting the image of an oriented simplex."""
+    return sort_sign([g.act_vertex(v).sort_key for v in sorted(face)])
+
+
 def restriction_sign(g: Permutation, subset) -> int:
     """Sign of g as a permutation of the vertex subset it stabilises."""
-    ordered = sorted(subset)
-    images = [g.act_vertex(v) for v in ordered]
-    if set(images) != set(ordered):
+    if {g.act_vertex(v) for v in subset} != set(subset):
         raise ValidationError("element does not stabilise the subset")
-    return sort_sign([v.sort_key for v in images])
+    return action_sign(g, subset)
 
 
 @dataclass(frozen=True)

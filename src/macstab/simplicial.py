@@ -51,9 +51,16 @@ def face_key(face) -> tuple:
 
 
 class SimplicialComplex:
-    """Immutable complex given by facets; faces enumerated on demand."""
+    """Immutable complex given by facets.
 
-    __slots__ = ("vertices", "facets", "_hash")
+    Its faces are listed once, on first read, into a table by dimension
+    (each list sorted by `face_key`, [∅] at -1 unless void) that
+    `faces_of_dim`, `face_counts` and `all_faces` read.  Each restriction
+    K_J is built once and kept on K by `full_subcomplex`; both live exactly
+    as long as the complex.
+    """
+
+    __slots__ = ("vertices", "facets", "_hash", "_faces", "_restrictions")
 
     def __init__(self, vertices, facets):
         vs = tuple(sorted(set(vertices)))
@@ -67,6 +74,7 @@ class SimplicialComplex:
         maximal = {f for f in fs if not any(f < g for g in fs)}
         self.vertices = vs
         self.facets = frozenset(maximal)
+        self._restrictions = {}
         self._hash = hash((self.vertices, self.facets))
 
     def __setattr__(self, name, value):
@@ -106,37 +114,42 @@ class SimplicialComplex:
         fw = frozenset(face)
         return any(fw <= g for g in self.facets)
 
-    def all_faces(self) -> set[Face]:
-        """Every face, including the empty face of a non-void complex."""
-        out: set[Face] = set()
-        for f in self.facets:
-            items = sorted(f)
-            for r in range(len(items) + 1):
-                out.update(frozenset(c) for c in combinations(items, r))
-        return out
+    def _face_table(self) -> dict[int, list[Face]]:
+        try:
+            return self._faces
+        except AttributeError:
+            object.__setattr__(self, "_faces", _list_faces(self.facets))
+            return self._faces
+
+    def all_faces(self) -> list[Face]:
+        """Every face, including the empty face of a non-void complex, by dimension."""
+        return [f for faces in self._face_table().values() for f in faces]
 
     def faces_of_dim(self, p: int) -> list[Face]:
-        """Sorted list of p-faces; p = -1 yields [∅] unless the complex is void."""
-        if self.is_void:
-            return []
-        if p == -1:
-            return [frozenset()]
-        seen = {f for f in self.all_faces() if len(f) == p + 1}
-        return sorted(seen, key=face_key)
+        """Sorted list of p-faces; p = -1 yields [∅] unless the complex is void.
+
+        The list is the complex's own table entry: read it, do not modify it.
+        """
+        return self._face_table().get(p, [])
 
     def face_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for f in self.all_faces():
-            d = len(f) - 1
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        return {p: len(faces) for p, faces in self._face_table().items()}
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating face count over the augmented complex (∅ in degree -1)."""
         return sum((-1) ** d * n for d, n in self.face_counts().items())
 
-    def indices(self) -> list[int]:
-        return sorted({v.index for v in self.vertices if v.index is not None})
+
+def _list_faces(facets) -> dict[int, list[Face]]:
+    """Every subset of every facet, by dimension from -1 up, each sorted by `face_key`."""
+    faces: set[Face] = set()
+    for f in facets:
+        for r in range(len(f) + 1):
+            faces.update(map(frozenset, combinations(f, r)))
+    table: dict[int, list[Face]] = {}
+    for f in sorted(faces, key=lambda f: (len(f), face_key(f))):
+        table.setdefault(len(f) - 1, []).append(f)
+    return table
 
 
 # -- constructions ---------------------------------------------------------
@@ -184,15 +197,22 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 
 
 def full_subcomplex(K: SimplicialComplex, J) -> SimplicialComplex:
-    """Restriction K_J = {σ ∩ J : σ ∈ K} on the vertices of J that are faces."""
+    """Restriction K_J = {σ ∩ J : σ ∈ K} on the vertices of J that are faces.
+
+    Built once per subset and kept on K, so repeated restrictions are lookups.
+    """
     Jw = frozenset(J)
+    if Jw in K._restrictions:
+        return K._restrictions[Jw]
     if not Jw <= set(K.vertices):
         raise ValidationError("J is not a subset of the vertex set")
     if K.is_void:
-        return SimplicialComplex([], [])
-    verts = [v for v in Jw if K.has_face([v])]
-    facets = {f & Jw for f in K.facets}
-    return SimplicialComplex(verts, facets)
+        KJ = SimplicialComplex([], [])
+    else:
+        verts = [v for v in Jw if K.has_face([v])]
+        KJ = SimplicialComplex(verts, {f & Jw for f in K.facets})
+    K._restrictions[Jw] = KJ
+    return KJ
 
 
 def vc_cube_dual(m: int) -> SimplicialComplex:

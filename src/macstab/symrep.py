@@ -199,10 +199,6 @@ class ClassFunction:
             n, {mu: Fraction(mn_character(lam, mu)) for mu in partitions(n)}
         )
 
-    @classmethod
-    def zero(cls, n: int) -> "ClassFunction":
-        return cls.from_dict(n, {mu: Fraction(0) for mu in partitions(n)})
-
     def value(self, mu: Partition) -> Fraction:
         for key, val in self.values:
             if key == mu:

@@ -226,10 +226,19 @@ def test_cli_exit_codes(tmp_path):
          json.dumps({"vertices": [{"id": "a", "index": 1}], "facets": [["a"]]})),
         (("oracle", "--family", "vccube", "--m", "3", "--d", "2"), None),
         (("product", "--family", "skeleton:0", "--m", "3", "--d", "0"), None),
+        (("check-family", "--family", "skeleton:0", "--m", "5..3"), None),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "5..3", "--betti-only"),
+         None),
+        (("betti", "--family", "skeleton:0", "--m", "3", "--output", "/nonexistent/x.json"),
+         None),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4",
+          "--csv", "/nonexistent/x.csv"), None),
     ],
     ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
          "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
-         "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d"],
+         "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d",
+         "check-family-empty-range", "scan-empty-range", "output-missing-dir",
+         "csv-missing-dir"],
 )
 def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     rc, _, err = run_cli(*argv, stdin=stdin)
@@ -237,6 +246,11 @@ def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     assert "Traceback" not in err
     if "--d" in argv:
         assert "--d" in err
+    if "5..3" in argv:
+        assert "'5..3'" in err
+    for path in ("/nonexistent/x.json", "/nonexistent/x.csv"):
+        if path in argv:
+            assert path in err
 
 
 @pytest.mark.parametrize(
@@ -521,6 +535,58 @@ def test_cli_betti_builds_no_cohomology_basis(monkeypatch, tmp_path):
     _count_calls(monkeypatch, linalg.Matrix, "nullspace", nullspaces)
     assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     assert extends == [] and nullspaces == []
+
+
+def _record_complexes(monkeypatch):
+    """Every SimplicialComplex built, and how often each facet's faces were listed.
+
+    Listing a complex's faces runs `combinations(facet, r)` for r = 0.. on each
+    facet, so the r = 0 calls count listings facet by facet.
+    """
+    from collections import Counter
+
+    import macstab.simplicial as simplicial
+
+    built, listed = [], Counter()
+    init, combinations = simplicial.SimplicialComplex.__init__, simplicial.combinations
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counting_combinations(items, r):
+        if r == 0:
+            listed[frozenset(items)] += 1
+        return combinations(items, r)
+
+    monkeypatch.setattr(simplicial.SimplicialComplex, "__init__", recording_init)
+    monkeypatch.setattr(simplicial, "combinations", counting_combinations)
+    return built, listed
+
+
+def test_cli_betti_lists_each_complex_faces_once(monkeypatch, tmp_path):
+    from collections import Counter
+
+    from macstab.cli import main
+
+    path = tmp_path / "vccube4.json"
+    path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
+    built, listed = _record_complexes(monkeypatch)
+    assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    owners = Counter(f for K in set(built) for f in K.facets)
+    assert len(set(built)) == 2 ** 9  # the complex and its restrictions
+    assert sum(listed.values()) <= sum(owners.values())
+    assert all(n <= owners[f] for f, n in listed.items())
+
+
+def test_cli_product_builds_each_restriction_once(monkeypatch, capsys):
+    from macstab.cli import main
+
+    built, _ = _record_complexes(monkeypatch)
+    argv = ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"]
+    assert main(argv) == 0
+    assert report_of(capsys.readouterr().out)["equivariant"] is True
+    assert len(built) <= 1 + 2 ** 4  # the complex and one restriction per subset
 
 
 def test_cli_scan_factors_each_projection_once(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -8,6 +9,7 @@ from macstab.errors import ValidationError
 from macstab.simplicial import (
     SimplicialComplex,
     Vertex,
+    face_key,
     full_subcomplex,
     join,
     point,
@@ -95,8 +97,6 @@ def test_vc_cube_dual_pseudomanifold(m):
     assert len(K.vertices) == 2 * m + 1
     facets = [f for f in K.facets if len(f) == m]
     assert facets == sorted(K.facets, key=len)  # pure
-    from collections import Counter
-
     ridge_count = Counter()
     for f in facets:
         for ridge in combinations(sorted(f), m - 1):
@@ -140,3 +140,40 @@ def random_complexes(draw):
 @given(random_complexes(), random_complexes())
 def test_join_dim_property(K, L):
     assert join(K, L).dim == K.dim + L.dim + 1
+
+
+@st.composite
+def any_complexes(draw):
+    """Complexes on indexed, tagged and unindexed vertices, void and {∅} included."""
+    pool = [Vertex(1), Vertex(2), Vertex(2, 1), Vertex(3), Vertex(None), Vertex(None, 1)]
+    verts = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(verts), unique=True, max_size=4) if verts else st.just([]),
+        max_size=5,
+    ))
+    return SimplicialComplex(verts, facets)
+
+
+def brute_force_faces(K):
+    return {frozenset(c) for f in K.facets for r in range(len(f) + 1) for c in combinations(f, r)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=any_complexes(), data=st.data())
+def test_face_table_matches_brute_force(K, data):
+    faces = brute_force_faces(K)
+    listed = K.all_faces()
+    assert len(listed) == len(faces) and set(listed) == faces
+    assert K.face_counts() == Counter(len(f) - 1 for f in faces)
+    for p in range(-2, K.dim + 2):
+        assert K.faces_of_dim(p) == sorted((f for f in faces if len(f) == p + 1), key=face_key)
+    with pytest.raises(AttributeError):
+        K.facets = frozenset()
+
+    J = frozenset(data.draw(st.lists(st.sampled_from(K.vertices), unique=True))
+                  if K.vertices else frozenset())
+    KJ = full_subcomplex(K, J)
+    assert full_subcomplex(K, J) is KJ
+    fresh = full_subcomplex(SimplicialComplex(K.vertices, K.facets), J)
+    assert KJ == fresh and KJ.all_faces() == fresh.all_faces()
+    assert set(KJ.all_faces()) == {f for f in faces if f <= J}
