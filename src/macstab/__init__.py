@@ -25,7 +25,7 @@ from .perms import (  # noqa: F401
 from .homology import (  # noqa: F401
     CohomologyBasis,
     character_on_cohomology,
-    coboundary_matrices,
+    coboundaries,
     induced_cohomology_map,
     reduced_cohomology,
 )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
-from .linalg import Matrix, cochain_cohomology
+from .linalg import apply_signed, cochain_cohomology
 from .homology import reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
@@ -46,24 +46,15 @@ class Block:
         for I in K.all_faces():
             if I <= J:
                 self.cells_by_degree.setdefault(len(J) + len(I), []).append((J - I, I))
-        self._index = {
-            (deg, cell): k
-            for deg, cells in self.cells_by_degree.items()
-            for k, cell in enumerate(cells)
-        }
-        self.d: dict[int, Matrix] = {}
-        for deg, cells in sorted(self.cells_by_degree.items()):
-            upper = self.cells_by_degree.get(deg + 1, [])
-            mat = Matrix(len(upper), len(cells))
-            for col, (L, I) in enumerate(cells):
-                for x in sorted(L):
-                    I2 = I | {x}
-                    if not K.has_face(I2):
-                        continue
-                    row = self._index[(deg + 1, (L - {x}, I2))]
-                    below = sum(1 for l in L if l != x and l < x)
-                    mat.data[row][col] = Fraction((-1) ** below)
-            self.d[deg] = mat
+        # d moves one coordinate x from circle to disc, with the sign of the
+        # circles before x: the row of a (deg + 1)-cell (L, I) has (L + x, I - x)
+        self.d: dict[int, list[dict[int, int]]] = {}
+        for deg, cells in self.cells_by_degree.items():
+            pos = {cell: k for k, cell in enumerate(cells)}
+            self.d[deg] = [
+                {pos[(L | {x}, I - {x})]: (-1) ** sum(1 for l in L if l < x) for x in I}
+                for L, I in self.cells_by_degree.get(deg + 1, [])
+            ]
         self.pieces = cochain_cohomology(
             {deg: len(cells) for deg, cells in self.cells_by_degree.items()}, self.d
         )
@@ -108,21 +99,20 @@ class MomentAngleCellComplex:
         }
 
 
-def block_action_matrix(
+def block_action(
     Z: MomentAngleCellComplex, g: Permutation, J: frozenset, i: int
-) -> Matrix:
-    """Cochain matrix of g from block J to block g·J in degree i."""
+) -> list[tuple[int, int]]:
+    """g on the degree-i cochains, block J to block g·J, as (index of the
+    image cell, sign) per cell."""
     gJ = frozenset(g.act_vertex(v) for v in J)
-    src = Z.blocks[J].cells_by_degree.get(i, [])
-    dst = Z.blocks[gJ].cells_by_degree.get(i, [])
-    pos = {cell: k for k, cell in enumerate(dst)}
-    mat = Matrix(len(dst), len(src))
-    for col, (L, I) in enumerate(src):
+    pos = {cell: k for k, cell in enumerate(Z.blocks[gJ].cells_by_degree.get(i, []))}
+    action = []
+    for L, I in Z.blocks[J].cells_by_degree.get(i, []):
         gL = frozenset(g.act_vertex(v) for v in L)
         gI = frozenset(g.act_vertex(v) for v in I)
         # odd (circle) factors anticommute; even factors move freely
-        mat.data[pos[(gL, gI)]][col] = Fraction(action_sign(g, L))
-    return mat
+        action.append((pos[(gL, gI)], action_sign(g, L)))
+    return action
 
 
 def block_trace(
@@ -135,10 +125,10 @@ def block_trace(
     piece = Z.blocks[J].pieces.get(i)
     if piece is None or piece.betti == 0:
         return Fraction(0)
-    mat = block_action_matrix(Z, g, J, i)
+    action = block_action(Z, g, J, i)
     total = Fraction(0)
     for k, rep in enumerate(piece.representatives):
-        coords = piece.project(mat.mul_vec(rep))
+        coords = piece.project(apply_signed(action, rep))
         total += coords[k]
     return total
 
@@ -245,8 +235,8 @@ def compare_with_hochster(
     return report
 
 
-def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, Matrix]:
-    """Boundary matrices of the whole complex, for block-exactness checks."""
+def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, list[dict[int, int]]]:
+    """Boundaries of the whole complex as sparse rows, for block-exactness checks."""
     cells_by_degree: dict[int, list[tuple[frozenset, Cell]]] = {}
     for J, block in Z.blocks.items():
         for deg, cells in block.cells_by_degree.items():
@@ -258,10 +248,9 @@ def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, Matrix]:
         for deg, items in cells_by_degree.items()
         for k, (J, cell) in enumerate(items)
     }
-    out: dict[int, Matrix] = {}
+    out: dict[int, list[dict[int, int]]] = {}
     for deg, items in sorted(cells_by_degree.items()):
-        lower = cells_by_degree.get(deg - 1, [])
-        mat = Matrix(len(lower), len(items))
+        rows: list[dict[int, int]] = [{} for _ in cells_by_degree.get(deg - 1, [])]
         for col, (J, (L, I)) in enumerate(items):
             for x in sorted(I):
                 L2, I2 = L | {x}, I - {x}
@@ -269,6 +258,6 @@ def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, Matrix]:
                 if row is None:
                     continue
                 below = sum(1 for l in L if l < x)
-                mat.data[row][col] = Fraction((-1) ** below)
-        out[deg] = mat
+                rows[row][col] = (-1) ** below
+        out[deg] = rows
     return out

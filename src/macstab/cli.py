@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -133,11 +134,20 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
     raise ValidationError("provide --input FILE or --family SPEC --m N")
 
 
-def _open_for_writing(path: str, **kwargs):
+def _open_for_writing(path: str, mode: str = "w", **kwargs):
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as err:
         raise ValidationError(f"cannot write {path!r}: {err.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Fail before any computation when `path` cannot be written; leaves no file behind."""
+    existed = os.path.exists(path)
+    with _open_for_writing(path, "a"):  # "a" keeps an existing file's contents
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, doc: dict) -> None:
@@ -408,6 +418,9 @@ def main(argv=None) -> int:
     # one command's cache; kept after it returns so its statistics can be read
     reduced_cohomology.cache_clear()
     try:
+        for path in (args.output, getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

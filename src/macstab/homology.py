@@ -13,25 +13,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ValidationError
-from .linalg import DegreeCohomology, Matrix, Vector, cochain_cohomology
+from .linalg import DegreeCohomology, Matrix, Vector, apply_signed, cochain_cohomology
 from .perms import Permutation, act_on_subset, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
 
-def coboundary_matrices(K: SimplicialComplex) -> list[Matrix]:
-    """Matrices d_p : C^p -> C^{p+1} for p = -1 .. dim-1 of the augmented complex."""
-    out = []
+def coboundaries(K: SimplicialComplex) -> dict[int, list[dict[int, int]]]:
+    """d_p : C^p -> C^{p+1} for p = -1 .. dim-1 of the augmented complex, one
+    {index of τ minus its j-th vertex: (-1)^j} row per (p+1)-face τ."""
+    out = {}
     for p in range(-1, K.dim):
-        lower = K.faces_of_dim(p)
-        upper = K.faces_of_dim(p + 1)
-        pos = {f: i for i, f in enumerate(lower)}
-        mat = Matrix(len(upper), len(lower))
-        for r, tau in enumerate(upper):
-            ordered = sorted(tau)
-            for j, v in enumerate(ordered):
-                sigma = tau - {v}
-                mat.data[r][pos[sigma]] = Fraction((-1) ** j)
-        out.append(mat)
+        pos = {f: i for i, f in enumerate(K.faces_of_dim(p))}
+        out[p] = [
+            {pos[tau - {v}]: (-1) ** j for j, v in enumerate(sorted(tau))}
+            for tau in K.faces_of_dim(p + 1)
+        ]
     return out
 
 
@@ -40,9 +36,8 @@ class CohomologyBasis:
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        mats = coboundary_matrices(K)  # mats[p + 1] is d_p
         self.degrees: dict[int, DegreeCohomology] = cochain_cohomology(
-            K.face_counts(), {p: mats[p + 1] for p in range(-1, K.dim)}
+            K.face_counts(), coboundaries(K)
         )
 
     def dim(self, p: int) -> int:
@@ -68,20 +63,17 @@ def reduced_cohomology(K: SimplicialComplex) -> CohomologyBasis:
     return CohomologyBasis(K)
 
 
-def cochain_action_matrix(
-    g: Permutation, src: CohomologyBasis, dst: CohomologyBasis, p: int
-) -> Matrix:
-    """Matrix of σ* ↦ ε(g,σ)(g·σ)* from C^p of src to C^p of dst."""
-    src_faces = src.complex.faces_of_dim(p)
-    dst_faces = dst.complex.faces_of_dim(p)
-    pos = {f: i for i, f in enumerate(dst_faces)}
-    mat = Matrix(len(dst_faces), len(src_faces))
-    for j, sigma in enumerate(src_faces):
+def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[int, int]]:
+    """σ* ↦ ε(g,σ)(g·σ)* on C^p of K, as (index of g·σ, ε(g,σ)) per p-face σ."""
+    faces = K.faces_of_dim(p)
+    pos = {f: i for i, f in enumerate(faces)}
+    action = []
+    for sigma in faces:
         img = frozenset(g.act_vertex(v) for v in sigma)
         if img not in pos:
-            raise ValidationError("image face missing from the target complex")
-        mat.data[pos[img]][j] = Fraction(action_sign(g, sigma))
-    return mat
+            raise ValidationError("image face missing from the complex")
+        action.append((pos[img], action_sign(g, sigma)))
+    return action
 
 
 def induced_cohomology_map(
@@ -95,8 +87,8 @@ def induced_cohomology_map(
     b = basis.dim(p)
     if b == 0:
         return Matrix(0, 0)
-    tmat = cochain_action_matrix(g, basis, basis, p)
-    cols = [basis.project(p, tmat.mul_vec(z)) for z in basis.representatives(p)]
+    action = cochain_action(g, basis.complex, p)
+    cols = [basis.project(p, apply_signed(action, z)) for z in basis.representatives(p)]
     return Matrix.from_columns(cols, nrows=b)
 
 
@@ -123,8 +115,9 @@ def lefschetz_cochain_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
     basis = reduced_cohomology(K)
     total = Fraction(0)
     for p in sorted(basis.degrees):
-        mat = cochain_action_matrix(g, basis, basis, p)
-        total += (-1 if p % 2 else 1) * mat.trace()
+        action = cochain_action(g, K, p)
+        trace = sum(sign for j, (target, sign) in enumerate(action) if target == j)
+        total += (-1 if p % 2 else 1) * trace
     return total
 
 

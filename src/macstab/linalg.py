@@ -1,14 +1,15 @@
 """Exact rational linear algebra.
 
-Small dense matrices over Q with arbitrary-precision entries
-(``fractions.Fraction``); no floating point anywhere.  Rank is computed by
-sparse integer rank: fraction-free elimination on integer-scaled rows held as
-{column: entry} dicts, each divided by the gcd of its entries after every
-step, so the ±1 coboundaries stay sparse and small.  Kernels, images and
-solves use plain rational row reduction.  `DegreeCohomology` is the one
-cohomology kernel that both the split pipeline (`homology`) and the cellular
-model (`cellular`) build on; its dimension comes from ranks alone and its
-basis is built only when read.
+A coboundary is a list of sparse integer rows, one {column: ±1} dict per
+row, and a symmetry acts on cochains as a signed permutation, one (target
+index, sign) pair per basis element.  `rank` eliminates the rows fraction-free
+over the integers, dividing each by the gcd of its entries after every step.
+Dense matrices over Q (``fractions.Fraction``; no floating point anywhere)
+appear only where a basis is read: image and cocycle bases, the projection
+onto representatives and the b×b induced maps, by rational row reduction.
+`DegreeCohomology` is the one cohomology kernel that both the split pipeline
+(`homology`) and the cellular model (`cellular`) build on; its dimension
+comes from ranks alone and its basis is built only when read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import OracleMismatch, ValidationError
+from .errors import OracleMismatch
 
 Vector = tuple[Fraction, ...]
 
@@ -107,34 +108,9 @@ class Matrix:
                         orow_out[j] += a * orow[j]
         return out
 
-    def mul_vec(self, v: Sequence) -> Vector:
-        if self.cols != len(v):
-            raise ValueError("shape mismatch in matrix-vector product")
-        v = [Fraction(x) for x in v]
-        return tuple(
-            sum((a * x for a, x in zip(row, v) if a), Fraction(0))
-            for row in self.data
-        )
-
     def rank(self) -> int:
-        """Rank by sparse fraction-free elimination over the integers.
-
-        Rows are reduced one at a time against the pivot rows kept so far,
-        each keyed by its least column, until they vanish or lead with a new
-        column; the pivot rows form an echelon basis of the row space.
-        """
-        pivots: dict[int, dict[int, int]] = {}
-        for entries in self.data:
-            row = _integer_row(entries)
-            while row:
-                c = min(row)
-                pivot = pivots.get(c)
-                if pivot is None:
-                    # a positive leading entry makes ±1 pivots cancel without scaling
-                    pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
-                    break
-                row = _eliminate(row, pivot, c)
-        return len(pivots)
+        """Rank of the rational matrix, by the sparse integer `rank`."""
+        return rank([_integer_row(r) for r in self.data])
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -206,6 +182,26 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
+def rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of sparse integer rows by fraction-free elimination.
+
+    Rows are reduced one at a time against the pivot rows kept so far, each
+    keyed by its least column, until they vanish or lead with a new column;
+    the pivot rows form an echelon basis of the row space.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                # a positive leading entry makes ±1 pivots cancel without scaling
+                pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+                break
+            row = _eliminate(row, pivot, c)
+    return len(pivots)
+
+
 def _integer_row(entries: Sequence[Fraction]) -> dict[int, int]:
     """The non-zero entries of a rational row, scaled to coprime integers."""
     nonzero = {j: x for j, x in enumerate(entries) if x}
@@ -252,17 +248,19 @@ def extend_to_basis(base: list[Vector], candidates: list[Vector]) -> list[Vector
 class DegreeCohomology:
     """Cohomology of a cochain complex C^{p-1} -> C^p -> C^{p+1} at C^p.
 
-    `n` is the dimension of C^p; `d_in` and `d_out` are the coboundaries into
-    and out of it, None where the neighbouring group is zero, and `rank_in`,
-    `rank_out` their ranks (0 for None), so `betti` costs no elimination.
-    The representatives, built when first read, extend a basis of the
-    coboundaries (pivot columns of `d_in`) by cocycles taken in order from
-    the nullspace basis of `d_out`.
+    `n_in` and `n` are the dimensions of C^{p-1} and C^p; `d_in` and `d_out`
+    are the coboundaries into and out of C^p as sparse rows, None where the
+    neighbouring group is zero, and `rank_in`, `rank_out` their ranks (0 for
+    None), so `betti` costs no elimination.  The representatives, built when
+    first read, extend a basis of the coboundaries (pivot columns of `d_in`)
+    by cocycles taken in order from the nullspace basis of `d_out`; only
+    these bases see the coboundaries as dense matrices.
     """
 
     def __init__(
-        self, n: int, d_in: Matrix | None, d_out: Matrix | None, rank_in: int, rank_out: int
+        self, n_in: int, n: int, d_in: list | None, d_out: list | None, rank_in: int, rank_out: int
     ):
+        self.n_in = n_in
         self.n = n
         self.d_in = d_in
         self.d_out = d_out
@@ -270,12 +268,12 @@ class DegreeCohomology:
 
     @cached_property
     def image_basis(self) -> list[Vector]:
-        return self.d_in.column_space_basis() if self.d_in is not None else []
+        return _dense(self.d_in, self.n_in).column_space_basis() if self.d_in is not None else []
 
     @cached_property
     def representatives(self) -> list[Vector]:
         cocycles = (
-            self.d_out.nullspace() if self.d_out is not None
+            _dense(self.d_out, self.n).nullspace() if self.d_out is not None
             else [unit_vec(self.n, i) for i in range(self.n)]
         )
         reps = extend_to_basis(self.image_basis, cocycles)
@@ -307,26 +305,40 @@ class DegreeCohomology:
         """Coordinates of a cocycle in the representative basis, mod coboundaries."""
         if self.betti == 0:
             return ()
-        if self.d_out is not None and any(self.d_out.mul_vec(cochain)):
-            raise ValidationError("projection of a non-cocycle")
-        return tuple(
-            sum((x * cochain[j] for j, x in row.items()), Fraction(0))
-            for row in self._coordinate_rows
-        )
+        if self.d_out is not None and any(_dot(row, cochain) for row in self.d_out):
+            # every cochain projected is built by the program, so this is its fault
+            raise OracleMismatch("projection of a non-cocycle")
+        return tuple(_dot(row, cochain) for row in self._coordinate_rows)
+
+
+def _dense(rows: list[dict[int, int]], cols: int) -> Matrix:
+    return Matrix(len(rows), cols, [[row.get(j, 0) for j in range(cols)] for row in rows])
+
+
+def _dot(row: dict[int, Fraction | int], v: Sequence) -> Fraction:
+    return sum((x * v[j] for j, x in row.items()), Fraction(0))
+
+
+def apply_signed(action: list[tuple[int, int]], v: Sequence) -> Vector:
+    """The image of `v` under the map sending basis element j to sign · e_target."""
+    out = [Fraction(0)] * len(action)
+    for (target, sign), x in zip(action, v):
+        out[target] += sign * x
+    return tuple(out)
 
 
 def cochain_cohomology(
-    dims: dict[int, int], coboundaries: dict[int, Matrix]
+    dims: dict[int, int], coboundaries: dict[int, list[dict[int, int]]]
 ) -> dict[int, DegreeCohomology]:
     """Cohomology at every degree p of a cochain complex with dim C^p = dims[p]
     and d_p = coboundaries[p] : C^p -> C^{p+1} (absent where C^{p+1} is zero).
 
     Each coboundary is ranked once; its rank serves both degrees next to it.
     """
-    ranks = {p: d.rank() for p, d in coboundaries.items()}
+    ranks = {p: rank(d) for p, d in coboundaries.items()}
     return {
         p: DegreeCohomology(
-            n, coboundaries.get(p - 1), coboundaries.get(p),
+            dims.get(p - 1, 0), n, coboundaries.get(p - 1), coboundaries.get(p),
             ranks.get(p - 1, 0), ranks.get(p, 0),
         )
         for p, n in sorted(dims.items())

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from macstab.perms import PermGroup
@@ -17,3 +19,21 @@ def square():
 @pytest.fixture(scope="session")
 def c4():
     return PermGroup.cyclic(4)
+
+
+def _composes_to_zero(outer, inner):
+    """outer ∘ inner == 0, both given as sparse {column: entry} rows."""
+    for row in outer:
+        total = Counter()
+        for k, x in row.items():
+            for j, y in inner[k].items():
+                total[j] += x * y
+        if any(total.values()):
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def composes_to_zero():
+    """Checks d∘d = 0 on maps in the program's sparse-row format."""
+    return _composes_to_zero

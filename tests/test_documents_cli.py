@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,12 +16,18 @@ from macstab.errors import ValidationError
 from macstab.simplicial import skeleton, vc_cube_dual
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv, stdin=None):
+    # the child imports macstab from this checkout, as the tests do
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "macstab.cli", *argv],
         capture_output=True,
         text=True,
         input=stdin,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -530,11 +538,13 @@ def test_cli_betti_builds_no_cohomology_basis(monkeypatch, tmp_path):
 
     path = tmp_path / "vccube4.json"
     path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
-    extends, nullspaces = [], []
+    extends, nullspaces, matrices = [], [], []
     _count_calls(monkeypatch, linalg, "extend_to_basis", extends)
     _count_calls(monkeypatch, linalg.Matrix, "nullspace", nullspaces)
+    # coboundaries are ranked as sparse rows: no dense matrix at all
+    _count_calls(monkeypatch, linalg.Matrix, "__init__", matrices)
     assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-    assert extends == [] and nullspaces == []
+    assert extends == [] and nullspaces == [] and matrices == []
 
 
 def _record_complexes(monkeypatch):
@@ -623,14 +633,56 @@ def test_cli_scan_factors_each_projection_once(monkeypatch, capsys):
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
     # negative control: the ranks give the Betti numbers, the dense basis
     # must agree wherever it is built
+    import macstab.linalg as linalg
     from macstab.cli import main
     from macstab.homology import reduced_cohomology
-    from macstab.linalg import Matrix
 
-    rank = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda self: rank(self) + 1)
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + 1)
     try:
         assert main(["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"]) == 3
     finally:
         reduced_cohomology.cache_clear()  # drop the bases built with the wrong ranks
     assert "internal mismatch" in capsys.readouterr().err
+
+
+def test_cli_non_cocycle_projection_is_an_internal_mismatch(monkeypatch, capsys):
+    # negative control: a corrupted cochain action sends cocycles to
+    # non-cocycles, a fault of the program, not of its input
+    import macstab.homology as homology
+    from macstab.cli import main
+
+    action = homology.cochain_action
+
+    def swapped(g, K, p):
+        # swap two rows of the action's matrix: the images landing on the last
+        # two faces trade places
+        out = action(g, K, p)
+        n = len(out)
+        rows = {} if g.is_identity() else {n - 1: n - 2, n - 2: n - 1}
+        return [(rows.get(target, target), sign) for target, sign in out]
+
+    monkeypatch.setattr(homology, "cochain_action", swapped)
+    assert main(["scan", "--family", "vccube", "--degree", "4", "--m", "3..4"]) == 3
+    err = capsys.readouterr().err
+    assert "internal mismatch" in err and "non-cocycle" in err
+
+
+@pytest.mark.parametrize(
+    "unwritable", ["--output", "--csv"], ids=["output", "csv"]
+)
+def test_cli_checks_output_paths_before_computing(monkeypatch, tmp_path, capsys, unwritable):
+    import macstab.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before checking the output paths")
+
+    monkeypatch.setattr(cli, "multiplicity_scan", unreachable)
+    paths = {"--output": str(tmp_path / "x.json"), "--csv": str(tmp_path / "s.csv")}
+    paths[unwritable] = "/nonexistent/x"
+    argv = ["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..12"]
+    for flag, path in paths.items():
+        argv += [flag, path]
+    assert cli.main(argv) == 1
+    assert "/nonexistent/x" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # the writable path is left as it was

@@ -25,13 +25,13 @@ def test_nullspace_is_kernel():
     m = Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
     basis = m.nullspace()
     assert len(basis) == 1
-    assert all(x == 0 for x in m.mul_vec(basis[0]))
+    assert m.mul(Matrix.from_columns([basis[0]])).is_zero()
 
 
 def test_solve_consistent_and_inconsistent():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     x = m.solve([5, 11])
-    assert m.mul_vec(x) == (Fraction(5), Fraction(11))
+    assert m.mul(Matrix.from_columns([x])).column(0) == (Fraction(5), Fraction(11))
     singular = Matrix.from_rows([[1, 1], [1, 1]])
     assert singular.solve([0, 1]) is None
 
