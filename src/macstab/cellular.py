@@ -29,7 +29,7 @@ from .perms import (
     restriction_sign,
     subset_orbit_reps,
 )
-from .simplicial import SimplicialComplex, face_key, full_subcomplex
+from .simplicial import SimplicialComplex, full_subcomplex
 
 DEFAULT_ORACLE_CAP = 7
 
@@ -234,30 +234,3 @@ def compare_with_hochster(
             report.add("betti", (), i, "-", hb, cb)
     return report
 
-
-def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, list[dict[int, int]]]:
-    """Boundaries of the whole complex as sparse rows, for block-exactness checks."""
-    cells_by_degree: dict[int, list[tuple[frozenset, Cell]]] = {}
-    for J, block in Z.blocks.items():
-        for deg, cells in block.cells_by_degree.items():
-            cells_by_degree.setdefault(deg, []).extend((J, c) for c in cells)
-    for deg in cells_by_degree:
-        cells_by_degree[deg].sort(key=lambda t: (face_key(t[0]), face_key(t[1][1])))
-    index = {
-        (deg, J, cell): k
-        for deg, items in cells_by_degree.items()
-        for k, (J, cell) in enumerate(items)
-    }
-    out: dict[int, list[dict[int, int]]] = {}
-    for deg, items in sorted(cells_by_degree.items()):
-        rows: list[dict[int, int]] = [{} for _ in cells_by_degree.get(deg - 1, [])]
-        for col, (J, (L, I)) in enumerate(items):
-            for x in sorted(I):
-                L2, I2 = L | {x}, I - {x}
-                row = index.get((deg - 1, J, (L2, I2)))
-                if row is None:
-                    continue
-                below = sum(1 for l in L if l < x)
-                rows[row][col] = (-1) ** below
-        out[deg] = rows
-    return out

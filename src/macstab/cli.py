@@ -39,6 +39,7 @@ from .hochster import (
     orbit_summands,
     padded_table,
     spanning_classes,
+    summand_memo,
 )
 from .homology import reduced_cohomology
 from .perms import (
@@ -415,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # one command's cache; kept after it returns so its statistics can be read
+    # one command's caches; kept after it returns so its statistics can be read
     reduced_cohomology.cache_clear()
+    summand_memo.clear()
     try:
         for path in (args.output, getattr(args, "csv", None)):
             if path:

@@ -15,7 +15,7 @@ from itertools import permutations as iter_permutations
 from math import factorial
 
 from .errors import ValidationError
-from .hochster import SpherePair, nonzero_summands, orbit_summands, padded_table
+from .hochster import SpherePair, orbit_summands, padded_table, pattern_summands
 from .perms import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
@@ -272,8 +272,13 @@ def betti_at_degree(
     K: SimplicialComplex, pair: SpherePair, i: int, group: PermGroup,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> int:
-    """b_i alone, over orbit representatives pruned by the vanishing bound."""
-    table, summands = nonzero_summands(K, group, pair, i, cap)
+    """b_i alone, over orbit representatives pruned by the vanishing bound.
+
+    `group` is the index action of Σ_m, whose orbits are listed by fibre pattern.
+    """
+    if group != PermGroup.symmetric(group.degree):
+        raise ValidationError("betti_at_degree needs the index action of a symmetric group")
+    table, summands = pattern_summands(K, group.degree, pair, i, cap)
     return sum(table.orbit_sizes[rep] * dim for rep, _, dim in summands)
 
 
@@ -289,7 +294,8 @@ def multiplicity_scan(
 
     Stabilization is certified only within the window: the onset is the least
     scanned m from which the padded tables stay constant to the end.  Each
-    rank's orbit table is built once and gives both its table and b_i(m).
+    rank's orbits are listed once, by fibre pattern, and give both its table
+    and b_i(m); a summand met at several ranks is computed once.
     """
     if pair.d < 1:
         raise ValidationError("multiplicity scans need a sphere of dimension >= 1")

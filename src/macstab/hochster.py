@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
 from .homology import induced_cohomology_map, reduced_cohomology
 from .perms import (
@@ -32,7 +32,9 @@ from .perms import (
     act_on_subset,
     action_sign,
     enumerate_group,
+    index_support,
     is_g_complex,
+    pattern_orbit_reps,
     restriction_sign,
     subset_orbit_reps,
     support_split,
@@ -43,8 +45,10 @@ from .symrep import (
     ClassFunction,
     Partition,
     decompose,
+    hook_dim,
     induce_to_sym,
     induce_young,
+    pad,
     pieri_induce,
     unpad,
 )
@@ -173,7 +177,18 @@ def nonzero_summands(
 ) -> NonzeroSummands:
     """The orbit table of the subsets reaching ambient degree i, and (rep, p, dim)
     for each representative with dim H̃^p(K_rep) > 0, p = i - d|rep| - 1."""
-    table = subset_orbit_reps(K, G, max_size=pair.max_subset_size(i), cap=cap)
+    return _nonzero(K, pair, i, subset_orbit_reps(K, G, pair.max_subset_size(i), cap))
+
+
+def pattern_summands(
+    K: SimplicialComplex, m: int, pair: SpherePair, i: int, cap: int = DEFAULT_SUBSET_CAP
+) -> NonzeroSummands:
+    """`nonzero_summands` under the index action of Σ_m, its table listed by
+    fibre pattern (`pattern_orbit_reps`, no Schreier words)."""
+    return _nonzero(K, pair, i, pattern_orbit_reps(K, m, pair.max_subset_size(i), cap))
+
+
+def _nonzero(K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable) -> NonzeroSummands:
     summands = []
     for rep in table.representatives:
         p = pair.simplicial_degree(i, len(rep))
@@ -251,6 +266,12 @@ class OrbitSummand:
     mu_multiplicities: dict[Partition, int]
 
 
+# (J, K_J, p, d) -> (finite character, μ-multiplicities) of the J-summand in
+# degree p.  The key holds everything the computation reads, so a hit is exact
+# at any rank; `cli.main` clears the memo when a command starts.
+summand_memo: dict[tuple, tuple[ClassFunction, dict[Partition, int]]] = {}
+
+
 def orbit_summands(
     K: SimplicialComplex,
     pair: SpherePair,
@@ -262,29 +283,23 @@ def orbit_summands(
 ) -> list[OrbitSummand]:
     """Per-orbit data feeding both induction routes (index action of Σ_m).
 
-    `found`, when given, is `nonzero_summands` of K under Σ_m at degree i.
+    `found`, when given, is `nonzero_summands` of K under Σ_m at degree i;
+    otherwise the orbits are listed by fibre pattern.  Each summand's data is
+    computed once per command through `summand_memo`.
     """
     if pair.d < 1:
         raise ValidationError("representation routines need a sphere of dimension >= 1")
     _validate_indexed(K, m)
     if found is None:
-        found = nonzero_summands(K, PermGroup.symmetric(m), pair, i, cap=subset_cap)
+        found = pattern_summands(K, m, pair, i, cap=subset_cap)
     table, summands = found
     out: list[OrbitSummand] = []
     for rep, p, dim in summands:
-        support, finite_part, _ = support_split(rep, K, m, cap=support_cap)
-        char = summand_character(K, rep, finite_part, p, pair)
-        b = len(support)
-        if b == 0:
-            # the whole symmetric group fixes the summand pointwise
-            psi = ClassFunction.from_dict(0, {(): Fraction(dim)})
-            mus = {(): dim}
-        else:
-            small = {
-                _relabel_to_small(h, support): val for h, val in char.items()
-            }
-            psi = induce_to_sym(list(small), small, cap=support_cap)
-            mus = decompose(psi)
+        support = index_support(rep, cap=support_cap)
+        key = (rep, full_subcomplex(K, rep), p, pair.d)
+        if key not in summand_memo:
+            summand_memo[key] = _summand_data(K, rep, p, dim, pair, m, support_cap)
+        psi, mus = summand_memo[key]
         out.append(
             OrbitSummand(
                 rep=rep,
@@ -296,6 +311,20 @@ def orbit_summands(
             )
         )
     return out
+
+
+def _summand_data(
+    K: SimplicialComplex, rep, p: int, dim: int, pair: SpherePair, m: int, support_cap: int
+) -> tuple[ClassFunction, dict[Partition, int]]:
+    """Character of the summand induced to Sym(support), and its decomposition."""
+    support, finite_part, _ = support_split(rep, K, m, cap=support_cap)
+    if not support:
+        # the whole symmetric group fixes the summand pointwise
+        return ClassFunction.from_dict(0, {(): Fraction(dim)}), {(): dim}
+    char = summand_character(K, rep, finite_part, p, pair)
+    small = {_relabel_to_small(h, support): val for h, val in char.items()}
+    psi = induce_to_sym(list(small), small, cap=support_cap)
+    return psi, decompose(psi)
 
 
 def sym_irreducible_decomposition(
@@ -314,13 +343,23 @@ def sym_irreducible_decomposition(
 
 
 def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
-    """Sum of the horizontal-strip inductions of the summands to Σ_m, padded."""
+    """Sum of the horizontal-strip inductions of the summands to Σ_m, padded.
+
+    Checked on every call: the irreducible dimensions add up to
+    b_i(m) = Σ orbit_size · dim (`OracleMismatch` otherwise).
+    """
     result: dict[Partition, int] = {}
     for summand in summands:
         for mu, mult in summand.mu_multiplicities.items():
             for lam in pieri_induce(mu, m):
                 base = unpad(lam)
                 result[base] = result.get(base, 0) + mult
+    betti_m = sum(s.orbit_size * s.dim for s in summands)
+    dims = sum(mult * hook_dim(pad(base, m).realized) for base, mult in result.items())
+    if dims != betti_m:
+        raise OracleMismatch(
+            f"rank {m}: the irreducible dimensions add up to {dims}, b_i(m) is {betti_m}"
+        )
     return dict(sorted(result.items()))
 
 

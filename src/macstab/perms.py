@@ -3,17 +3,24 @@
 Permutations are stored in one-line notation on {1..m}.  A group is a
 generator list; element lists are only materialised under a cap, and
 stabilizers come out of orbit breadth-first search as Schreier generators,
-computed on request.
+computed on request.  Under the index action of Σ_m an orbit of vertex
+subsets is fixed by its fibre pattern, so `pattern_orbit_reps` lists those
+orbits without a search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations as iter_permutations
-from math import comb
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations as iter_permutations,
+)
+from math import comb, factorial, prod
 
-from .errors import CapExceeded, ValidationError
-from .simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
+from .errors import CapExceeded, OracleMismatch, ValidationError
+from .simplicial import SimplicialComplex, Vertex, face_key
 
 DEFAULT_GROUP_CAP = 200_000
 DEFAULT_SUBSET_CAP = 1 << 21
@@ -220,17 +227,20 @@ def is_g_complex(K: SimplicialComplex, G: PermGroup) -> bool:
 @dataclass
 class OrbitTable:
     """Orbit representatives with sizes, and each orbit as a map from its
-    subsets to the BFS words carrying the representative to them."""
+    subsets to the BFS words carrying the representative to them (None for a
+    table listed by fibre pattern, which has no words)."""
 
     group: PermGroup
     representatives: list[frozenset] = field(default_factory=list)
     orbit_sizes: dict[frozenset, int] = field(default_factory=dict)
-    orbits: dict[frozenset, dict[frozenset, Permutation]] = field(default_factory=dict)
+    orbits: dict[frozenset, dict[frozenset, Permutation]] | None = field(default_factory=dict)
     total_subsets: int = 0
 
     def stabilizer_gens(self, rep: frozenset) -> tuple[Permutation, ...]:
         """Schreier generators of the stabilizer of rep, with duplicates and
         the identity removed; the identity alone when the stabilizer is trivial."""
+        if self.orbits is None:
+            raise OracleMismatch("an orbit table listed by fibre pattern has no Schreier words")
         words = self.orbits[rep]
         stab: list[Permutation] = []
         seen = set()
@@ -253,12 +263,17 @@ def vertex_subsets(
     """Subsets of sizes min_size..max_size, size by size in `combinations`
     order; their count is checked against `cap` before the first is made."""
     verts = list(vertices)
-    n = len(verts)
+    sizes = _checked_sizes(len(verts), max_size, cap, min_size)
+    return (frozenset(c) for r in sizes for c in combinations(verts, r))
+
+
+def _checked_sizes(n: int, max_size: int | None, cap: int, min_size: int = 0) -> range:
+    """Subset sizes min_size..max_size of an n-set, once their subset count is within cap."""
     sizes = range(min_size, n + 1 if max_size is None else min(max_size, n) + 1)
     count = sum(comb(n, r) for r in sizes)
     if count > cap:
         raise CapExceeded(f"subset enumeration {count} exceeds cap {cap}")
-    return (frozenset(c) for r in sizes for c in combinations(verts, r))
+    return sizes
 
 
 def subset_orbit_reps(
@@ -301,6 +316,62 @@ def subset_orbit_reps(
     return table
 
 
+def pattern_orbit_reps(
+    K: SimplicialComplex,
+    m: int,
+    max_size: int | None = None,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> OrbitTable:
+    """Orbits of vertex subsets under the index action of Σ_m, by fibre pattern.
+
+    A subset J is its unindexed part U plus, at each index, the set of tags J
+    uses there.  Σ_m only permutes the indices, so the orbit of J is fixed by
+    U and the multiset of its non-empty fibres; with b fibres, c_S of them
+    equal to S, the orbit has m!/((m-b)! · Π c_S!) subsets.  The `face_key`-
+    least subset puts the fibres on the indices 1..b in the order of their
+    sorted tags, a fibre after its own extensions.  Same representatives, order,
+    sizes and count as `subset_orbit_reps` under `PermGroup.symmetric(m)`;
+    the table carries no BFS words.
+    """
+    unindexed = [v for v in K.vertices if v.index is None]
+    tags = sorted({v.tag for v in K.vertices if v.index is not None})
+    indexed = {v for v in K.vertices if v.index is not None}
+    if indexed != {Vertex(i, t) for i in range(1, m + 1) for t in tags}:
+        raise ValidationError(f"the vertex set is not closed under Σ_{m}")
+    sizes = _checked_sizes(len(K.vertices), max_size, cap)
+    top = sizes[-1] if sizes else -1
+    fibres = sorted(
+        (c for r in range(1, len(tags) + 1) for c in combinations(tags, r)),
+        key=lambda c: c + (float("inf"),),
+    )
+    total = sum(comb(len(K.vertices), r) for r in sizes)
+    table = OrbitTable(group=PermGroup.symmetric(m), orbits=None, total_subsets=total)
+    for b in range(min(m, top) + 1):
+        # multisets of b fibres, each listed in the order it is placed on 1..b
+        for placed in combinations_with_replacement(fibres, b):
+            indexed_part = {
+                Vertex(i, t) for i, fibre in enumerate(placed, start=1) for t in fibre
+            }
+            ties = prod(factorial(c) for c in Counter(placed).values())
+            for r in range(min(len(unindexed), top - len(indexed_part)) + 1):
+                for U in combinations(unindexed, r):
+                    rep = frozenset(indexed_part.union(U))
+                    table.representatives.append(rep)
+                    table.orbit_sizes[rep] = factorial(m) // (factorial(m - b) * ties)
+    table.representatives.sort(key=face_key)
+    if sum(table.orbit_sizes.values()) != total:
+        raise OracleMismatch("fibre-pattern orbit sizes do not add up to the subset count")
+    return table
+
+
+def index_support(J, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[int, ...]:
+    """The sorted indices among the labels of J; more than `cap` of them raise."""
+    support = tuple(sorted({v.index for v in J if v.index is not None}))
+    if len(support) > cap:
+        raise CapExceeded(f"support size {len(support)} exceeds brute-force cap {cap}")
+    return support
+
+
 def support_split(
     J,
     K: SimplicialComplex,
@@ -318,9 +389,7 @@ def support_split(
     for v in Jw:
         if v not in K.vertices:
             raise ValidationError("J is not a subset of the vertex set")
-    support = tuple(sorted({v.index for v in Jw if v.index is not None}))
-    if len(support) > cap:
-        raise CapExceeded(f"support size {len(support)} exceeds brute-force cap {cap}")
+    support = index_support(Jw, cap)
     if any(i > m for i in support):
         raise ValidationError("support exceeds the ambient degree m")
     finite_part: list[Permutation] = []
@@ -346,15 +415,3 @@ def stabilizer_order_in_sym(J, K: SimplicialComplex, m: int) -> int:
             count += 1
     return count
 
-
-def g_full_subcomplex_matches(K: SimplicialComplex, g: Permutation, J) -> bool:
-    """g·K_J == K_{g·J} as complexes."""
-    Jw = frozenset(J)
-    KJ = full_subcomplex(K, Jw)
-    gJ = frozenset(g.act_vertex(v) for v in Jw)
-    KgJ = full_subcomplex(K, gJ)
-    mapped = SimplicialComplex(
-        [g.act_vertex(v) for v in KJ.vertices],
-        [frozenset(g.act_vertex(v) for v in f) for f in KJ.facets],
-    )
-    return mapped == KgJ

@@ -5,7 +5,6 @@ import pytest
 
 from macstab.cellular import (
     MomentAngleCellComplex,
-    assemble_global_boundary,
     block_trace,
     cellular_action_trace,
     compare_with_hochster,
@@ -21,6 +20,8 @@ from macstab.simplicial import (
     skeleton,
     vc_cube_dual,
 )
+
+from oracles import assemble_global_boundary
 
 
 def test_sanity_disc_circle_sphere():

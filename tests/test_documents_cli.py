@@ -406,37 +406,86 @@ def test_cli_custom_family_must_be_closed_under_the_symmetric_group(tmp_path):
     assert str(path) in err and "m=2" in err and "1..2" in err and "Traceback" not in err
 
 
-def _count_orbit_tables(monkeypatch):
-    """Replace perms.subset_orbit_reps, and every `from ... import` binding of
-    it, by a wrapper recording the vertex count of each complex it is given."""
-    import macstab.perms as perms
+def _count_bound_calls(monkeypatch, module, name):
+    """Replace macstab.<module>.<name>, and every `from ... import` binding of
+    it, by a wrapper recording the first argument of each call."""
+    original = getattr(sys.modules[f"macstab.{module}"], name)
+    calls = []
 
-    original = perms.subset_orbit_reps
-    sizes = []
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    def counting(K, *args, **kwargs):
-        sizes.append(len(K.vertices))
-        return original(K, *args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "macstab" and vars(mod).get("subset_orbit_reps") is original:
-            monkeypatch.setattr(mod, "subset_orbit_reps", counting)
-    return sizes
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "macstab" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("extra", [(), ("--betti-only",)], ids=["full", "betti-only"])
 def test_cli_scan_builds_one_orbit_table_per_rank(monkeypatch, capsys, extra):
     from macstab.cli import main
 
-    sizes = _count_orbit_tables(monkeypatch)
+    listed = _count_bound_calls(monkeypatch, "perms", "pattern_orbit_reps")
+    searched = _count_bound_calls(monkeypatch, "perms", "subset_orbit_reps")
     argv = ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..6", *extra]
     assert main(argv) == 0
-    assert sizes == [4, 5, 6]
+    assert [len(K.vertices) for K in listed] == [4, 5, 6]
+    assert searched == []  # the scans list orbits by fibre pattern, with no search
     rep = report_of(capsys.readouterr().out)
     # b_4 = 2·C(m, 3): each 3-point restriction has H̃^0 of rank 2
     assert rep["betti_values"] == {"4": 8, "5": 20, "6": 40}
     if not extra:
         assert rep["betti"] == rep["betti_values"]
+
+
+def test_cli_scan_computes_each_summand_once(monkeypatch, capsys):
+    from macstab.cli import main
+
+    traced = _count_bound_calls(monkeypatch, "hochster", "summand_character")
+    induced = _count_bound_calls(monkeypatch, "symrep", "induce_to_sym")
+    assert main(["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..12"]) == 0
+    # one orbit summand, J = {1..5}, met at all seven ranks
+    assert len(traced) == 1 and len(induced) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--family", "skeleton:0", "--degree", "6", "--m", "6..12"),
+         "10c4642e408896a4aa741dbfd0627bad9e238567e0929188add1629f1bdc9dbe"),
+        (("--family", "vccube", "--degree", "5", "--m", "3..7"),
+         "4598ff775d3c83bfbeca6a47bcb45042012ec7bf3866d22f53159505414016f1"),
+        (("--family", "join:0,0", "--degree", "5", "--m", "3..7"),
+         "e25b66e723f16cf4967eda51519ce5b083ec5270e63a95826d5418d935955886"),
+    ],
+    ids=["skeleton0-d6-m6..12", "vccube-d5-m3..7", "join0,0-d5-m3..7"],
+)
+def test_cli_scan_report_is_pinned(capsys, argv, digest):
+    # the benchmark's scan reports, byte for byte as the orbit search gave them
+    from macstab.cli import main
+
+    assert main(["scan", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..8"),
+        ("decompose", "--family", "vccube", "--m", "3", "--degree", "5", "--irreducibles"),
+    ],
+    ids=["scan", "decompose-irreducibles"],
+)
+def test_cli_dropped_pieri_strip_is_an_internal_mismatch(monkeypatch, capsys, argv):
+    # negative control: the irreducible dimensions must add up to b_i(m)
+    import macstab.hochster as hochster
+    from macstab.cli import main
+
+    pieri = hochster.pieri_induce
+    monkeypatch.setattr(hochster, "pieri_induce", lambda mu, m: pieri(mu, m)[1:])
+    assert main(list(argv)) == 3
+    assert "internal mismatch" in capsys.readouterr().err
 
 
 _MALFORMED_DOCS = [[1, 2], 5, {"facets": []}, {"vertices": 5, "facets": 3},
@@ -494,10 +543,10 @@ def test_cli_fuzz_returns_an_exit_code(doc, flags, d):
 def test_cli_decompose_irreducibles_builds_one_orbit_table(monkeypatch, capsys):
     from macstab.cli import main
 
-    sizes = _count_orbit_tables(monkeypatch)
+    searched = _count_bound_calls(monkeypatch, "perms", "subset_orbit_reps")
     argv = ["decompose", "--family", "skeleton:1", "--m", "6", "--degree", "5", "--irreducibles"]
     assert main(argv) == 0
-    assert sizes == [6]
+    assert [len(K.vertices) for K in searched] == [6]
     rep = report_of(capsys.readouterr().out)
     assert rep["components"] and rep["irreducibles"]
 
@@ -635,6 +684,7 @@ def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
     # must agree wherever it is built
     import macstab.linalg as linalg
     from macstab.cli import main
+    from macstab.hochster import summand_memo
     from macstab.homology import reduced_cohomology
 
     rank = linalg.rank
@@ -642,7 +692,9 @@ def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
     try:
         assert main(["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"]) == 3
     finally:
-        reduced_cohomology.cache_clear()  # drop the bases built with the wrong ranks
+        # drop the bases, and any summand data, built with the wrong ranks
+        reduced_cohomology.cache_clear()
+        summand_memo.clear()
     assert "internal mismatch" in capsys.readouterr().err
 
 

@@ -193,3 +193,46 @@ def test_betti_at_degree_matches_full_table():
             full = betti(K, MOMENT_ANGLE, group=G)
             for i in (3, 4, 5):
                 assert betti_at_degree(K, MOMENT_ANGLE, i, G) == full.get(i, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, i, ms",
+    [("skeleton:0", 5, range(3, 8)), ("skeleton:1", 6, range(3, 7)),
+     ("skeleton:-1", 3, range(2, 7)), ("vccube", 5, range(3, 7)),
+     ("join:0,0", 5, range(3, 7))],
+    ids=["skeleton0", "skeleton1", "skeleton-1", "vccube", "join0,0"],
+)
+def test_summand_memo_is_exact(spec, i, ms):
+    # a scan computes each summand once; recomputing every rank from scratch,
+    # orbits by search and no memo, gives the same tables and Betti numbers
+    from macstab.hochster import nonzero_summands, orbit_summands, padded_table, summand_memo
+
+    fam = parse_family(spec)
+    summand_memo.clear()
+    scan = multiplicity_scan(fam, MOMENT_ANGLE, i, ms)
+    computed = len(summand_memo)
+    met = 0
+    for m in ms:
+        summand_memo.clear()
+        K, G = fam.instantiate(m)
+        found = nonzero_summands(K, G, MOMENT_ANGLE, i)
+        summands = orbit_summands(K, MOMENT_ANGLE, i, m, found=found)
+        met += len(summands)
+        assert scan.tables[m] == padded_table(summands, m)
+        assert scan.betti[m] == sum(s.orbit_size * s.dim for s in summands)
+    assert computed < met  # the scan met some summand at several ranks
+
+
+def test_summand_memo_keys_on_the_subset():
+    # K_J = {∅} for every J of skeleton:-1, so only J tells its summands apart
+    from macstab.hochster import summand_memo, sym_irreducible_decomposition
+    from macstab.simplicial import skeleton
+
+    K = skeleton(5, -1)
+    summand_memo.clear()
+    shared = [sym_irreducible_decomposition(K, MOMENT_ANGLE, i, 5) for i in (2, 3, 4)]
+    fresh = []
+    for i in (2, 3, 4):
+        summand_memo.clear()
+        fresh.append(sym_irreducible_decomposition(K, MOMENT_ANGLE, i, 5))
+    assert shared == fresh

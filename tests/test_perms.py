@@ -3,14 +3,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macstab.errors import CapExceeded, ValidationError
+from macstab.errors import CapExceeded, OracleMismatch, ValidationError
 from macstab.perms import (
     PermGroup,
     Permutation,
     act_on_subset,
     enumerate_group,
-    g_full_subcomplex_matches,
     is_g_complex,
+    pattern_orbit_reps,
     restriction_sign,
     stabilizer_order_in_sym,
     subset_orbit_reps,
@@ -25,6 +25,8 @@ from macstab.simplicial import (
     skeleton,
     vc_cube_dual,
 )
+
+from oracles import g_full_subcomplex_matches
 
 
 def perm(m, *cycles):
@@ -180,3 +182,54 @@ def test_action_is_functorial(imgs_g, imgs_h, idx):
     lhs = act_on_subset(g * h, J, K)
     rhs = act_on_subset(g, act_on_subset(h, J, K), K)
     assert lhs == rhs
+
+
+@st.composite
+def _closed_complex(draw):
+    """A Σ_m-closed complex: m <= 4, up to 3 tags, 0-2 unindexed vertices."""
+    m = draw(st.integers(1, 4))
+    tags = draw(st.sets(st.integers(0, 2)))
+    verts = [Vertex(i, t) for i in range(1, m + 1) for t in tags]
+    verts += [Vertex(None, t) for t in range(draw(st.integers(0, 2)))]
+    seeds = []
+    if verts:
+        seeds = draw(st.lists(st.sets(st.sampled_from(verts), max_size=3), max_size=3))
+    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
+    facets = {frozenset(g.act_vertex(v) for v in f) for f in seeds for g in sym}
+    return SimplicialComplex(verts, facets), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_complex(), st.data())
+def test_pattern_orbits_match_the_search(case, data):
+    K, m = case
+    G = PermGroup.symmetric(m)
+    max_size = data.draw(st.sampled_from([None, *range(-1, len(K.vertices) + 2)]))
+    searched = subset_orbit_reps(K, G, max_size)
+    listed = pattern_orbit_reps(K, m, max_size)
+    assert listed.representatives == searched.representatives
+    assert listed.orbit_sizes == searched.orbit_sizes
+    assert listed.total_subsets == searched.total_subsets
+    # the same cap check, at the same count
+    pattern_orbit_reps(K, m, max_size, cap=searched.total_subsets)
+    with pytest.raises(CapExceeded) as by_search:
+        subset_orbit_reps(K, G, max_size, cap=searched.total_subsets - 1)
+    with pytest.raises(CapExceeded) as by_pattern:
+        pattern_orbit_reps(K, m, max_size, cap=searched.total_subsets - 1)
+    assert str(by_pattern.value) == str(by_search.value)
+    # a vertex set Σ_m does not preserve: an index above m, or a fibre left out
+    broken = [list(K.vertices) + [Vertex(m + 1)]]
+    if m > 1 and K.vertices and K.vertices[0].index is not None:
+        broken.append(K.vertices[1:])
+    for verts in broken:
+        with pytest.raises(ValidationError):
+            pattern_orbit_reps(SimplicialComplex(verts, []), m, max_size)
+
+
+def test_pattern_table_has_no_schreier_words():
+    table = pattern_orbit_reps(vc_cube_dual(3), 3)
+    v = {(w.index, w.tag): w for w in vc_cube_dual(3).vertices}
+    # two equal fibres {0} on a support of two: 3!/(1! · 2!) subsets
+    assert table.orbit_sizes[frozenset({v[1, 0], v[2, 0]})] == 3
+    with pytest.raises(OracleMismatch):
+        table.stabilizer_gens(table.representatives[1])
