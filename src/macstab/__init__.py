@@ -24,7 +24,6 @@ from .perms import (  # noqa: F401
 )
 from .homology import (  # noqa: F401
     CohomologyBasis,
-    character_on_cohomology,
     coboundaries,
     induced_cohomology_map,
     reduced_cohomology,
@@ -57,7 +56,6 @@ from .hochster import (  # noqa: F401
 )
 from .cellular import (  # noqa: F401
     MomentAngleCellComplex,
-    cellular_action_trace,
     compare_with_hochster,
 )
 from .families import (  # noqa: F401

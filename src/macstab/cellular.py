@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
-from .linalg import apply_signed, cochain_cohomology
+from .linalg import cochain_cohomology
 from .homology import reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
@@ -125,30 +125,7 @@ def block_trace(
     piece = Z.blocks[J].pieces.get(i)
     if piece is None or piece.betti == 0:
         return Fraction(0)
-    action = block_action(Z, g, J, i)
-    total = Fraction(0)
-    for k, rep in enumerate(piece.representatives):
-        coords = piece.project(apply_signed(action, rep))
-        total += coords[k]
-    return total
-
-
-def cellular_action_trace(
-    Z: MomentAngleCellComplex, g: Permutation, i: int, orbit
-) -> Fraction:
-    """Trace of g on the degree-i cohomology of a union of multidegree blocks.
-
-    The union must be g-stable; blocks moved off themselves contribute zero.
-    """
-    sets = [frozenset(J) for J in orbit]
-    images = {frozenset(g.act_vertex(v) for v in J) for J in sets}
-    if images != set(sets):
-        raise ValidationError("the block union is not stable under the element")
-    total = Fraction(0)
-    for J in sets:
-        if frozenset(g.act_vertex(v) for v in J) == J:
-            total += block_trace(Z, g, J, i)
-    return total
+    return piece.trace(block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
-from .homology import induced_cohomology_map, reduced_cohomology
+from .homology import cohomology_trace, reduced_cohomology
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
@@ -162,7 +162,7 @@ def summand_character(
     """
     out = {}
     for h in elements:
-        tr = induced_cohomology_map(h, K, J, p).trace()
+        tr = cohomology_trace(h, K, J, p)
         if pair.d % 2:
             tr *= restriction_sign(h, J)
         out[h] = tr
@@ -531,15 +531,6 @@ def class_is_zero_in_cohomology(K: SimplicialComplex, a: CohomologyClass) -> boo
     return all(x == 0 for x in coh.project(a.degree, a.cochain))
 
 
-def classes_equal_in_cohomology(
-    K: SimplicialComplex, a: CohomologyClass, b: CohomologyClass
-) -> bool:
-    if a.subset != b.subset or a.degree != b.degree:
-        return False
-    diff = tuple(x - y for x, y in zip(a.cochain, b.cochain))
-    return class_is_zero_in_cohomology(K, CohomologyClass(a.subset, a.degree, diff))
-
-
 def g_algebra_equivariance_check(
     K: SimplicialComplex, G: PermGroup, cap: int = DEFAULT_SUBSET_CAP
 ) -> bool:
@@ -548,12 +539,10 @@ def g_algebra_equivariance_check(
         raise ValidationError("the group does not preserve the complex")
     spanning = spanning_classes(K, cap)
     for g in G.generators:
-        for a in spanning:
-            for b in spanning:
+        moved = [transported_action(K, g, a) for a in spanning]
+        for a, ga in zip(spanning, moved):
+            for b, gb in zip(spanning, moved):
                 lhs = transported_action(K, g, cup_product(K, a, b))
-                rhs = cup_product(
-                    K, transported_action(K, g, a), transported_action(K, g, b)
-                )
-                if lhs.cochain != rhs.cochain:
+                if lhs.cochain != cup_product(K, ga, gb).cochain:
                     return False
     return True

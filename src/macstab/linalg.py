@@ -4,12 +4,15 @@ A coboundary is a list of sparse integer rows, one {column: ±1} dict per
 row, and a symmetry acts on cochains as a signed permutation, one (target
 index, sign) pair per basis element.  `rank` eliminates the rows fraction-free
 over the integers, dividing each by the gcd of its entries after every step.
-Dense matrices over Q (``fractions.Fraction``; no floating point anywhere)
-appear only where a basis is read: image and cocycle bases, the projection
-onto representatives and the b×b induced maps, by rational row reduction.
-`DegreeCohomology` is the one cohomology kernel that both the split pipeline
-(`homology`) and the cellular model (`cellular`) build on; its dimension
-comes from ranks alone and its basis is built only when read.
+The trace of a symmetry on cohomology is read off the kernels of the two
+coboundaries next to the degree, from their sparse reduced echelon forms,
+with no basis.  Dense matrices over Q (``fractions.Fraction``; no floating
+point anywhere) appear only where the ring code reads a basis: image and
+cocycle bases and the projection onto representatives, by rational row
+reduction.  `DegreeCohomology` is the one cohomology kernel that both the
+split pipeline (`homology`) and the cellular model (`cellular`) build on; its
+dimension comes from ranks alone, its traces from the cocycle kernels, and
+its basis is built only when read.
 """
 
 from __future__ import annotations
@@ -183,11 +186,16 @@ class Matrix:
 
 
 def rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of sparse integer rows by fraction-free elimination.
+    """Rank of sparse integer rows by fraction-free elimination."""
+    return len(_echelon(rows))
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """An echelon basis of the row space of sparse integer rows, by leading column.
 
     Rows are reduced one at a time against the pivot rows kept so far, each
-    keyed by its least column, until they vanish or lead with a new column;
-    the pivot rows form an echelon basis of the row space.
+    keyed by its least column, until they vanish or lead with a new column.
+    Every pivot row is primitive with a positive leading entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -199,7 +207,29 @@ def rank(rows: Iterable[dict[int, int]]) -> int:
                 pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
                 break
             row = _eliminate(row, pivot, c)
-    return len(pivots)
+    return pivots
+
+
+def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, Fraction]]:
+    """A basis of the kernel of sparse integer rows on n columns, one sparse
+    vector per free column f of the reduced echelon form: 1 at f and 0 at
+    every other free column, so a kernel vector's coordinate along it is its
+    f-entry.
+    """
+    pivots = _echelon(rows)
+    # back-substitute from the last pivot: each row then vanishes at every
+    # pivot column but its own, and its other entries sit at free columns
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in sorted(j for j in row if j != c and j in pivots):
+            row = _eliminate(row, pivots[c2], c2)
+        pivots[c] = row
+    basis = {f: {f: Fraction(1)} for f in range(n) if f not in pivots}
+    for c, row in pivots.items():
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = Fraction(-x, row[c])
+    return basis
 
 
 def _integer_row(entries: Sequence[Fraction]) -> dict[int, int]:
@@ -251,10 +281,13 @@ class DegreeCohomology:
     `n_in` and `n` are the dimensions of C^{p-1} and C^p; `d_in` and `d_out`
     are the coboundaries into and out of C^p as sparse rows, None where the
     neighbouring group is zero, and `rank_in`, `rank_out` their ranks (0 for
-    None), so `betti` costs no elimination.  The representatives, built when
-    first read, extend a basis of the coboundaries (pivot columns of `d_in`)
-    by cocycles taken in order from the nullspace basis of `d_out`; only
-    these bases see the coboundaries as dense matrices.
+    None), so `betti` costs no elimination.  `trace` reads a symmetry's trace
+    off the cocycle kernels Z^p and Z^{p-1}, each built once, when first
+    traced, from the sparse reduced echelon form of its coboundary.  Only the
+    ring code reads a basis: the representatives, built when first read,
+    extend a basis of the coboundaries (pivot columns of `d_in`) by cocycles
+    taken in order from the nullspace basis of `d_out`, and only these bases
+    see the coboundaries as dense matrices.
     """
 
     def __init__(
@@ -264,7 +297,28 @@ class DegreeCohomology:
         self.n = n
         self.d_in = d_in
         self.d_out = d_out
+        self.rank_in = rank_in
+        self.rank_out = rank_out
         self.betti = n - rank_in - rank_out
+
+    @cached_property
+    def _cocycles(self) -> "_Cocycles":
+        return _Cocycles(self.d_out, self.n, self.rank_out)
+
+    @cached_property
+    def _cocycles_in(self) -> "_Cocycles":
+        return _Cocycles(self.d_in, self.n_in, self.rank_in)
+
+    def trace(self, action: list[tuple[int, int]], action_in: list[tuple[int, int]]) -> Fraction:
+        """Trace on H^p of a symmetry acting on C^p by `action` and on C^{p-1}
+        by `action_in`, both signed permutations commuting with the coboundaries.
+
+        tr(g | H^p) = tr(g | Z^p) - tr(g | B^p), and B^p = d(C^{p-1}) is
+        C^{p-1}/Z^{p-1}, so tr(g | B^p) = tr(g | C^{p-1}) - tr(g | Z^{p-1});
+        the trace on C^{p-1} is the sum of the signs of the fixed cells.
+        """
+        fixed_in = sum(sign for j, (target, sign) in enumerate(action_in) if target == j)
+        return self._cocycles.trace(action) - fixed_in + self._cocycles_in.trace(action_in)
 
     @cached_property
     def image_basis(self) -> list[Vector]:
@@ -309,6 +363,41 @@ class DegreeCohomology:
             # every cochain projected is built by the program, so this is its fault
             raise OracleMismatch("projection of a non-cocycle")
         return tuple(_dot(row, cochain) for row in self._coordinate_rows)
+
+
+class _Cocycles:
+    """The kernel of a coboundary d on n columns (everything where d is None),
+    with d's columns kept for checking that a symmetry maps it to itself."""
+
+    def __init__(self, d: list[dict[int, int]] | None, n: int, rank_d: int):
+        self.basis = kernel_basis(d or [], n)
+        if len(self.basis) != n - rank_d:
+            raise OracleMismatch(
+                f"{len(self.basis)} independent cocycles, but the rank gives {n - rank_d}"
+            )
+        self.columns: dict[int, list[tuple[int, int]]] = {}
+        for r, row in enumerate(d or []):
+            for j, x in row.items():
+                self.columns.setdefault(j, []).append((r, x))
+
+    def trace(self, action: list[tuple[int, int]]) -> Fraction:
+        """Σ over free columns f of the f-entry of g·v_f: the coordinates of a
+        cocycle in this basis are its free entries, so no solve is needed."""
+        total = Fraction(0)
+        for f, v in self.basis.items():
+            moved: dict[int, Fraction] = {}
+            for j, x in v.items():
+                target, sign = action[j]
+                moved[target] = moved.get(target, 0) + sign * x
+            image: dict[int, Fraction] = {}
+            for j, x in moved.items():
+                for r, y in self.columns.get(j, ()):
+                    image[r] = image.get(r, 0) + y * x
+            if any(image.values()):
+                # every action traced is built by the program, so this is its fault
+                raise OracleMismatch("a symmetry maps a cocycle to a non-cocycle")
+            total += moved.get(f, 0)
+        return total
 
 
 def _dense(rows: list[dict[int, int]], cols: int) -> Matrix:

@@ -1,4 +1,5 @@
-"""Reference constructions that only the tests read.
+"""Reference constructions, and the inputs they are compared on, that only
+the tests read.
 
 They stay outside the package so that the program carries no code without a
 production caller, and so that the checks built on them stay independent of
@@ -7,9 +8,17 @@ what they check.
 
 from __future__ import annotations
 
-from macstab.cellular import MomentAngleCellComplex
-from macstab.perms import Permutation
-from macstab.simplicial import SimplicialComplex, face_key, full_subcomplex
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from macstab.cellular import MomentAngleCellComplex, block_action, block_trace
+from macstab.errors import ValidationError
+from macstab.hochster import CohomologyClass, class_is_zero_in_cohomology
+from macstab.homology import induced_cohomology_map, reduced_cohomology
+from macstab.linalg import apply_signed
+from macstab.perms import PermGroup, Permutation, enumerate_group
+from macstab.simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
 
 
 def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, list[dict[int, int]]]:
@@ -51,3 +60,93 @@ def g_full_subcomplex_matches(K: SimplicialComplex, g: Permutation, J) -> bool:
         [frozenset(g.act_vertex(v) for v in f) for f in KJ.facets],
     )
     return mapped == KgJ
+
+
+def character_on_cohomology(
+    K: SimplicialComplex, J, stab_elements, p: int
+) -> dict[Permutation, Fraction]:
+    """Trace of each stabilising element on H̃^p(K_J), through the basis route.
+
+    The result is checked to be constant on conjugacy classes of the supplied
+    element list, as far as conjugation stays inside the list.
+    """
+    traces = {h: induced_cohomology_map(h, K, J, p).trace() for h in stab_elements}
+    elems = set(stab_elements)
+    for h in stab_elements:
+        for x in stab_elements:
+            conj = x * h * x.inverse()
+            if conj in elems and traces[conj] != traces[h]:
+                raise ValidationError("trace is not constant on conjugacy classes")
+    return traces
+
+
+def lefschetz_cohomology_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
+    """Alternating trace of g on reduced cohomology; equals the cochain sum."""
+    basis = reduced_cohomology(K)
+    total = Fraction(0)
+    for p in sorted(basis.degrees):
+        if basis.dim(p) == 0:
+            continue
+        mat = induced_cohomology_map(g, K, frozenset(K.vertices), p)
+        total += (-1 if p % 2 else 1) * mat.trace()
+    return total
+
+
+def classes_equal_in_cohomology(
+    K: SimplicialComplex, a: CohomologyClass, b: CohomologyClass
+) -> bool:
+    if a.subset != b.subset or a.degree != b.degree:
+        return False
+    diff = tuple(x - y for x, y in zip(a.cochain, b.cochain))
+    return class_is_zero_in_cohomology(K, CohomologyClass(a.subset, a.degree, diff))
+
+
+def block_trace_by_projection(
+    Z: MomentAngleCellComplex, g: Permutation, J: frozenset, i: int
+) -> Fraction:
+    """`cellular.block_trace` through the block's representative basis: each
+    representative is moved by g and projected back."""
+    if frozenset(g.act_vertex(v) for v in J) != J:
+        raise ValidationError("element does not stabilise the multidegree")
+    piece = Z.blocks[J].pieces.get(i)
+    if piece is None or piece.betti == 0:
+        return Fraction(0)
+    action = block_action(Z, g, J, i)
+    total = Fraction(0)
+    for k, rep in enumerate(piece.representatives):
+        total += piece.project(apply_signed(action, rep))[k]
+    return total
+
+
+def cellular_action_trace(
+    Z: MomentAngleCellComplex, g: Permutation, i: int, orbit
+) -> Fraction:
+    """Trace of g on the degree-i cohomology of a union of multidegree blocks.
+
+    The union must be g-stable; blocks moved off themselves contribute zero.
+    """
+    sets = [frozenset(J) for J in orbit]
+    images = {frozenset(g.act_vertex(v) for v in J) for J in sets}
+    if images != set(sets):
+        raise ValidationError("the block union is not stable under the element")
+    total = Fraction(0)
+    for J in sets:
+        if frozenset(g.act_vertex(v) for v in J) == J:
+            total += block_trace(Z, g, J, i)
+    return total
+
+
+@st.composite
+def sigma_closed_complexes(draw, max_m: int = 4, max_tags: int = 3, max_free: int = 2):
+    """A Σ_m-closed complex and its m: m <= max_m, up to max_tags tags per
+    index and up to max_free unindexed vertices."""
+    m = draw(st.integers(1, max_m))
+    tags = draw(st.sets(st.integers(0, max_tags - 1)))
+    verts = [Vertex(i, t) for i in range(1, m + 1) for t in tags]
+    verts += [Vertex(None, t) for t in range(draw(st.integers(0, max_free)))]
+    seeds = []
+    if verts:
+        seeds = draw(st.lists(st.sets(st.sampled_from(verts), max_size=3), max_size=3))
+    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
+    facets = {frozenset(g.act_vertex(v) for v in f) for f in seeds for g in sym}
+    return SimplicialComplex(verts, facets), m

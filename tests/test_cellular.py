@@ -2,11 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macstab.cellular import (
     MomentAngleCellComplex,
     block_trace,
-    cellular_action_trace,
     compare_with_hochster,
 )
 from macstab.errors import CapExceeded, ValidationError
@@ -21,7 +21,12 @@ from macstab.simplicial import (
     vc_cube_dual,
 )
 
-from oracles import assemble_global_boundary
+from oracles import (
+    assemble_global_boundary,
+    block_trace_by_projection,
+    cellular_action_trace,
+    sigma_closed_complexes,
+)
 
 
 def test_sanity_disc_circle_sphere():
@@ -93,6 +98,37 @@ def test_block_trace_identity_is_dimension(square):
     for J, block in Z.blocks.items():
         for i, d in block.dims().items():
             assert block_trace(Z, ident, J, i) == d
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma_closed_complexes(max_m=3, max_tags=2, max_free=1), st.data())
+def test_block_trace_matches_the_projection_route(case, data):
+    # every block, from the degree below its cells to the one above them
+    K, m = case
+    Z = MomentAngleCellComplex(K)
+    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
+    for J in Z.blocks:
+        g = data.draw(st.sampled_from([h for h in sym if frozenset(map(h.act_vertex, J)) == J]))
+        for i in range(len(J) - 1, 2 * len(J) + 2):
+            assert block_trace(Z, g, J, i) == block_trace_by_projection(Z, g, J, i)
+
+
+@pytest.mark.parametrize("which", ["square", "skeleton41", "pentagon"])
+def test_block_trace_matches_the_projection_route_on_a_corpus(square, which):
+    # blocks whose cohomology sits above degree 0 of K_J, where Z^{i-1} is not zero
+    dihedral = [Permutation.from_cycles(4, (1, 2, 3, 4)), Permutation.from_cycles(4, (2, 4))]
+    K, gens = {"square": (square, dihedral),
+               "skeleton41": (skeleton(4, 1), PermGroup.symmetric(4).generators),
+               "pentagon": (vc_cube_dual(2), PermGroup.symmetric(2).generators)}[which]
+    Z = MomentAngleCellComplex(K)
+    elements = enumerate_group(list(gens))
+    kernels_in = 0
+    for J, block in Z.blocks.items():
+        for g in (h for h in elements if frozenset(map(h.act_vertex, J)) == J):
+            for i, piece in block.pieces.items():
+                assert block_trace(Z, g, J, i) == block_trace_by_projection(Z, g, J, i)
+                kernels_in += piece.betti > 0 and piece.n_in > piece.rank_in
+    assert kernels_in
 
 
 def test_orbit_trace_square(square):

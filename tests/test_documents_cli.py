@@ -648,35 +648,69 @@ def test_cli_product_builds_each_restriction_once(monkeypatch, capsys):
     assert len(built) <= 1 + 2 ** 4  # the complex and one restriction per subset
 
 
-def test_cli_scan_factors_each_projection_once(monkeypatch, capsys):
-    from collections import Counter
+def _count_basis_work(monkeypatch):
+    """Record every `Matrix.rref` call and every `DegreeCohomology.representatives`
+    built: the dense basis work that only the ring code should do."""
+    from functools import cached_property
 
-    from macstab.cli import main
     from macstab.linalg import DegreeCohomology, Matrix
 
-    solves, projected, active, factored = [], [], [], []
-    _count_calls(monkeypatch, Matrix, "solve", solves)
-    project, rref = DegreeCohomology.project, Matrix.rref
+    rrefs, built = [], []
+    _count_calls(monkeypatch, Matrix, "rref", rrefs)
+    representatives = DegreeCohomology.__dict__["representatives"].func
 
-    def counting_project(self, cochain):
-        projected.append(self)
-        active.append(self)
-        try:
-            return project(self, cochain)
-        finally:
-            active.pop()
+    def recording(self):
+        built.append(self)
+        return representatives(self)
 
-    def counting_rref(self):
-        if active:
-            factored.append(active[-1])
-        return rref(self)
+    prop = cached_property(recording)
+    prop.__set_name__(DegreeCohomology, "representatives")
+    monkeypatch.setattr(DegreeCohomology, "representatives", prop)
+    return rrefs, built
 
-    monkeypatch.setattr(DegreeCohomology, "project", counting_project)
-    monkeypatch.setattr(Matrix, "rref", counting_rref)
-    assert main(["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..8"]) == 0
-    assert solves == []
-    assert factored and max(Counter(factored).values()) == 1
-    assert len(projected) > len(factored)  # each factorisation serves several cochains
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..8"],
+        ["oracle", "--family", "skeleton:1", "--m", "5"],
+        ["decompose", "--family", "vccube", "--m", "4", "--degree", "5", "--irreducibles"],
+    ],
+    ids=["scan", "oracle", "decompose-irreducibles"],
+)
+def test_cli_traces_build_no_basis(monkeypatch, capsys, argv):
+    from macstab.cli import main
+    from macstab.linalg import DegreeCohomology
+
+    rrefs, built = _count_basis_work(monkeypatch)
+    traced = []
+    _count_calls(monkeypatch, DegreeCohomology, "trace", traced)
+    assert main(argv) == 0
+    assert traced  # the characters were taken, from the cocycle kernels
+    assert rrefs == [] and built == []
+
+
+def test_cli_product_still_builds_bases(monkeypatch, capsys):
+    from macstab.cli import main
+
+    rrefs, built = _count_basis_work(monkeypatch)
+    argv = ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"]
+    assert main(argv) == 0
+    assert report_of(capsys.readouterr().out)["equivariant"] is True
+    assert built and rrefs
+
+
+def test_cli_equivariance_check_moves_each_class_once_per_generator(monkeypatch, capsys):
+    from macstab.cli import main
+    from macstab.hochster import spanning_classes
+
+    moved = _count_bound_calls(monkeypatch, "hochster", "transported_action")
+    argv = ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"]
+    assert main(argv) == 0
+    assert report_of(capsys.readouterr().out)["equivariant"] is True
+    n = len(spanning_classes(skeleton(4, 0)))
+    # Σ_4 has two generators; each moves every class once and every product once
+    assert len(moved) == 2 * (n + n * n)
 
 
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
@@ -716,6 +750,26 @@ def test_cli_non_cocycle_projection_is_an_internal_mismatch(monkeypatch, capsys)
 
     monkeypatch.setattr(homology, "cochain_action", swapped)
     assert main(["scan", "--family", "vccube", "--degree", "4", "--m", "3..4"]) == 3
+    err = capsys.readouterr().err
+    assert "internal mismatch" in err and "non-cocycle" in err
+
+
+def test_cli_non_cocycle_block_action_is_an_internal_mismatch(monkeypatch, capsys):
+    # the cellular twin: a corrupted block action makes the oracle's own
+    # traces fail their cocycle check
+    import macstab.cellular as cellular
+    from macstab.cli import main
+
+    action = cellular.block_action
+
+    def swapped(Z, g, J, i):
+        out = action(Z, g, J, i)
+        n = len(out)
+        rows = {} if g.is_identity() or n < 2 else {n - 1: n - 2, n - 2: n - 1}
+        return [(rows.get(target, target), sign) for target, sign in out]
+
+    monkeypatch.setattr(cellular, "block_action", swapped)
+    assert main(["oracle", "--family", "skeleton:1", "--m", "5"]) == 3
     err = capsys.readouterr().err
     assert "internal mismatch" in err and "non-cocycle" in err
 

@@ -13,7 +13,6 @@ from macstab.hochster import (
     betti,
     betti_split,
     class_is_zero_in_cohomology,
-    classes_equal_in_cohomology,
     cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
@@ -32,6 +31,8 @@ from macstab.simplicial import (
     vc_cube_dual,
 )
 from macstab.symrep import hook_dim, mn_character, pad, partitions
+
+from oracles import classes_equal_in_cohomology
 
 
 def test_betti_square(square):

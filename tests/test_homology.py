@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from macstab.errors import ValidationError
 from macstab.homology import (
-    character_on_cohomology,
     coboundaries,
+    cohomology_trace,
     euler_check,
     induced_cohomology_map,
     lefschetz_cochain_sum,
-    lefschetz_cohomology_sum,
     reduced_cohomology,
 )
 from macstab.linalg import Matrix
-from macstab.perms import Permutation, enumerate_group
+from macstab.perms import PermGroup, Permutation, act_on_subset, enumerate_group
 from macstab.simplicial import (
     SimplicialComplex,
     Vertex,
@@ -25,6 +24,8 @@ from macstab.simplicial import (
     skeleton,
     vc_cube_dual,
 )
+
+from oracles import character_on_cohomology, lefschetz_cohomology_sum, sigma_closed_complexes
 
 
 def _dd_is_zero(K, composes_to_zero):
@@ -94,6 +95,40 @@ def test_functoriality_on_top_degree(square):
     for g in elements:
         for h in elements:
             assert mats[g * h].data == mats[g].mul(mats[h]).data
+
+
+def test_cohomology_trace_at_the_edge_degrees(square):
+    v = {w.index: w for w in square.vertices}
+    V = frozenset(square.vertices)
+    rotation = Permutation.from_cycles(4, (1, 2, 3, 4))
+    # the top degree has no coboundary out: a rotation keeps the circle's
+    # class, a reflection negates it
+    assert cohomology_trace(rotation, square, V, 1) == 1
+    assert cohomology_trace(Permutation.from_cycles(4, (2, 4)), square, V, 1) == -1
+    # degree -1 has no coboundary in: K_∅ = {∅}
+    assert cohomology_trace(rotation, square, (), -1) == 1
+    # two points in degree 0: the cocycles of degree -1 are zero
+    assert cohomology_trace(Permutation.from_cycles(4, (1, 3)), square, {v[1], v[3]}, 0) == -1
+    # a degree without cohomology, and one past the top
+    assert cohomology_trace(rotation, square, V, 0) == 0
+    assert cohomology_trace(rotation, square, V, 2) == 0
+    with pytest.raises(ValidationError):
+        cohomology_trace(rotation, square, {v[1], v[3]}, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma_closed_complexes(), st.data())
+def test_cohomology_trace_matches_the_basis_route(case, data):
+    # every degree from -1 to one past the top, against the trace of the
+    # matrix of g on the representative basis
+    K, m = case
+    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
+    picked = data.draw(st.sets(st.sampled_from(K.vertices))) if K.vertices else set()
+    closure = frozenset(g.act_vertex(v) for v in picked for g in sym)
+    for J in (frozenset(picked), closure, frozenset(K.vertices)):
+        g = data.draw(st.sampled_from([h for h in sym if act_on_subset(h, J, K) == J]))
+        for p in range(-1, full_subcomplex(K, J).dim + 2):
+            assert cohomology_trace(g, K, J, p) == induced_cohomology_map(g, K, J, p).trace()
 
 
 def test_character_examples(square):

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macstab.linalg import Matrix, extend_to_basis, unit_vec, vec
+from macstab.errors import OracleMismatch
+from macstab.linalg import (
+    DegreeCohomology,
+    Matrix,
+    _integer_row,
+    extend_to_basis,
+    kernel_basis,
+    unit_vec,
+    vec,
+)
 
 
 def test_rank_and_rref_agree_small():
@@ -108,6 +117,30 @@ def test_rank_matches_rref_pivot_count(m):
     # the dense rational rref is the reference for the sparse integer rank
     _, pivots = m.rref()
     assert m.rank() == len(pivots)
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_kernel_basis_is_the_rref_nullspace(m):
+    # the kernel vector that is 1 at a free column and 0 at the others is
+    # unique, so the sparse echelon form must give the dense rref's vectors
+    kernel = kernel_basis([_integer_row(row) for row in m.data], m.cols)
+    dense = [tuple(v.get(j, Fraction(0)) for j in range(m.cols)) for v in kernel.values()]
+    assert dense == m.nullspace()
+    assert all(v[f] == 1 for f, v in kernel.items())
+
+
+def test_degree_trace_checks_its_kernels():
+    # C^0 = Q^2 -> C^1 = Q: the cocycles of x0 - x1 are spanned by (1, 1)
+    d = [{0: 1, 1: -1}]
+    identity, swap = [(0, 1), (1, 1)], [(1, 1), (0, 1)]
+    assert DegreeCohomology(0, 2, None, d, 0, 1).trace(identity, []) == 1
+    assert DegreeCohomology(0, 2, None, d, 0, 1).trace(swap, []) == 1
+    with pytest.raises(OracleMismatch, match="the rank gives 2"):
+        DegreeCohomology(0, 2, None, d, 0, 0).trace(identity, [])
+    # the cocycle e1 of x0 goes to e0, which is none
+    with pytest.raises(OracleMismatch, match="non-cocycle"):
+        DegreeCohomology(0, 2, None, [{0: 1}], 0, 1).trace(swap, [])
 
 
 @given(

@@ -26,7 +26,7 @@ from macstab.simplicial import (
     vc_cube_dual,
 )
 
-from oracles import g_full_subcomplex_matches
+from oracles import g_full_subcomplex_matches, sigma_closed_complexes
 
 
 def perm(m, *cycles):
@@ -184,23 +184,8 @@ def test_action_is_functorial(imgs_g, imgs_h, idx):
     assert lhs == rhs
 
 
-@st.composite
-def _closed_complex(draw):
-    """A Σ_m-closed complex: m <= 4, up to 3 tags, 0-2 unindexed vertices."""
-    m = draw(st.integers(1, 4))
-    tags = draw(st.sets(st.integers(0, 2)))
-    verts = [Vertex(i, t) for i in range(1, m + 1) for t in tags]
-    verts += [Vertex(None, t) for t in range(draw(st.integers(0, 2)))]
-    seeds = []
-    if verts:
-        seeds = draw(st.lists(st.sets(st.sampled_from(verts), max_size=3), max_size=3))
-    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
-    facets = {frozenset(g.act_vertex(v) for v in f) for f in seeds for g in sym}
-    return SimplicialComplex(verts, facets), m
-
-
 @settings(max_examples=60, deadline=None)
-@given(_closed_complex(), st.data())
+@given(sigma_closed_complexes(), st.data())
 def test_pattern_orbits_match_the_search(case, data):
     K, m = case
     G = PermGroup.symmetric(m)

@@ -93,7 +93,7 @@ def test_decompose_examples():
 
 def test_decompose_swap_character_on_two_points():
     # the rank-2 action on the reduced cohomology of two swapped points
-    from macstab.homology import character_on_cohomology
+    from oracles import character_on_cohomology
     from macstab.perms import enumerate_group
     from macstab.simplicial import skeleton
 
