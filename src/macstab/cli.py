@@ -32,12 +32,12 @@ from .hochster import (
     betti,
     betti_split,
     class_is_zero_in_cohomology,
-    cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
     nonzero_summands,
     orbit_summands,
     padded_table,
+    product_table,
     spanning_classes,
     summand_memo,
 )
@@ -347,10 +347,10 @@ def cmd_product(args) -> int:
     _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     classes = spanning_classes(K, args.cap_subsets)
+    products = product_table(K, classes)
     table = []
-    for a in classes:
-        for b in classes:
-            prod = cup_product(K, a, b)
+    for a, row in zip(classes, products):
+        for b, prod in zip(classes, row):
             table.append(
                 {
                     "left": {"subset": _subset_key(a.subset), "degree": a.degree},
@@ -363,7 +363,7 @@ def cmd_product(args) -> int:
     if args.check_equivariance:
         if G is None:
             raise ValidationError("--check-equivariance needs a group")
-        ok = g_algebra_equivariance_check(K, G, args.cap_subsets)
+        ok = g_algebra_equivariance_check(K, G, args.cap_subsets, products)
         payload["equivariant"] = ok
     _emit(args, make_report("product", payload, _caps(args)))
     return 0 if ok else 3

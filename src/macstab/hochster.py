@@ -37,7 +37,6 @@ from .perms import (
     pattern_orbit_reps,
     restriction_sign,
     subset_orbit_reps,
-    support_split,
     vertex_subsets,
 )
 from .simplicial import SimplicialComplex, face_key, full_subcomplex
@@ -46,11 +45,12 @@ from .symrep import (
     Partition,
     decompose,
     hook_dim,
-    induce_to_sym,
+    induce_from_young,
     induce_young,
     pad,
     pieri_induce,
     unpad,
+    young_classes,
 )
 
 
@@ -249,20 +249,20 @@ def _validate_indexed(K: SimplicialComplex, m: int) -> None:
             raise ValidationError(f"vertex index {v.index} outside 1..{m}")
 
 
-def _relabel_to_small(h: Permutation, support: tuple[int, ...]) -> Permutation:
-    rank = {s: a + 1 for a, s in enumerate(support)}
-    return Permutation(tuple(rank[h(s)] for s in support)) if support else Permutation((1,))
-
-
 @dataclass
 class OrbitSummand:
-    """One orbit summand of a fixed ambient degree, before induction to Σ_m."""
+    """One orbit summand of a fixed ambient degree, before induction to Σ_m.
+
+    `finite_character` is the summand's character induced from the Young
+    subgroup of rep's fibres to Sym(support), over cycle types;
+    `mu_multiplicities` is its decomposition there.
+    """
 
     rep: frozenset
     orbit_size: int
     support: tuple[int, ...]
     dim: int
-    finite_character: ClassFunction  # character of Ind to Sym(support)
+    finite_character: ClassFunction
     mu_multiplicities: dict[Partition, int]
 
 
@@ -298,7 +298,7 @@ def orbit_summands(
         support = index_support(rep, cap=support_cap)
         key = (rep, full_subcomplex(K, rep), p, pair.d)
         if key not in summand_memo:
-            summand_memo[key] = _summand_data(K, rep, p, dim, pair, m, support_cap)
+            summand_memo[key] = _summand_data(K, rep, support, p, pair, m)
         psi, mus = summand_memo[key]
         out.append(
             OrbitSummand(
@@ -314,17 +314,36 @@ def orbit_summands(
 
 
 def _summand_data(
-    K: SimplicialComplex, rep, p: int, dim: int, pair: SpherePair, m: int, support_cap: int
+    K: SimplicialComplex, rep, support: tuple[int, ...], p: int, pair: SpherePair, m: int
 ) -> tuple[ClassFunction, dict[Partition, int]]:
-    """Character of the summand induced to Sym(support), and its decomposition."""
-    support, finite_part, _ = support_split(rep, K, m, cap=support_cap)
-    if not support:
-        # the whole symmetric group fixes the summand pointwise
-        return ClassFunction.from_dict(0, {(): Fraction(dim)}), {(): dim}
-    char = summand_character(K, rep, finite_part, p, pair)
-    small = {_relabel_to_small(h, support): val for h, val in char.items()}
-    psi = induce_to_sym(list(small), small, cap=support_cap)
+    """Character of the summand induced to Sym(support), and its decomposition.
+
+    Σ_m moves only indices, so an element of Sym(support) fixes rep exactly
+    when it keeps every fibre (the tags rep uses at an index): the stabiliser
+    is the Young subgroup Π_S Sym(indices with fibre S).  One trace per class
+    of it, at consecutive cycles inside each block, then class fusion to
+    Sym(support) (`induce_from_young`).
+    """
+    by_fibre: dict[frozenset, list[int]] = {}
+    for i in support:
+        by_fibre.setdefault(frozenset(v.tag for v in rep if v.index == i), []).append(i)
+    blocks = list(by_fibre.values())
+    sizes = tuple(len(block) for block in blocks)
+    reps = {mus: _young_class_rep(blocks, mus, m) for mus in young_classes(sizes)}
+    traces = summand_character(K, rep, list(reps.values()), p, pair)
+    psi = induce_from_young(sizes, {mus: traces[h] for mus, h in reps.items()})
     return psi, decompose(psi)
+
+
+def _young_class_rep(blocks: list[list[int]], mus, m: int) -> Permutation:
+    """The element of Σ_m with cycles of lengths μ_j on consecutive points of block j."""
+    cycles = []
+    for block, mu in zip(blocks, mus):
+        start = 0
+        for part in mu:
+            cycles.append(tuple(block[start : start + part]))
+            start += part
+    return Permutation.from_cycles(m, *cycles)
 
 
 def sym_irreducible_decomposition(
@@ -531,18 +550,34 @@ def class_is_zero_in_cohomology(K: SimplicialComplex, a: CohomologyClass) -> boo
     return all(x == 0 for x in coh.project(a.degree, a.cochain))
 
 
+def product_table(
+    K: SimplicialComplex, classes: list[CohomologyClass]
+) -> list[list[CohomologyClass]]:
+    """a⋆b for every ordered pair of `classes`, one row per left factor a."""
+    return [[cup_product(K, a, b) for b in classes] for a in classes]
+
+
 def g_algebra_equivariance_check(
-    K: SimplicialComplex, G: PermGroup, cap: int = DEFAULT_SUBSET_CAP
+    K: SimplicialComplex,
+    G: PermGroup,
+    cap: int = DEFAULT_SUBSET_CAP,
+    products: list[list[CohomologyClass]] | None = None,
 ) -> bool:
-    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes."""
+    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes.
+
+    `products`, when given, is `product_table` of `spanning_classes(K, cap)`;
+    each α⋆β is computed once and moved by every generator.
+    """
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
     spanning = spanning_classes(K, cap)
+    if products is None:
+        products = product_table(K, spanning)
     for g in G.generators:
         moved = [transported_action(K, g, a) for a in spanning]
-        for a, ga in zip(spanning, moved):
-            for b, gb in zip(spanning, moved):
-                lhs = transported_action(K, g, cup_product(K, a, b))
+        for row, ga in zip(products, moved):
+            for ab, gb in zip(row, moved):
+                lhs = transported_action(K, g, ab)
                 if lhs.cochain != cup_product(K, ga, gb).cochain:
                     return False
     return True

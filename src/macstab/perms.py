@@ -365,10 +365,14 @@ def pattern_orbit_reps(
 
 
 def index_support(J, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[int, ...]:
-    """The sorted indices among the labels of J; more than `cap` of them raise."""
+    """The sorted indices among the labels of J; more than `cap` of them raise.
+
+    A scan pays one trace per class of a summand's Young subgroup, Π_S p(c_S)
+    for fibres of sizes c_S (p(b) for a single fibre); `support_split` pays b!.
+    """
     support = tuple(sorted({v.index for v in J if v.index is not None}))
     if len(support) > cap:
-        raise CapExceeded(f"support size {len(support)} exceeds brute-force cap {cap}")
+        raise CapExceeded(f"support size {len(support)} exceeds the support cap {cap}")
     return support
 
 
@@ -379,6 +383,9 @@ def support_split(
     cap: int = DEFAULT_SUPPORT_CAP,
 ) -> tuple[tuple[int, ...], list[Permutation], int]:
     """Split the stabilizer of J in Σ_m as (finite part on the support) × Σ_rest.
+
+    The brute-force side of `check-family`; the scans take the finite part
+    to be the Young subgroup of J's fibres without listing it.
 
     support: indices appearing among the labels of J; finite part: elements of
     Sym(support), returned as degree-m permutations, that stabilise J setwise

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 from math import factorial, prod
 
 from .errors import CapExceeded, NotACharacter, ValidationError
@@ -118,62 +119,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-# -- independent route: permutation-module characters -----------------------
-
-
-def perm_module_character(mu: Partition, cycle_type: Partition) -> int:
-    """Fixed points of a permutation of type `cycle_type` acting on tabloids.
-
-    Counts distributions of the cycles into row bins of capacities μ by a
-    depth-first packing; independent of the border-strip recursion.
-    """
-    _check_partition(mu)
-    _check_partition(cycle_type)
-    if sum(mu) != sum(cycle_type):
-        raise ValidationError("size mismatch")
-    bins = list(mu)
-    cycles = sorted(cycle_type, reverse=True)
-
-    def place(i: int, state: tuple[int, ...]) -> int:
-        if i == len(cycles):
-            return 1
-        c = cycles[i]
-        total = 0
-        for b, cap in enumerate(state):
-            if cap >= c:
-                nxt = list(state)
-                nxt[b] -= c
-                total += place(i + 1, tuple(nxt))
-        return total
-
-    return place(0, tuple(bins))
-
-
-def character_table_by_projection(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Character table of Σ_n built from permutation modules alone.
-
-    Processing partitions in reverse-lexicographic order, each permutation
-    character decomposes over the already-built irreducibles with λ itself
-    appearing exactly once; subtracting leaves χ_λ.  Used as the brute-force
-    oracle against the border-strip recursion.
-    """
-    classes = partitions(n)
-    table: dict[Partition, dict[Partition, int]] = {}
-    for lam in classes:  # reverse-lex starts at (n), dominance-compatible
-        psi = {mu: perm_module_character(lam, mu) for mu in classes}
-        for prev, chi in table.items():
-            mult = _inner(psi, chi, n)
-            if mult:
-                psi = {mu: psi[mu] - mult * chi[mu] for mu in classes}
-        table[lam] = psi
-    return table
-
-
-def _inner(f: dict[Partition, int], g: dict[Partition, int], n: int) -> Fraction:
-    tot = sum(class_size(mu) * Fraction(f[mu]) * g[mu] for mu in f)
-    return tot / factorial(n)
-
-
 # -- class functions on Σ_n --------------------------------------------------
 
 
@@ -251,7 +196,8 @@ def induce_to_sym(
 ) -> ClassFunction:
     """Induce a character of an explicit subgroup H ≤ Σ_n to Σ_n by class fusion.
 
-    Ind χ(μ) = z_μ / |H| · Σ over h in H of cycle type μ of χ(h).
+    Ind χ(μ) = z_μ / |H| · Σ over h in H of cycle type μ of χ(h).  The
+    element-by-element reference for `induce_from_young`; no scan calls it.
     """
     if not h_elements:
         raise ValidationError("empty subgroup")
@@ -275,6 +221,35 @@ def induce_to_sym(
         mu: Fraction(z_order(mu), order) * sums[mu] for mu in sums
     }
     return ClassFunction.from_dict(n, values)
+
+
+YoungClass = tuple[Partition, ...]
+
+
+def young_classes(blocks: tuple[int, ...]) -> list[YoungClass]:
+    """Conjugacy classes of the Young subgroup Σ_{c_1} × … × Σ_{c_k}, one
+    partition of each block size c_j."""
+    return list(product(*(partitions(c) for c in blocks)))
+
+
+def induce_from_young(blocks: tuple[int, ...], chi: dict[YoungClass, Fraction]) -> ClassFunction:
+    """Induce a class function of the Young subgroup Π_j Σ_{c_j} ≤ Σ_b to Σ_b.
+
+    The class (μ_j) holds Π_j c_j!/z_{μ_j} elements, all of cycle type
+    ν = ∪_j μ_j, so class fusion gives
+        Ind χ(ν) = z_ν · Σ over the (μ_j) with union ν of χ(μ_j) / Π_j z_{μ_j}.
+    """
+    n = sum(blocks)
+    sums = {nu: Fraction(0) for nu in partitions(n)}
+    for mus in young_classes(blocks):
+        nu = tuple(sorted(chain.from_iterable(mus), reverse=True))
+        sums[nu] += chi[mus] / young_centraliser_order(mus)
+    return ClassFunction.from_dict(n, {nu: z_order(nu) * total for nu, total in sums.items()})
+
+
+def young_centraliser_order(mus: YoungClass) -> int:
+    """Order Π_j z_{μ_j} of the centraliser of the class (μ_j) in its Young subgroup."""
+    return prod(z_order(mu) for mu in mus)
 
 
 def induce_young(psi: ClassFunction, m: int) -> ClassFunction:
@@ -384,16 +359,3 @@ def weight(decomposition: dict[Partition, int]) -> int:
     """Largest base-partition size among constituents, in padded coordinates."""
     sizes = [sum(base) for base, mult in decomposition.items() if mult]
     return max(sizes, default=0)
-
-
-def regular_character(n: int) -> ClassFunction:
-    values = {mu: Fraction(0) for mu in partitions(n)}
-    values[(1,) * n] = Fraction(factorial(n))
-    return ClassFunction.from_dict(n, values)
-
-
-def natural_permutation_character(n: int) -> ClassFunction:
-    values = {
-        mu: Fraction(sum(1 for part in mu if part == 1)) for mu in partitions(n)
-    }
-    return ClassFunction.from_dict(n, values)

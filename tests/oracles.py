@@ -9,6 +9,7 @@ what they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from macstab.homology import induced_cohomology_map, reduced_cohomology
 from macstab.linalg import apply_signed
 from macstab.perms import PermGroup, Permutation, enumerate_group
 from macstab.simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
+from macstab.symrep import ClassFunction, Partition, _check_partition, class_size, partitions
 
 
 def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, list[dict[int, int]]]:
@@ -150,3 +152,67 @@ def sigma_closed_complexes(draw, max_m: int = 4, max_tags: int = 3, max_free: in
     sym = enumerate_group(list(PermGroup.symmetric(m).generators))
     facets = {frozenset(g.act_vertex(v) for v in f) for f in seeds for g in sym}
     return SimplicialComplex(verts, facets), m
+
+
+# -- Σ_n characters from permutation modules, without border strips ----------
+
+
+def perm_module_character(mu: Partition, cycle_type: Partition) -> int:
+    """Fixed points of a permutation of type `cycle_type` acting on tabloids.
+
+    Counts distributions of the cycles into row bins of capacities μ by a
+    depth-first packing; independent of the border-strip recursion.
+    """
+    _check_partition(mu)
+    _check_partition(cycle_type)
+    if sum(mu) != sum(cycle_type):
+        raise ValidationError("size mismatch")
+    cycles = sorted(cycle_type, reverse=True)
+
+    def place(i: int, state: tuple[int, ...]) -> int:
+        if i == len(cycles):
+            return 1
+        c = cycles[i]
+        total = 0
+        for b, cap in enumerate(state):
+            if cap >= c:
+                nxt = list(state)
+                nxt[b] -= c
+                total += place(i + 1, tuple(nxt))
+        return total
+
+    return place(0, tuple(mu))
+
+
+def character_table_by_projection(n: int) -> dict[Partition, dict[Partition, int]]:
+    """Character table of Σ_n built from permutation modules alone.
+
+    Processing partitions in reverse-lexicographic order, each permutation
+    character decomposes over the already-built irreducibles with λ itself
+    appearing exactly once; subtracting leaves χ_λ.  The brute-force oracle
+    against the border-strip recursion.
+    """
+    classes = partitions(n)
+    table: dict[Partition, dict[Partition, int]] = {}
+    for lam in classes:  # reverse-lex starts at (n), dominance-compatible
+        psi = {mu: perm_module_character(lam, mu) for mu in classes}
+        for chi in table.values():
+            mult = sum(class_size(mu) * Fraction(psi[mu]) * chi[mu] for mu in classes)
+            mult /= factorial(n)
+            if mult:
+                psi = {mu: psi[mu] - mult * chi[mu] for mu in classes}
+        table[lam] = psi
+    return table
+
+
+def regular_character(n: int) -> ClassFunction:
+    values = {mu: Fraction(0) for mu in partitions(n)}
+    values[(1,) * n] = Fraction(factorial(n))
+    return ClassFunction.from_dict(n, values)
+
+
+def natural_permutation_character(n: int) -> ClassFunction:
+    values = {
+        mu: Fraction(sum(1 for part in mu if part == 1)) for mu in partitions(n)
+    }
+    return ClassFunction.from_dict(n, values)

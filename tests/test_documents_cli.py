@@ -268,12 +268,13 @@ def test_cli_malformed_input_is_a_validation_error(argv, stdin):
         ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..5", "--cap-subsets", "1",
          "--betti-only"),
         ("scan", "--family", "vccube", "--degree", "5", "--m", "5..5", "--cap-support", "1"),
+        ("scan", "--family", "skeleton:0", "--degree", "10", "--m", "10..12"),
         ("oracle", "--family", "skeleton:0", "--m", "4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-support", "1"),
     ],
-    ids=["scan", "scan-betti-only", "scan-support", "oracle", "check-family",
-         "check-family-support"],
+    ids=["scan", "scan-betti-only", "scan-support", "scan-default-support", "oracle",
+         "check-family", "check-family-support"],
 )
 def test_cli_every_command_honours_its_caps(capsys, argv):
     from macstab.cli import main
@@ -439,14 +440,24 @@ def test_cli_scan_builds_one_orbit_table_per_rank(monkeypatch, capsys, extra):
         assert rep["betti"] == rep["betti_values"]
 
 
-def test_cli_scan_computes_each_summand_once(monkeypatch, capsys):
+def test_cli_summands_are_induced_by_young_class_once_each(monkeypatch, capsys):
     from macstab.cli import main
+    from macstab.hochster import summand_memo
 
     traced = _count_bound_calls(monkeypatch, "hochster", "summand_character")
-    induced = _count_bound_calls(monkeypatch, "symrep", "induce_to_sym")
+    induced = _count_bound_calls(monkeypatch, "symrep", "induce_from_young")
+    brute_force = [_count_bound_calls(monkeypatch, "symrep", "induce_to_sym"),
+                   _count_bound_calls(monkeypatch, "perms", "support_split")]
+    # one orbit summand, J = {1..5}, met at all seven ranks: one call traces
+    # its seven Young classes, and one induction fuses them
     assert main(["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..12"]) == 0
-    # one orbit summand, J = {1..5}, met at all seven ranks
-    assert len(traced) == 1 and len(induced) == 1
+    assert len(summand_memo) == 1 and len(induced) == 1 and len(traced) == 1
+    induced.clear()
+    argv = ["decompose", "--family", "vccube", "--m", "3", "--degree", "5", "--irreducibles"]
+    assert main(argv) == 0
+    assert len(summand_memo) == 2 and len(induced) == 2
+    # neither the explicit subgroup nor the explicit induction is built
+    assert brute_force == [[], []]
 
 
 @pytest.mark.parametrize(
@@ -485,6 +496,23 @@ def test_cli_dropped_pieri_strip_is_an_internal_mismatch(monkeypatch, capsys, ar
     pieri = hochster.pieri_induce
     monkeypatch.setattr(hochster, "pieri_induce", lambda mu, m: pieri(mu, m)[1:])
     assert main(list(argv)) == 3
+    assert "internal mismatch" in capsys.readouterr().err
+
+
+def test_cli_wrong_young_centraliser_is_an_internal_mismatch(monkeypatch, capsys):
+    # negative control: a wrong weight on the identity class of the Young
+    # subgroup must not reach a report
+    import macstab.symrep as symrep
+    from macstab.cli import main
+
+    order = symrep.young_centraliser_order
+
+    def corrupted(mus):
+        identity = all(part == 1 for mu in mus for part in mu)
+        return order(mus) + 1 if identity else order(mus)
+
+    monkeypatch.setattr(symrep, "young_centraliser_order", corrupted)
+    assert main(["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..8"]) == 3
     assert "internal mismatch" in capsys.readouterr().err
 
 
@@ -711,6 +739,23 @@ def test_cli_equivariance_check_moves_each_class_once_per_generator(monkeypatch,
     n = len(spanning_classes(skeleton(4, 0)))
     # Σ_4 has two generators; each moves every class once and every product once
     assert len(moved) == 2 * (n + n * n)
+
+
+def test_cli_product_computes_each_product_once(monkeypatch, capsys):
+    from macstab.cli import main
+    from macstab.hochster import spanning_classes
+
+    products = _count_bound_calls(monkeypatch, "hochster", "cup_product")
+    argv = ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "218639f662638a1a6ed21654d567bd711aaa581b33d4f39819c181a06865fc84"
+    )
+    n = len(spanning_classes(skeleton(4, 0)))
+    # each a⋆b once, shared by the table and the check, then (ga)⋆(gb) for
+    # each of Σ_4's two generators
+    assert len(products) == 3 * n * n == 972
 
 
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macstab.errors import CapExceeded, ValidationError
 from macstab.hochster import (
@@ -17,22 +18,31 @@ from macstab.hochster import (
     equivariant_decomposition,
     g_algebra_equivariance_check,
     nonzero_summands,
+    orbit_summands,
+    summand_character,
+    summand_memo,
     sym_decomposition_by_fusion,
     sym_irreducible_decomposition,
     summand_routes,
     transported_action,
 )
 from macstab.homology import induced_cohomology_map, reduced_cohomology
-from macstab.perms import PermGroup, Permutation, restriction_sign
+from macstab.perms import (
+    PermGroup,
+    Permutation,
+    pattern_orbit_reps,
+    restriction_sign,
+    support_split,
+)
 from macstab.simplicial import (
     Vertex,
     full_subcomplex,
     skeleton,
     vc_cube_dual,
 )
-from macstab.symrep import hook_dim, mn_character, pad, partitions
+from macstab.symrep import decompose, hook_dim, induce_to_sym, mn_character, pad, partitions
 
-from oracles import classes_equal_in_cohomology
+from oracles import classes_equal_in_cohomology, sigma_closed_complexes
 
 
 def test_betti_square(square):
@@ -190,6 +200,54 @@ def test_disjoint_points_higher_degrees():
         assert sym_irreducible_decomposition(skeleton(m, 0), MOMENT_ANGLE, 5, m) == H5_STABLE
     for m in (9, 10):
         assert sym_irreducible_decomposition(skeleton(m, 0), MOMENT_ANGLE, 6, m) == H6_STABLE
+
+
+# Degree 10 by the closed form above STABLE_TABLES in the acceptance suite:
+# (1^{i-3}) + (2,1^{i-4}) + (1^{i-2}) + (2,1^{i-3}), stable from m = i + 1.
+H10_STABLE = {
+    (1, 1, 1, 1, 1, 1, 1): 1,
+    (2, 1, 1, 1, 1, 1, 1): 1,
+    (1, 1, 1, 1, 1, 1, 1, 1): 1,
+    (2, 1, 1, 1, 1, 1, 1, 1): 1,
+}
+
+
+def test_disjoint_points_past_the_default_support_cap():
+    # the summand has support 9: 9! stabilising elements, but 30 Young classes
+    for m in (11, 12):
+        table = sym_irreducible_decomposition(skeleton(m, 0), MOMENT_ANGLE, 10, m, support_cap=9)
+        assert table == H10_STABLE
+    with pytest.raises(CapExceeded):
+        sym_irreducible_decomposition(skeleton(11, 0), MOMENT_ANGLE, 10, 11)
+
+
+def _character_by_elements(K, rep, support, p, pair, m):
+    """ψ of a summand the element-by-element way: every stabilising element of
+    Sym(support) by brute force, one trace each, explicit class fusion."""
+    _, finite_part, _ = support_split(rep, K, m, cap=len(support))
+    char = summand_character(K, rep, finite_part, p, pair)
+    rank = {s: a + 1 for a, s in enumerate(support)}
+    small = {Permutation(tuple(rank[h(s)] for s in support)): t for h, t in char.items()}
+    return induce_to_sym(list(small), small, cap=len(support))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma_closed_complexes(max_m=6, max_tags=2, max_free=1), st.sampled_from([1, 2]))
+def test_young_class_route_matches_the_element_route(drawn, d):
+    K, m = drawn
+    pair = SpherePair(d)
+    degrees = set()
+    for J in pattern_orbit_reps(K, m).representatives:
+        for p, dim in reduced_cohomology(full_subcomplex(K, J)).dims().items():
+            if dim:
+                degrees.add(pair.ambient_degree(p, len(J)))
+    summand_memo.clear()
+    for i in sorted(degrees):
+        for s in orbit_summands(K, pair, i, m, support_cap=6):
+            p = pair.simplicial_degree(i, len(s.rep))
+            psi = _character_by_elements(K, s.rep, s.support, p, pair, m)
+            assert s.finite_character == psi, f"degree {i}, J = {sorted(map(str, s.rep))}"
+            assert s.mu_multiplicities == decompose(psi)
 
 
 def test_decomposition_degree_zero():

@@ -1,6 +1,6 @@
 from fractions import Fraction
-from itertools import permutations as iter_permutations
-from math import factorial
+from itertools import permutations as iter_permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,22 +9,27 @@ from macstab.errors import NotACharacter, ValidationError
 from macstab.perms import Permutation
 from macstab.symrep import (
     ClassFunction,
-    character_table_by_projection,
     class_size,
     decompose,
     hook_dim,
+    induce_from_young,
     induce_to_sym,
     induce_young,
     mn_character,
-    natural_permutation_character,
     pad,
     partitions,
-    perm_module_character,
     pieri_induce,
-    regular_character,
     unpad,
     weight,
+    young_classes,
     z_order,
+)
+
+from oracles import (
+    character_table_by_projection,
+    natural_permutation_character,
+    perm_module_character,
+    regular_character,
 )
 
 
@@ -131,6 +136,24 @@ def test_induce_to_sym_examples():
     ind = induce_to_sym([Permutation.identity(4), g],
                         {Permutation.identity(4): Fraction(1), g: Fraction(-1)})
     assert ind.dim() == 12
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)])
+def test_induce_from_young_matches_the_explicit_subgroup(blocks):
+    # Σ_{c_1} × … × Σ_{c_k} on consecutive points, every element listed
+    starts = [sum(blocks[:j]) for j in range(len(blocks))]
+    elements, classes = [], []
+    for pieces in product(*(iter_permutations(range(1, c + 1)) for c in blocks)):
+        images = tuple(s + x for s, piece in zip(starts, pieces) for x in piece)
+        elements.append(Permutation(images))
+        classes.append(tuple(Permutation(piece).cycle_type() for piece in pieces))
+    for lams in product(*(partitions(c) for c in blocks)):
+        def chi(mus):
+            return Fraction(prod(mn_character(lam, mu) for lam, mu in zip(lams, mus)))
+
+        explicit = induce_to_sym(elements, {h: chi(mus) for h, mus in zip(elements, classes)})
+        by_class = induce_from_young(blocks, {mus: chi(mus) for mus in young_classes(blocks)})
+        assert by_class == explicit, f"{lams} on blocks {blocks}"
 
 
 def test_pieri_examples():
