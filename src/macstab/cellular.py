@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
-from .linalg import cochain_cohomology
+from .linalg import CochainComplex
 from .homology import reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
@@ -36,8 +36,8 @@ DEFAULT_ORACLE_CAP = 7
 Cell = tuple[frozenset, frozenset]  # (L: circle coords, I: disc coords)
 
 
-class Block:
-    """All cells of one multidegree J, with its cochain complex and cohomology."""
+class Block(CochainComplex):
+    """All cells of one multidegree J, with their cochain complex."""
 
     def __init__(self, K: SimplicialComplex, J: frozenset):
         self.J = J
@@ -48,23 +48,14 @@ class Block:
                 self.cells_by_degree.setdefault(len(J) + len(I), []).append((J - I, I))
         # d moves one coordinate x from circle to disc, with the sign of the
         # circles before x: the row of a (deg + 1)-cell (L, I) has (L + x, I - x)
-        self.d: dict[int, list[dict[int, int]]] = {}
+        d: dict[int, list[dict[int, int]]] = {}
         for deg, cells in self.cells_by_degree.items():
             pos = {cell: k for k, cell in enumerate(cells)}
-            self.d[deg] = [
+            d[deg] = [
                 {pos[(L | {x}, I - {x})]: (-1) ** sum(1 for l in L if l < x) for x in I}
                 for L, I in self.cells_by_degree.get(deg + 1, [])
             ]
-        self.pieces = cochain_cohomology(
-            {deg: len(cells) for deg, cells in self.cells_by_degree.items()}, self.d
-        )
-
-    def dim(self, i: int) -> int:
-        piece = self.pieces.get(i)
-        return piece.betti if piece else 0
-
-    def dims(self) -> dict[int, int]:
-        return {i: p.betti for i, p in self.pieces.items() if p.betti}
+        super().__init__({deg: len(cells) for deg, cells in self.cells_by_degree.items()}, d)
 
     def cell_count(self) -> int:
         return sum(len(c) for c in self.cells_by_degree.values())
@@ -122,10 +113,10 @@ def block_trace(
     gJ = frozenset(g.act_vertex(v) for v in J)
     if gJ != J:
         raise ValidationError("element does not stabilise the multidegree")
-    piece = Z.blocks[J].pieces.get(i)
-    if piece is None or piece.betti == 0:
+    block = Z.blocks[J]
+    if block.dim(i) == 0:
         return Fraction(0)
-    return piece.trace(block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
+    return block.trace(i, block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
 
 
 @dataclass
@@ -186,7 +177,7 @@ def compare_with_hochster(
         gens = None
         for i in degrees:
             p = i - len(rep) - 1
-            hoch_dim = coh.dim(p) if p >= -1 else 0
+            hoch_dim = coh.dim(p)
             cell_dim = Z.blocks[rep].dim(i)
             if hoch_dim != cell_dim:
                 report.add("dimension", rep, i, "-", hoch_dim, cell_dim)

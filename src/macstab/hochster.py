@@ -450,7 +450,7 @@ def basis_classes(K: SimplicialComplex, J) -> list[CohomologyClass]:
     Jw = frozenset(J)
     coh = reduced_cohomology(full_subcomplex(K, Jw))
     out = []
-    for p in sorted(coh.degrees):
+    for p in sorted(coh.cochain_dims):
         for repv in coh.representatives(p):
             out.append(CohomologyClass(Jw, p, repv))
     return out
@@ -544,10 +544,7 @@ def transported_action(
 
 
 def class_is_zero_in_cohomology(K: SimplicialComplex, a: CohomologyClass) -> bool:
-    coh = reduced_cohomology(full_subcomplex(K, a.subset))
-    if coh.dim(a.degree) == 0:
-        return True
-    return all(x == 0 for x in coh.project(a.degree, a.cochain))
+    return reduced_cohomology(full_subcomplex(K, a.subset)).is_coboundary(a.degree, a.cochain)
 
 
 def product_table(

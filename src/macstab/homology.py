@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ValidationError
-from .linalg import DegreeCohomology, Matrix, Vector, apply_signed, cochain_cohomology
+from .errors import OracleMismatch, ValidationError
+from .linalg import CochainComplex, Matrix, Vector, apply_signed
 from .perms import Permutation, act_on_subset, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
@@ -31,31 +31,12 @@ def coboundaries(K: SimplicialComplex) -> dict[int, list[dict[int, int]]]:
     return out
 
 
-class CohomologyBasis:
-    """Per-degree dimensions and representative cocycles of H̃^*(K; Q)."""
+class CohomologyBasis(CochainComplex):
+    """The augmented cochain complex of K, whose cohomology is H̃^*(K; Q)."""
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        self.degrees: dict[int, DegreeCohomology] = cochain_cohomology(
-            K.face_counts(), coboundaries(K)
-        )
-
-    def dim(self, p: int) -> int:
-        data = self.degrees.get(p)
-        return data.betti if data else 0
-
-    def dims(self) -> dict[int, int]:
-        return {p: d.betti for p, d in self.degrees.items() if d.betti}
-
-    def representatives(self, p: int) -> list[Vector]:
-        data = self.degrees.get(p)
-        return data.representatives if data else []
-
-    def project(self, p: int, cochain) -> Vector:
-        data = self.degrees.get(p)
-        if data is None:
-            return ()
-        return data.project(cochain)
+        super().__init__(K.face_counts(), coboundaries(K))
 
 
 @lru_cache(maxsize=None)
@@ -87,11 +68,10 @@ def _stabilised(g: Permutation, K: SimplicialComplex, J) -> CohomologyBasis:
 def cohomology_trace(g: Permutation, K: SimplicialComplex, J, p: int) -> Fraction:
     """Trace of g on H̃^p(K_J), read off the cocycle kernels; g must fix J setwise."""
     basis = _stabilised(g, K, J)
-    data = basis.degrees.get(p)
-    if data is None or data.betti == 0:
+    if basis.dim(p) == 0:
         return Fraction(0)
     KJ = basis.complex
-    return data.trace(cochain_action(g, KJ, p), cochain_action(g, KJ, p - 1))
+    return basis.trace(p, cochain_action(g, KJ, p), cochain_action(g, KJ, p - 1))
 
 
 def induced_cohomology_map(
@@ -106,15 +86,33 @@ def induced_cohomology_map(
     if b == 0:
         return Matrix(0, 0)
     action = cochain_action(g, basis.complex, p)
-    cols = [basis.project(p, apply_signed(action, z)) for z in basis.representatives(p)]
+    cols = [
+        representative_coordinates(basis, p, apply_signed(action, z))
+        for z in basis.representatives(p)
+    ]
     return Matrix.from_columns(cols, nrows=b)
+
+
+def representative_coordinates(coh: CochainComplex, p: int, cocycle) -> Vector:
+    """Coordinates of a cocycle in the representative basis, modulo coboundaries.
+
+    The tests' dense reader: one solve of [columns of d_{p-1} | representatives]
+    x = cocycle, whose last entries are unique because the representatives
+    are independent modulo the coboundaries.
+    """
+    d_in = coh.coboundaries.get(p - 1, [])
+    image = [tuple(row.get(j, 0) for row in d_in) for j in range(coh.cochain_dims.get(p - 1, 0))]
+    columns = image + coh.representatives(p)
+    x = Matrix.from_columns(columns, nrows=coh.cochain_dims.get(p, 0)).solve(cocycle)
+    if x is None:
+        raise OracleMismatch("coordinates of a non-cocycle")
+    return x[len(image):]
 
 
 def lefschetz_cochain_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
     """Alternating trace of g on the augmented cochain groups."""
-    basis = reduced_cohomology(K)
     total = Fraction(0)
-    for p in sorted(basis.degrees):
+    for p in sorted(K.face_counts()):
         action = cochain_action(g, K, p)
         trace = sum(sign for j, (target, sign) in enumerate(action) if target == j)
         total += (-1 if p % 2 else 1) * trace
@@ -123,8 +121,6 @@ def lefschetz_cochain_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
 
 def euler_check(K: SimplicialComplex) -> bool:
     """Reduced Euler characteristic from face counts equals the cohomology one."""
-    basis = reduced_cohomology(K)
-    coh = sum(
-        (-1 if p % 2 else 1) * basis.dim(p) for p in basis.degrees
-    )
+    dims = reduced_cohomology(K).dims()
+    coh = sum((-1 if p % 2 else 1) * b for p, b in dims.items())
     return coh == K.euler_characteristic_reduced()

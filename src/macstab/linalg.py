@@ -2,23 +2,22 @@
 
 A coboundary is a list of sparse integer rows, one {column: ±1} dict per
 row, and a symmetry acts on cochains as a signed permutation, one (target
-index, sign) pair per basis element.  `rank` eliminates the rows fraction-free
-over the integers, dividing each by the gcd of its entries after every step.
-The trace of a symmetry on cohomology is read off the kernels of the two
-coboundaries next to the degree, from their sparse reduced echelon forms,
-with no basis.  Dense matrices over Q (``fractions.Fraction``; no floating
-point anywhere) appear only where the ring code reads a basis: image and
-cocycle bases and the projection onto representatives, by rational row
-reduction.  `DegreeCohomology` is the one cohomology kernel that both the
-split pipeline (`homology`) and the cellular model (`cellular`) build on; its
-dimension comes from ranks alone, its traces from the cocycle kernels, and
-its basis is built only when read.
+index, sign) pair per basis element.  One elimination routine serves every
+read: rows are reduced fraction-free over the integers against an echelon
+form keyed by leading column, each divided by the gcd of its entries after
+every step (`_reduce`).  `CochainComplex` is the one cohomology kernel that
+both the split pipeline (`homology`) and the cellular model (`cellular`)
+build on.  Its dimensions come from ranks alone, its traces from the cocycle
+kernels, and its representatives and zero test from one sparse echelon form
+of the coboundaries; each is computed when first read.  No dense matrix is
+built on any command's path.  The dense `Matrix` over Q
+(``fractions.Fraction``; no floating point anywhere) and `extend_to_basis`
+are the tests' reference for that sparse code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -156,13 +155,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def column_space_basis(self) -> list[Vector]:
-        """Columns of self forming a basis of the image."""
-        if self.rows == 0 or self.cols == 0:
-            return []
-        _, pivots = self.rref()
-        return [self.column(j) for j in pivots]
-
     def solve(self, b: Sequence) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent."""
         if len(b) != self.rows:
@@ -193,28 +185,41 @@ def rank(rows: Iterable[dict[int, int]]) -> int:
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """An echelon basis of the row space of sparse integer rows, by leading column.
 
-    Rows are reduced one at a time against the pivot rows kept so far, each
-    keyed by its least column, until they vanish or lead with a new column.
-    Every pivot row is primitive with a positive leading entry.
+    Rows are reduced one at a time against the pivot rows kept so far, and
+    each remainder that is left is kept.  Every pivot row is primitive with a
+    positive leading entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                # a positive leading entry makes ±1 pivots cancel without scaling
-                pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
-                break
-            row = _eliminate(row, pivot, c)
+        _keep(pivots, _reduce(row, pivots))
     return pivots
+
+
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """`row` reduced against the pivot rows, each keyed by its least column,
+    until it vanishes or leads with a column that none of them leads with."""
+    while row:
+        c = min(row)
+        pivot = pivots.get(c)
+        if pivot is None:
+            break
+        row = _eliminate(row, pivot, c)
+    return row
+
+
+def _keep(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Add a reduced row, if non-zero, to the pivot rows."""
+    if row:
+        c = min(row)
+        # a positive leading entry makes ±1 pivots cancel without scaling
+        pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
 
 
 def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, Fraction]]:
     """A basis of the kernel of sparse integer rows on n columns, one sparse
     vector per free column f of the reduced echelon form: 1 at f and 0 at
     every other free column, so a kernel vector's coordinate along it is its
-    f-entry.
+    f-entry.  The free columns come in increasing order.
     """
     pivots = _echelon(rows)
     # back-substitute from the last pivot: each row then vanishes at every
@@ -275,41 +280,57 @@ def extend_to_basis(base: list[Vector], candidates: list[Vector]) -> list[Vector
     return [candidates[j - k] for j in pivots if j >= k]
 
 
-class DegreeCohomology:
-    """Cohomology of a cochain complex C^{p-1} -> C^p -> C^{p+1} at C^p.
+class CochainComplex:
+    """A cochain complex over Q with dim C^p = cochain_dims[p] and
+    d_p = coboundaries[p] : C^p -> C^{p+1} as sparse integer rows, one per
+    basis element of C^{p+1} (absent where C^{p+1} is zero).
 
-    `n_in` and `n` are the dimensions of C^{p-1} and C^p; `d_in` and `d_out`
-    are the coboundaries into and out of C^p as sparse rows, None where the
-    neighbouring group is zero, and `rank_in`, `rank_out` their ranks (0 for
-    None), so `betti` costs no elimination.  `trace` reads a symmetry's trace
-    off the cocycle kernels Z^p and Z^{p-1}, each built once, when first
-    traced, from the sparse reduced echelon form of its coboundary.  Only the
-    ring code reads a basis: the representatives, built when first read,
-    extend a basis of the coboundaries (pivot columns of `d_in`) by cocycles
-    taken in order from the nullspace basis of `d_out`, and only these bases
-    see the coboundaries as dense matrices.
+    Everything is computed when first read and kept.  A coboundary's rank
+    serves both degrees next to it, so `dim(p)` costs two ranks and no basis.
+    `trace` reads a symmetry's trace off the cocycle kernels Z^p and Z^{p-1}.
+    Only the ring code reads a basis: the representatives are the kernel
+    vectors of d_p that stay outside the coboundaries B^p and the ones kept
+    before them, and `is_coboundary` tests a cocycle against B^p; both reduce
+    against one sparse echelon form of B^p.  Each read checks itself against
+    the ranks, and a fault found there is the program's (`OracleMismatch`).
     """
 
     def __init__(
-        self, n_in: int, n: int, d_in: list | None, d_out: list | None, rank_in: int, rank_out: int
+        self, cochain_dims: dict[int, int], coboundaries: dict[int, list[dict[int, int]]]
     ):
-        self.n_in = n_in
-        self.n = n
-        self.d_in = d_in
-        self.d_out = d_out
-        self.rank_in = rank_in
-        self.rank_out = rank_out
-        self.betti = n - rank_in - rank_out
+        self.cochain_dims = cochain_dims
+        self.coboundaries = coboundaries
+        self._ranks: dict[int, int] = {}
+        self._kernels: dict[int, _Cocycles] = {}
+        self._images: dict[int, dict[int, dict[int, int]]] = {}
+        self._representatives: dict[int, list[Vector]] = {}
 
-    @cached_property
-    def _cocycles(self) -> "_Cocycles":
-        return _Cocycles(self.d_out, self.n, self.rank_out)
+    def rank(self, p: int) -> int:
+        if p not in self._ranks:
+            d = self.coboundaries.get(p)
+            self._ranks[p] = rank(d) if d is not None else 0
+        return self._ranks[p]
 
-    @cached_property
-    def _cocycles_in(self) -> "_Cocycles":
-        return _Cocycles(self.d_in, self.n_in, self.rank_in)
+    def dim(self, p: int) -> int:
+        if p not in self.cochain_dims:
+            return 0
+        return self.cochain_dims[p] - self.rank(p - 1) - self.rank(p)
 
-    def trace(self, action: list[tuple[int, int]], action_in: list[tuple[int, int]]) -> Fraction:
+    def dims(self) -> dict[int, int]:
+        """The non-zero cohomology dimensions, by degree."""
+        dims = {p: self.dim(p) for p in sorted(self.cochain_dims)}
+        return {p: b for p, b in dims.items() if b}
+
+    def _cocycles(self, p: int) -> "_Cocycles":
+        if p not in self._kernels:
+            self._kernels[p] = _Cocycles(
+                self.coboundaries.get(p), self.cochain_dims.get(p, 0), self.rank(p)
+            )
+        return self._kernels[p]
+
+    def trace(
+        self, p: int, action: list[tuple[int, int]], action_in: list[tuple[int, int]]
+    ) -> Fraction:
         """Trace on H^p of a symmetry acting on C^p by `action` and on C^{p-1}
         by `action_in`, both signed permutations commuting with the coboundaries.
 
@@ -318,51 +339,42 @@ class DegreeCohomology:
         the trace on C^{p-1} is the sum of the signs of the fixed cells.
         """
         fixed_in = sum(sign for j, (target, sign) in enumerate(action_in) if target == j)
-        return self._cocycles.trace(action) - fixed_in + self._cocycles_in.trace(action_in)
+        return self._cocycles(p).trace(action) - fixed_in + self._cocycles(p - 1).trace(action_in)
 
-    @cached_property
-    def image_basis(self) -> list[Vector]:
-        return _dense(self.d_in, self.n_in).column_space_basis() if self.d_in is not None else []
+    def _image(self, p: int) -> dict[int, dict[int, int]]:
+        """A sparse echelon form of B^p, whose rows are the columns of d_{p-1}."""
+        if p not in self._images:
+            self._images[p] = _echelon(_columns(self.coboundaries.get(p - 1)).values())
+        return self._images[p]
 
-    @cached_property
-    def representatives(self) -> list[Vector]:
-        cocycles = (
-            _dense(self.d_out, self.n).nullspace() if self.d_out is not None
-            else [unit_vec(self.n, i) for i in range(self.n)]
-        )
-        reps = extend_to_basis(self.image_basis, cocycles)
-        if len(reps) != self.betti:
-            raise OracleMismatch(
-                f"{len(reps)} cohomology representatives, but the ranks give {self.betti}"
-            )
-        return reps
+    def representatives(self, p: int) -> list[Vector]:
+        """Cocycles whose classes are a basis of H^p: the kernel vectors of d_p,
+        in free-column order, that are independent modulo B^p of the ones
+        kept before them (the greedy choice of `extend_to_basis`)."""
+        if p not in self._representatives:
+            n = self.cochain_dims.get(p, 0)
+            spanned = dict(self._image(p))
+            reps = []
+            for v in self._cocycles(p).basis.values():
+                vector = tuple(v.get(j, Fraction(0)) for j in range(n))
+                rest = _reduce(_integer_row(vector), spanned)
+                if rest:
+                    reps.append(vector)
+                    _keep(spanned, rest)
+            if len(reps) != self.dim(p):
+                raise OracleMismatch(
+                    f"{len(reps)} cohomology representatives, but the ranks give {self.dim(p)}"
+                )
+            self._representatives[p] = reps
+        return self._representatives[p]
 
-    @cached_property
-    def _coordinate_rows(self) -> list[dict[int, Fraction]]:
-        """Rows of a left inverse of P = [image_basis | representatives] that
-        read off the representative coordinates of a vector in the span of P.
-
-        One rref of [P | I_n] gives E·[P | I_n] with E·P = [I_k; 0] (P has full
-        column rank k), and E sits in the last n columns.
-        """
-        basis = self.image_basis + self.representatives
-        k = len(basis)
-        red, _ = Matrix.from_columns(
-            basis + [unit_vec(self.n, i) for i in range(self.n)], nrows=self.n
-        ).rref()
-        return [
-            {j: x for j, x in enumerate(red.data[r][k:]) if x}
-            for r in range(len(self.image_basis), k)
-        ]
-
-    def project(self, cochain) -> Vector:
-        """Coordinates of a cocycle in the representative basis, mod coboundaries."""
-        if self.betti == 0:
-            return ()
-        if self.d_out is not None and any(_dot(row, cochain) for row in self.d_out):
-            # every cochain projected is built by the program, so this is its fault
-            raise OracleMismatch("projection of a non-cocycle")
-        return tuple(_dot(row, cochain) for row in self._coordinate_rows)
+    def is_coboundary(self, p: int, cochain: Sequence) -> bool:
+        """Whether a cocycle of degree p is a coboundary, so zero in H^p."""
+        d = self.coboundaries.get(p)
+        if d is not None and any(_dot(row, cochain) for row in d):
+            # every cochain tested is built by the program, so this is its fault
+            raise OracleMismatch("a non-cocycle reached the zero test in cohomology")
+        return not _reduce(_integer_row(cochain), self._image(p))
 
 
 class _Cocycles:
@@ -375,10 +387,7 @@ class _Cocycles:
             raise OracleMismatch(
                 f"{len(self.basis)} independent cocycles, but the rank gives {n - rank_d}"
             )
-        self.columns: dict[int, list[tuple[int, int]]] = {}
-        for r, row in enumerate(d or []):
-            for j, x in row.items():
-                self.columns.setdefault(j, []).append((r, x))
+        self.columns = _columns(d)
 
     def trace(self, action: list[tuple[int, int]]) -> Fraction:
         """Σ over free columns f of the f-entry of g·v_f: the coordinates of a
@@ -391,7 +400,7 @@ class _Cocycles:
                 moved[target] = moved.get(target, 0) + sign * x
             image: dict[int, Fraction] = {}
             for j, x in moved.items():
-                for r, y in self.columns.get(j, ()):
+                for r, y in self.columns.get(j, {}).items():
                     image[r] = image.get(r, 0) + y * x
             if any(image.values()):
                 # every action traced is built by the program, so this is its fault
@@ -400,8 +409,13 @@ class _Cocycles:
         return total
 
 
-def _dense(rows: list[dict[int, int]], cols: int) -> Matrix:
-    return Matrix(len(rows), cols, [[row.get(j, 0) for j in range(cols)] for row in rows])
+def _columns(d: list[dict[int, int]] | None) -> dict[int, dict[int, int]]:
+    """The columns of sparse rows, each as a sparse {row: entry} vector."""
+    columns: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(d or []):
+        for j, x in row.items():
+            columns.setdefault(j, {})[r] = x
+    return columns
 
 
 def _dot(row: dict[int, Fraction | int], v: Sequence) -> Fraction:
@@ -414,21 +428,3 @@ def apply_signed(action: list[tuple[int, int]], v: Sequence) -> Vector:
     for (target, sign), x in zip(action, v):
         out[target] += sign * x
     return tuple(out)
-
-
-def cochain_cohomology(
-    dims: dict[int, int], coboundaries: dict[int, list[dict[int, int]]]
-) -> dict[int, DegreeCohomology]:
-    """Cohomology at every degree p of a cochain complex with dim C^p = dims[p]
-    and d_p = coboundaries[p] : C^p -> C^{p+1} (absent where C^{p+1} is zero).
-
-    Each coboundary is ranked once; its rank serves both degrees next to it.
-    """
-    ranks = {p: rank(d) for p, d in coboundaries.items()}
-    return {
-        p: DegreeCohomology(
-            dims.get(p - 1, 0), n, coboundaries.get(p - 1), coboundaries.get(p),
-            ranks.get(p - 1, 0), ranks.get(p, 0),
-        )
-        for p, n in sorted(dims.items())
-    }

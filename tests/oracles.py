@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from macstab.cellular import MomentAngleCellComplex, block_action, block_trace
 from macstab.errors import ValidationError
 from macstab.hochster import CohomologyClass, class_is_zero_in_cohomology
-from macstab.homology import induced_cohomology_map, reduced_cohomology
+from macstab.homology import induced_cohomology_map, reduced_cohomology, representative_coordinates
 from macstab.linalg import apply_signed
 from macstab.perms import PermGroup, Permutation, enumerate_group
 from macstab.simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
@@ -84,11 +84,8 @@ def character_on_cohomology(
 
 def lefschetz_cohomology_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
     """Alternating trace of g on reduced cohomology; equals the cochain sum."""
-    basis = reduced_cohomology(K)
     total = Fraction(0)
-    for p in sorted(basis.degrees):
-        if basis.dim(p) == 0:
-            continue
+    for p in reduced_cohomology(K).dims():
         mat = induced_cohomology_map(g, K, frozenset(K.vertices), p)
         total += (-1 if p % 2 else 1) * mat.trace()
     return total
@@ -107,16 +104,17 @@ def block_trace_by_projection(
     Z: MomentAngleCellComplex, g: Permutation, J: frozenset, i: int
 ) -> Fraction:
     """`cellular.block_trace` through the block's representative basis: each
-    representative is moved by g and projected back."""
+    representative is moved by g and its coordinates read back by the dense
+    solve of `homology.representative_coordinates`."""
     if frozenset(g.act_vertex(v) for v in J) != J:
         raise ValidationError("element does not stabilise the multidegree")
-    piece = Z.blocks[J].pieces.get(i)
-    if piece is None or piece.betti == 0:
+    block = Z.blocks[J]
+    if block.dim(i) == 0:
         return Fraction(0)
     action = block_action(Z, g, J, i)
     total = Fraction(0)
-    for k, rep in enumerate(piece.representatives):
-        total += piece.project(apply_signed(action, rep))[k]
+    for k, rep in enumerate(block.representatives(i)):
+        total += representative_coordinates(block, i, apply_signed(action, rep))[k]
     return total
 
 

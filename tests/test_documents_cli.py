@@ -610,18 +610,14 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 def test_cli_betti_builds_no_cohomology_basis(monkeypatch, tmp_path):
-    import macstab.linalg as linalg
     from macstab.cli import main
 
     path = tmp_path / "vccube4.json"
     path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
-    extends, nullspaces, matrices = [], [], []
-    _count_calls(monkeypatch, linalg, "extend_to_basis", extends)
-    _count_calls(monkeypatch, linalg.Matrix, "nullspace", nullspaces)
-    # coboundaries are ranked as sparse rows: no dense matrix at all
-    _count_calls(monkeypatch, linalg.Matrix, "__init__", matrices)
+    # coboundaries are ranked as sparse rows: no representative, no dense matrix
+    matrices, built = _count_basis_work(monkeypatch)
     assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-    assert extends == [] and nullspaces == [] and matrices == []
+    assert built == [] and matrices == []
 
 
 def _record_complexes(monkeypatch):
@@ -677,24 +673,15 @@ def test_cli_product_builds_each_restriction_once(monkeypatch, capsys):
 
 
 def _count_basis_work(monkeypatch):
-    """Record every `Matrix.rref` call and every `DegreeCohomology.representatives`
-    built: the dense basis work that only the ring code should do."""
-    from functools import cached_property
+    """Record every `Matrix` constructed and every call of
+    `CochainComplex.representatives`: the basis work that only the ring code
+    should do, and that no command does densely."""
+    from macstab.linalg import CochainComplex, Matrix
 
-    from macstab.linalg import DegreeCohomology, Matrix
-
-    rrefs, built = [], []
-    _count_calls(monkeypatch, Matrix, "rref", rrefs)
-    representatives = DegreeCohomology.__dict__["representatives"].func
-
-    def recording(self):
-        built.append(self)
-        return representatives(self)
-
-    prop = cached_property(recording)
-    prop.__set_name__(DegreeCohomology, "representatives")
-    monkeypatch.setattr(DegreeCohomology, "representatives", prop)
-    return rrefs, built
+    matrices, built = [], []
+    _count_calls(monkeypatch, Matrix, "__init__", matrices)
+    _count_calls(monkeypatch, CochainComplex, "representatives", built)
+    return matrices, built
 
 
 @pytest.mark.parametrize(
@@ -708,24 +695,57 @@ def _count_basis_work(monkeypatch):
 )
 def test_cli_traces_build_no_basis(monkeypatch, capsys, argv):
     from macstab.cli import main
-    from macstab.linalg import DegreeCohomology
+    from macstab.linalg import CochainComplex
 
-    rrefs, built = _count_basis_work(monkeypatch)
+    matrices, built = _count_basis_work(monkeypatch)
     traced = []
-    _count_calls(monkeypatch, DegreeCohomology, "trace", traced)
+    _count_calls(monkeypatch, CochainComplex, "trace", traced)
     assert main(argv) == 0
     assert traced  # the characters were taken, from the cocycle kernels
-    assert rrefs == [] and built == []
+    assert matrices == [] and built == []
 
 
-def test_cli_product_still_builds_bases(monkeypatch, capsys):
+def test_cli_product_builds_representatives_without_a_matrix(monkeypatch, capsys):
     from macstab.cli import main
 
-    rrefs, built = _count_basis_work(monkeypatch)
+    matrices, built = _count_basis_work(monkeypatch)
     argv = ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"]
     assert main(argv) == 0
     assert report_of(capsys.readouterr().out)["equivariant"] is True
-    assert built and rrefs
+    assert built and matrices == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--family", "skeleton:1", "--m", "6", "--per-multidegree"],
+        ["scan", "--family", "vccube", "--degree", "5", "--m", "3..5"],
+        ["decompose", "--family", "skeleton:1", "--m", "5", "--degree", "5", "--irreducibles"],
+        ["oracle", "--family", "vccube", "--m", "3"],
+        ["product", "--family", "skeleton:1", "--m", "5", "--check-equivariance"],
+        ["check-family", "--family", "skeleton:1", "--m", "3..5"],
+    ],
+    ids=["betti", "scan", "decompose-irreducibles", "oracle", "product", "check-family"],
+)
+def test_cli_constructs_no_matrix(monkeypatch, capsys, argv):
+    from macstab.cli import main
+
+    matrices, _ = _count_basis_work(monkeypatch)
+    assert main(argv) == 0
+    assert matrices == []
+
+
+def test_cli_scan_ranks_each_coboundary_it_reads_once(monkeypatch, capsys):
+    # dim H̃^p reads the ranks of d_{p-1} and d_p only, and the traces reuse them
+    import macstab.linalg as linalg
+    from macstab.cli import main
+    from macstab.homology import CohomologyBasis
+
+    ranks, bases = [], []
+    _count_calls(monkeypatch, linalg, "rank", ranks)
+    _count_calls(monkeypatch, CohomologyBasis, "__init__", bases)
+    assert main(["scan", "--family", "vccube", "--degree", "5", "--m", "3..7"]) == 0
+    assert bases and len(ranks) <= 2 * len(bases)
 
 
 def test_cli_equivariance_check_moves_each_class_once_per_generator(monkeypatch, capsys):
@@ -759,8 +779,8 @@ def test_cli_product_computes_each_product_once(monkeypatch, capsys):
 
 
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
-    # negative control: the ranks give the Betti numbers, the dense basis
-    # must agree wherever it is built
+    # negative control: the ranks give the Betti numbers, and the cocycle
+    # kernels and the representatives must agree with them wherever they are built
     import macstab.linalg as linalg
     from macstab.cli import main
     from macstab.hochster import summand_memo
@@ -768,13 +788,39 @@ def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
 
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + 1)
-    try:
-        assert main(["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"]) == 3
-    finally:
-        # drop the bases, and any summand data, built with the wrong ranks
-        reduced_cohomology.cache_clear()
-        summand_memo.clear()
-    assert "internal mismatch" in capsys.readouterr().err
+    for argv in (
+        ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"],
+        ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"],
+    ):
+        try:
+            assert main(argv) == 3
+        finally:
+            # drop the bases, and any summand data, built with the wrong ranks
+            reduced_cohomology.cache_clear()
+            summand_memo.clear()
+        assert "internal mismatch" in capsys.readouterr().err
+
+
+def test_cli_non_cocycle_zero_test_is_an_internal_mismatch(monkeypatch, capsys):
+    # negative control: a corrupted product is no cocycle, and the zero test
+    # in cohomology must refuse it rather than answer
+    import macstab.hochster as hochster
+    from macstab.cli import main
+
+    cup = hochster.cup_product
+
+    def corrupted(K, a, b):
+        out = cup(K, a, b)
+        if not out.cochain:
+            return out
+        cochain = (out.cochain[0] + 1,) + out.cochain[1:]
+        return hochster.CohomologyClass(out.subset, out.degree, cochain)
+
+    monkeypatch.setattr(hochster, "cup_product", corrupted)
+    # vccube at m = 3 has products in degrees with a coboundary out of them
+    assert main(["product", "--family", "vccube", "--m", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "internal mismatch" in err and "non-cocycle" in err
 
 
 def test_cli_non_cocycle_projection_is_an_internal_mismatch(monkeypatch, capsys):

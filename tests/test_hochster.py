@@ -26,7 +26,11 @@ from macstab.hochster import (
     summand_routes,
     transported_action,
 )
-from macstab.homology import induced_cohomology_map, reduced_cohomology
+from macstab.homology import (
+    induced_cohomology_map,
+    reduced_cohomology,
+    representative_coordinates,
+)
 from macstab.perms import (
     PermGroup,
     Permutation,
@@ -310,7 +314,7 @@ def test_transported_action_matches_twisted(square):
         twist = restriction_sign(g, J)
         for k, rep in enumerate(coh.representatives(p)):
             moved = transported_action(K, g, CohomologyClass(J, p, rep))
-            coords = coh.project(p, moved.cochain)
+            coords = representative_coordinates(coh, p, moved.cochain)
             expected = tuple(twist * pure.data[r][k] for r in range(coh.dim(p)))
             assert coords == expected
 

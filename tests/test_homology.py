@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macstab.cellular import MomentAngleCellComplex
 from macstab.errors import ValidationError
 from macstab.homology import (
     coboundaries,
@@ -13,8 +14,9 @@ from macstab.homology import (
     induced_cohomology_map,
     lefschetz_cochain_sum,
     reduced_cohomology,
+    representative_coordinates,
 )
-from macstab.linalg import Matrix
+from macstab.linalg import Matrix, extend_to_basis
 from macstab.perms import PermGroup, Permutation, act_on_subset, enumerate_group
 from macstab.simplicial import (
     SimplicialComplex,
@@ -60,14 +62,15 @@ def test_euler_characteristic_corpus(square):
         assert euler_check(K)
 
 
-def test_projection_of_representatives_is_identity(square):
+def test_representatives_read_as_unit_coordinates(square):
     coh = reduced_cohomology(full_subcomplex(square, square.vertices))
-    for p in coh.degrees:
+    for p in coh.cochain_dims:
         for k, rep in enumerate(coh.representatives(p)):
-            coords = coh.project(p, rep)
+            coords = representative_coordinates(coh, p, rep)
             assert coords == tuple(
                 Fraction(1 if i == k else 0) for i in range(coh.dim(p))
             )
+            assert not coh.is_coboundary(p, rep)
 
 
 def test_induced_map_examples(square):
@@ -176,24 +179,43 @@ def test_dd_zero_and_euler_random(composes_to_zero, K):
     assert euler_check(K)
 
 
+def _dense_representatives(coh, p):
+    """The dense route: `Matrix.nullspace` of d_p, then `extend_to_basis` over
+    the dense columns of d_{p-1}."""
+    n, n_in = coh.cochain_dims.get(p, 0), coh.cochain_dims.get(p - 1, 0)
+    d_out, d_in = coh.coboundaries.get(p) or [], coh.coboundaries.get(p - 1) or []
+    cocycles = Matrix(len(d_out), n, [[row.get(j, 0) for j in range(n)] for row in d_out])
+    image = [tuple(row.get(j, 0) for row in d_in) for j in range(n_in)]
+    return extend_to_basis(image, cocycles.nullspace())
+
+
+def _check_ring_reads(coh, data):
+    # the sparse representatives are the dense route's; a cochain built as
+    # Σ c_k·rep_k + d(y) is a coboundary exactly when c = 0, and the dense
+    # solve of [columns of d_{p-1} | representatives] x = cochain reads c
+    coefficient = st.integers(min_value=-3, max_value=3)
+    for p, n in coh.cochain_dims.items():
+        reps = coh.representatives(p)
+        assert reps == _dense_representatives(coh, p)
+        c = data.draw(st.lists(coefficient, min_size=len(reps), max_size=len(reps)))
+        cochain = [sum(ck * rep[j] for ck, rep in zip(c, reps)) for j in range(n)]
+        if p - 1 in coh.coboundaries:
+            n_in = coh.cochain_dims[p - 1]
+            y = data.draw(st.lists(coefficient, min_size=n_in, max_size=n_in))
+            d_y = [sum(x * y[j] for j, x in row.items()) for row in coh.coboundaries[p - 1]]
+            cochain = [a + b for a, b in zip(cochain, d_y)]
+        assert coh.is_coboundary(p, cochain) == (not any(c))
+        assert representative_coordinates(coh, p, cochain) == tuple(c)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(), st.data())
-def test_projection_reads_coordinates_modulo_coboundaries(K, data):
-    # a cocycle built as Σ c_k·rep_k + d(y) projects to c, as the solve of
-    # [image basis | representatives] x = cocycle says
-    coh = reduced_cohomology(K)
-    d = coboundaries(K)
-    coefficient = st.integers(min_value=-3, max_value=3)
-    for p, piece in coh.degrees.items():
-        c = data.draw(st.lists(coefficient, min_size=piece.betti, max_size=piece.betti))
-        cochain = [sum(ck * rep[j] for ck, rep in zip(c, piece.representatives))
-                   for j in range(piece.n)]
-        if p >= 0:
-            n_in = coh.degrees[p - 1].n
-            y = data.draw(st.lists(coefficient, min_size=n_in, max_size=n_in))
-            d_y = [sum(x * y[j] for j, x in row.items()) for row in d[p - 1]]
-            cochain = [a + b for a, b in zip(cochain, d_y)]
-        assert coh.project(p, cochain) == tuple(Fraction(x) for x in c)
-        if piece.betti:
-            reference = Matrix.from_columns(piece.image_basis + piece.representatives)
-            assert reference.solve(cochain)[len(piece.image_basis):] == tuple(c)
+def test_sparse_ring_reads_match_the_dense_reference(K, data):
+    _check_ring_reads(reduced_cohomology(K), data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_complexes(), st.data())
+def test_sparse_ring_reads_match_the_dense_reference_on_cellular_blocks(K, data):
+    for block in MomentAngleCellComplex(K).blocks.values():
+        _check_ring_reads(block, data)
