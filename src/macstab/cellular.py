@@ -46,16 +46,17 @@ class Block(CochainComplex):
         for I in K.all_faces():
             if I <= J:
                 self.cells_by_degree.setdefault(len(J) + len(I), []).append((J - I, I))
+        dims = {deg: len(cells) for deg, cells in self.cells_by_degree.items()}
+        super().__init__(dims, self._rows)
+
+    def _rows(self, deg: int) -> list[dict[int, int]]:
         # d moves one coordinate x from circle to disc, with the sign of the
         # circles before x: the row of a (deg + 1)-cell (L, I) has (L + x, I - x)
-        d: dict[int, list[dict[int, int]]] = {}
-        for deg, cells in self.cells_by_degree.items():
-            pos = {cell: k for k, cell in enumerate(cells)}
-            d[deg] = [
-                {pos[(L | {x}, I - {x})]: (-1) ** sum(1 for l in L if l < x) for x in I}
-                for L, I in self.cells_by_degree.get(deg + 1, [])
-            ]
-        super().__init__({deg: len(cells) for deg, cells in self.cells_by_degree.items()}, d)
+        pos = {cell: k for k, cell in enumerate(self.cells_by_degree[deg])}
+        return [
+            {pos[(L | {x}, I - {x})]: (-1) ** sum(1 for l in L if l < x) for x in I}
+            for L, I in self.cells_by_degree[deg + 1]
+        ]
 
     def cell_count(self) -> int:
         return sum(len(c) for c in self.cells_by_degree.values())

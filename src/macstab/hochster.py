@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
-from .homology import cohomology_trace, reduced_cohomology
+from .homology import RestrictionDims, cohomology_trace, reduced_cohomology
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
@@ -92,7 +92,9 @@ def betti(
     """Betti numbers b_i = Σ_J dim H̃^{i - d|J| - 1}(K_J).
 
     With a group the sum runs over orbit representatives weighted by orbit
-    size, which must agree with the plain sum over all subsets.
+    size, which must agree with the plain sum over all subsets.  Each
+    dimension is read off K's own coboundary rows (`RestrictionDims`), so
+    no restriction and no cohomology basis is built.
     """
     out: dict[int, int] = {}
     if group is not None:
@@ -102,8 +104,9 @@ def betti(
         items = [(rep, table.orbit_sizes[rep]) for rep in table.representatives]
     else:
         items = [(J, 1) for J in vertex_subsets(K.vertices, cap=cap)]
+    restricted = RestrictionDims(K)
     for J, mult in items:
-        for i, dim in _ambient_dims(K, pair, J).items():
+        for i, dim in _ambient_dims(restricted, pair, J).items():
             out[i] = out.get(i, 0) + mult * dim
     return dict(sorted(out.items()))
 
@@ -114,13 +117,15 @@ def betti_split(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[frozenset, dict[int, int]]:
     """Per-subset contribution table {J: {ambient degree: dimension}}."""
-    rows = ((J, _ambient_dims(K, pair, J)) for J in vertex_subsets(K.vertices, cap=cap))
+    subsets = vertex_subsets(K.vertices, cap=cap)
+    restricted = RestrictionDims(K)
+    rows = ((J, _ambient_dims(restricted, pair, J)) for J in subsets)
     return {J: row for J, row in rows if row}
 
 
-def _ambient_dims(K: SimplicialComplex, pair: SpherePair, J) -> dict[int, int]:
-    coh = reduced_cohomology(full_subcomplex(K, J))
-    return {pair.ambient_degree(p, len(J)): dim for p, dim in coh.dims().items()}
+def _ambient_dims(restricted: RestrictionDims, pair: SpherePair, J) -> dict[int, int]:
+    """dim H̃^p(K_J) by ambient degree p + d|J| + 1."""
+    return {pair.ambient_degree(p, len(J)): dim for p, dim in restricted.dims(J).items()}
 
 
 @dataclass

@@ -19,16 +19,17 @@ from .simplicial import SimplicialComplex, full_subcomplex
 
 
 def coboundaries(K: SimplicialComplex) -> dict[int, list[dict[int, int]]]:
-    """d_p : C^p -> C^{p+1} for p = -1 .. dim-1 of the augmented complex, one
-    {index of τ minus its j-th vertex: (-1)^j} row per (p+1)-face τ."""
-    out = {}
-    for p in range(-1, K.dim):
-        pos = {f: i for i, f in enumerate(K.faces_of_dim(p))}
-        out[p] = [
-            {pos[tau - {v}]: (-1) ** j for j, v in enumerate(sorted(tau))}
-            for tau in K.faces_of_dim(p + 1)
-        ]
-    return out
+    """d_p : C^p -> C^{p+1} for p = -1 .. dim-1 of the augmented complex."""
+    return {p: _coboundary(K, p) for p in range(-1, K.dim)}
+
+
+def _coboundary(K: SimplicialComplex, p: int) -> list[dict[int, int]]:
+    """d_p as one {index of τ minus its j-th vertex: (-1)^j} row per (p+1)-face τ."""
+    pos = {f: i for i, f in enumerate(K.faces_of_dim(p))}
+    return [
+        {pos[tau - {v}]: (-1) ** j for j, v in enumerate(sorted(tau))}
+        for tau in K.faces_of_dim(p + 1)
+    ]
 
 
 class CohomologyBasis(CochainComplex):
@@ -36,12 +37,48 @@ class CohomologyBasis(CochainComplex):
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        super().__init__(K.face_counts(), coboundaries(K))
+        super().__init__(K.face_counts(), lambda p: _coboundary(K, p))
 
 
 @lru_cache(maxsize=None)
 def reduced_cohomology(K: SimplicialComplex) -> CohomologyBasis:
     return CohomologyBasis(K)
+
+
+class RestrictionDims:
+    """dim H̃^p(K_J) for vertex subsets J of K, with no restriction built.
+
+    A row's signs depend only on the global vertex order, so d_p(K_J) is
+    d_p(K) at the rows of the (p+1)-faces inside J, and those rows' columns
+    are exactly the p-faces inside J.  K's face table and coboundary rows are
+    listed once; each J selects its faces by vertex bit mask, which keeps
+    K's `face_key` order, and re-indexes the selected rows.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        self._bits = {v: 1 << k for k, v in enumerate(K.vertices)}
+        self._masks = [
+            [sum(self._bits[v] for v in f) for f in K.faces_of_dim(p)]
+            for p in range(-1, K.dim + 1)
+        ]
+        self._rows = coboundaries(K)
+
+    def dims(self, J) -> dict[int, int]:
+        """The non-zero dimensions of H̃^*(K_J), by degree."""
+        mask = sum(self._bits[v] for v in J)
+        inside: dict[int, list[int]] = {}
+        for p, masks in enumerate(self._masks, start=-1):
+            faces = [k for k, f in enumerate(masks) if f & mask == f]
+            if not faces:
+                break  # faces inside J are closed under taking subsets
+            inside[p] = faces
+
+        def coboundary(p: int) -> list[dict[int, int]]:
+            index = {k: i for i, k in enumerate(inside[p])}
+            rows = self._rows[p]
+            return [{index[c]: x for c, x in rows[k].items()} for k in inside[p + 1]]
+
+        return CochainComplex({p: len(faces) for p, faces in inside.items()}, coboundary).dims()
 
 
 def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[int, int]]:
@@ -100,7 +137,7 @@ def representative_coordinates(coh: CochainComplex, p: int, cocycle) -> Vector:
     x = cocycle, whose last entries are unique because the representatives
     are independent modulo the coboundaries.
     """
-    d_in = coh.coboundaries.get(p - 1, [])
+    d_in = coh.coboundary(p - 1) or []
     image = [tuple(row.get(j, 0) for row in d_in) for j in range(coh.cochain_dims.get(p - 1, 0))]
     columns = image + coh.representatives(p)
     x = Matrix.from_columns(columns, nrows=coh.cochain_dims.get(p, 0)).solve(cocycle)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import OracleMismatch
 
@@ -282,11 +282,14 @@ def extend_to_basis(base: list[Vector], candidates: list[Vector]) -> list[Vector
 
 class CochainComplex:
     """A cochain complex over Q with dim C^p = cochain_dims[p] and
-    d_p = coboundaries[p] : C^p -> C^{p+1} as sparse integer rows, one per
-    basis element of C^{p+1} (absent where C^{p+1} is zero).
+    d_p = coboundary(p) : C^p -> C^{p+1} as sparse integer rows, one per
+    basis element of C^{p+1} (asked for only where C^p and C^{p+1} are both
+    non-zero).
 
-    Everything is computed when first read and kept.  A coboundary's rank
-    serves both degrees next to it, so `dim(p)` costs two ranks and no basis.
+    Everything is computed when first read and kept, the coboundaries too.
+    A coboundary's rank serves both degrees next to it, so `dim(p)` builds
+    and ranks two coboundaries and no basis, and a negative dimension is the
+    rank's fault.
     `trace` reads a symmetry's trace off the cocycle kernels Z^p and Z^{p-1}.
     Only the ring code reads a basis: the representatives are the kernel
     vectors of d_p that stay outside the coboundaries B^p and the ones kept
@@ -296,25 +299,41 @@ class CochainComplex:
     """
 
     def __init__(
-        self, cochain_dims: dict[int, int], coboundaries: dict[int, list[dict[int, int]]]
+        self,
+        cochain_dims: dict[int, int],
+        coboundary: Callable[[int], list[dict[int, int]]],
     ):
         self.cochain_dims = cochain_dims
-        self.coboundaries = coboundaries
+        self._build_coboundary = coboundary
+        self._coboundaries: dict[int, list[dict[int, int]] | None] = {}
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, _Cocycles] = {}
         self._images: dict[int, dict[int, dict[int, int]]] = {}
         self._representatives: dict[int, list[Vector]] = {}
 
+    def coboundary(self, p: int) -> list[dict[int, int]] | None:
+        """The rows of d_p, built on first read; None unless C^p and C^{p+1}
+        are both non-zero."""
+        if p not in self._coboundaries:
+            built = p in self.cochain_dims and p + 1 in self.cochain_dims
+            self._coboundaries[p] = self._build_coboundary(p) if built else None
+        return self._coboundaries[p]
+
     def rank(self, p: int) -> int:
         if p not in self._ranks:
-            d = self.coboundaries.get(p)
+            d = self.coboundary(p)
             self._ranks[p] = rank(d) if d is not None else 0
         return self._ranks[p]
 
     def dim(self, p: int) -> int:
         if p not in self.cochain_dims:
             return 0
-        return self.cochain_dims[p] - self.rank(p - 1) - self.rank(p)
+        n = self.cochain_dims[p]
+        dim = n - self.rank(p - 1) - self.rank(p)
+        if dim < 0:
+            # rank(d_{p-1}) + rank(d_p) <= n for any complex, so this is the rank's fault
+            raise OracleMismatch(f"the ranks next to degree {p} exceed its {n} cochains")
+        return dim
 
     def dims(self) -> dict[int, int]:
         """The non-zero cohomology dimensions, by degree."""
@@ -324,7 +343,7 @@ class CochainComplex:
     def _cocycles(self, p: int) -> "_Cocycles":
         if p not in self._kernels:
             self._kernels[p] = _Cocycles(
-                self.coboundaries.get(p), self.cochain_dims.get(p, 0), self.rank(p)
+                self.coboundary(p), self.cochain_dims.get(p, 0), self.rank(p)
             )
         return self._kernels[p]
 
@@ -344,7 +363,7 @@ class CochainComplex:
     def _image(self, p: int) -> dict[int, dict[int, int]]:
         """A sparse echelon form of B^p, whose rows are the columns of d_{p-1}."""
         if p not in self._images:
-            self._images[p] = _echelon(_columns(self.coboundaries.get(p - 1)).values())
+            self._images[p] = _echelon(_columns(self.coboundary(p - 1)).values())
         return self._images[p]
 
     def representatives(self, p: int) -> list[Vector]:
@@ -370,7 +389,7 @@ class CochainComplex:
 
     def is_coboundary(self, p: int, cochain: Sequence) -> bool:
         """Whether a cocycle of degree p is a coboundary, so zero in H^p."""
-        d = self.coboundaries.get(p)
+        d = self.coboundary(p)
         if d is not None and any(_dot(row, cochain) for row in d):
             # every cochain tested is built by the program, so this is its fault
             raise OracleMismatch("a non-cocycle reached the zero test in cohomology")

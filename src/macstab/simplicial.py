@@ -70,8 +70,12 @@ class SimplicialComplex:
             if not fw <= set(vs):
                 raise ValidationError("facet uses a vertex not in the vertex list")
             fs.add(fw)
-        # drop non-maximal entries so the facet family is canonical
-        maximal = {f for f in fs if not any(f < g for g in fs)}
+        # drop non-maximal entries so the facet family is canonical: largest
+        # first, a candidate is kept unless a kept (so larger) facet contains it
+        maximal: list[Face] = []
+        for f in sorted(fs, key=len, reverse=True):
+            if not any(f < g for g in maximal):
+                maximal.append(f)
         self.vertices = vs
         self.facets = frozenset(maximal)
         self._restrictions = {}
@@ -197,9 +201,13 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 
 
 def full_subcomplex(K: SimplicialComplex, J) -> SimplicialComplex:
-    """Restriction K_J = {σ ∩ J : σ ∈ K} on the vertices of J that are faces.
+    """Restriction K_J = {σ ∩ J : σ ∈ K} on the vertices of J that are faces,
+    which are the vertices of its facets.
 
     Built once per subset and kept on K, so repeated restrictions are lookups.
+    Only code that acts on the faces of K_J builds one (traces, the ring code
+    and `summand_memo` keys); Betti numbers are read off K's own rows
+    (`homology.RestrictionDims`).
     """
     Jw = frozenset(J)
     if Jw in K._restrictions:
@@ -209,8 +217,8 @@ def full_subcomplex(K: SimplicialComplex, J) -> SimplicialComplex:
     if K.is_void:
         KJ = SimplicialComplex([], [])
     else:
-        verts = [v for v in Jw if K.has_face([v])]
-        KJ = SimplicialComplex(verts, {f & Jw for f in K.facets})
+        facets = {f & Jw for f in K.facets}
+        KJ = SimplicialComplex(frozenset().union(*facets), facets)
     K._restrictions[Jw] = KJ
     return KJ
 

@@ -54,9 +54,9 @@ def test_global_boundary_squares_to_zero(square, composes_to_zero):
 def test_block_differentials_square_to_zero(square, composes_to_zero):
     Z = MomentAngleCellComplex(square)
     for block in Z.blocks.values():
-        for deg, rows in block.coboundaries.items():
-            nxt = block.coboundaries.get(deg + 1)
-            if nxt is not None:
+        for deg in block.cochain_dims:
+            rows, nxt = block.coboundary(deg), block.coboundary(deg + 1)
+            if rows is not None and nxt is not None:
                 assert composes_to_zero(nxt, rows)
 
 

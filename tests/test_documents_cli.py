@@ -583,16 +583,16 @@ def test_cli_cohomology_cache_is_scoped_to_one_command(monkeypatch, capsys):
     import macstab.cli as cli
     from macstab.homology import reduced_cohomology
 
-    original = cli.cmd_betti
+    original = cli.cmd_scan
     at_start = []
 
     def recording(args):
         at_start.append(reduced_cohomology.cache_info().currsize)
         return original(args)
 
-    monkeypatch.setattr(cli, "cmd_betti", recording)
+    monkeypatch.setattr(cli, "cmd_scan", recording)
     for _ in range(2):
-        assert cli.main(["betti", "--family", "skeleton:0", "--m", "3"]) == 0
+        assert cli.main(["scan", "--family", "skeleton:0", "--degree", "2", "--m", "3..4"]) == 0
         # kept after the command returns, so its statistics can be read
         assert reduced_cohomology.cache_info().currsize > 0
     assert at_start == [0, 0]
@@ -647,19 +647,24 @@ def _record_complexes(monkeypatch):
     return built, listed
 
 
-def test_cli_betti_lists_each_complex_faces_once(monkeypatch, tmp_path):
+def test_cli_betti_builds_one_complex_and_no_restriction(monkeypatch, tmp_path):
+    # every summand is read off the complex's own coboundary rows: one complex,
+    # each facet's faces listed once, and no restriction or cohomology built
     from collections import Counter
 
     from macstab.cli import main
+    from macstab.homology import CohomologyBasis
 
     path = tmp_path / "vccube4.json"
     path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
     built, listed = _record_complexes(monkeypatch)
+    restricted = _count_bound_calls(monkeypatch, "simplicial", "full_subcomplex")
+    bases = []
+    _count_calls(monkeypatch, CohomologyBasis, "__init__", bases)
     assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
-    owners = Counter(f for K in set(built) for f in K.facets)
-    assert len(set(built)) == 2 ** 9  # the complex and its restrictions
-    assert sum(listed.values()) <= sum(owners.values())
-    assert all(n <= owners[f] for f, n in listed.items())
+    assert len(built) == 1 and len(built[0].vertices) == 9
+    assert listed == Counter(built[0].facets)
+    assert restricted == [] and bases == []
 
 
 def test_cli_product_builds_each_restriction_once(monkeypatch, capsys):
@@ -778,19 +783,23 @@ def test_cli_product_computes_each_product_once(monkeypatch, capsys):
     assert len(products) == 3 * n * n == 972
 
 
-def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys):
-    # negative control: the ranks give the Betti numbers, and the cocycle
-    # kernels and the representatives must agree with them wherever they are built
+def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys, tmp_path):
+    # negative control: the ranks give the Betti numbers, which must not be
+    # negative, and the cocycle kernels and the representatives must agree
+    # with them wherever they are built
     import macstab.linalg as linalg
     from macstab.cli import main
     from macstab.hochster import summand_memo
     from macstab.homology import reduced_cohomology
 
+    path = tmp_path / "vccube4.json"
+    path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + 1)
     for argv in (
         ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"],
         ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"],
+        ["betti", "--input", str(path)],
     ):
         try:
             assert main(argv) == 3

@@ -254,6 +254,15 @@ def test_young_class_route_matches_the_element_route(drawn, d):
             assert s.mu_multiplicities == decompose(psi)
 
 
+@settings(max_examples=30, deadline=None)
+@given(sigma_closed_complexes(max_m=4, max_tags=2, max_free=1))
+def test_betti_over_orbits_matches_the_plain_sum(drawn):
+    K, m = drawn
+    for d in (0, 1, 2):
+        pair = SpherePair(d)
+        assert betti(K, pair, group=PermGroup.symmetric(m)) == betti(K, pair)
+
+
 def test_decomposition_degree_zero():
     assert sym_irreducible_decomposition(skeleton(4, 0), MOMENT_ANGLE, 0, 4) == {(): 1}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from macstab.cellular import MomentAngleCellComplex
 from macstab.errors import ValidationError
 from macstab.homology import (
+    RestrictionDims,
     coboundaries,
     cohomology_trace,
     euler_check,
@@ -179,11 +180,24 @@ def test_dd_zero_and_euler_random(composes_to_zero, K):
     assert euler_check(K)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    small_complexes(),
+    sigma_closed_complexes(max_m=3, max_tags=2, max_free=1).map(lambda drawn: drawn[0]),
+))
+def test_restriction_dims_match_the_built_restrictions(K):
+    # K's own rows at the faces inside J give the cohomology of K_J, for every J
+    restricted = RestrictionDims(K)
+    for r in range(len(K.vertices) + 1):
+        for J in combinations(K.vertices, r):
+            assert restricted.dims(J) == reduced_cohomology(full_subcomplex(K, J)).dims()
+
+
 def _dense_representatives(coh, p):
     """The dense route: `Matrix.nullspace` of d_p, then `extend_to_basis` over
     the dense columns of d_{p-1}."""
     n, n_in = coh.cochain_dims.get(p, 0), coh.cochain_dims.get(p - 1, 0)
-    d_out, d_in = coh.coboundaries.get(p) or [], coh.coboundaries.get(p - 1) or []
+    d_out, d_in = coh.coboundary(p) or [], coh.coboundary(p - 1) or []
     cocycles = Matrix(len(d_out), n, [[row.get(j, 0) for j in range(n)] for row in d_out])
     image = [tuple(row.get(j, 0) for row in d_in) for j in range(n_in)]
     return extend_to_basis(image, cocycles.nullspace())
@@ -199,10 +213,10 @@ def _check_ring_reads(coh, data):
         assert reps == _dense_representatives(coh, p)
         c = data.draw(st.lists(coefficient, min_size=len(reps), max_size=len(reps)))
         cochain = [sum(ck * rep[j] for ck, rep in zip(c, reps)) for j in range(n)]
-        if p - 1 in coh.coboundaries:
+        if coh.coboundary(p - 1) is not None:
             n_in = coh.cochain_dims[p - 1]
             y = data.draw(st.lists(coefficient, min_size=n_in, max_size=n_in))
-            d_y = [sum(x * y[j] for j, x in row.items()) for row in coh.coboundaries[p - 1]]
+            d_y = [sum(x * y[j] for j, x in row.items()) for row in coh.coboundary(p - 1)]
             cochain = [a + b for a, b in zip(cochain, d_y)]
         assert coh.is_coboundary(p, cochain) == (not any(c))
         assert representative_coordinates(coh, p, cochain) == tuple(c)

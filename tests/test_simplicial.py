@@ -177,3 +177,14 @@ def test_face_table_matches_brute_force(K, data):
     fresh = full_subcomplex(SimplicialComplex(K.vertices, K.facets), J)
     assert KJ == fresh and KJ.all_faces() == fresh.all_faces()
     assert set(KJ.all_faces()) == {f for f in faces if f <= J}
+    assert KJ.vertices == tuple(sorted(v for v in J if K.has_face([v])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 5), max_size=4), max_size=8))
+def test_facets_are_the_candidates_no_other_contains(drawn):
+    # the largest-first filter keeps what the pairwise definition keeps
+    verts = [Vertex(i) for i in range(6)]
+    candidates = {frozenset(verts[i] for i in f) for f in drawn}
+    K = SimplicialComplex(verts, candidates)
+    assert K.facets == {f for f in candidates if not any(f < g for g in candidates)}
