@@ -12,7 +12,6 @@ point for the whole package and is falsifiable through `flip_koszul`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +20,7 @@ from .linalg import CochainComplex
 from .homology import reduced_cohomology
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
+    DEFAULT_ORACLE_CAP,
     DEFAULT_SUBSET_CAP,
     PermGroup,
     Permutation,
@@ -30,8 +30,6 @@ from .perms import (
     subset_orbit_reps,
 )
 from .simplicial import SimplicialComplex, full_subcomplex
-
-DEFAULT_ORACLE_CAP = 7
 
 Cell = tuple[frozenset, frozenset]  # (L: circle coords, I: disc coords)
 
@@ -120,19 +118,28 @@ def block_trace(
     return block.trace(i, block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
 
 
-@dataclass
 class DiffEntry:
-    kind: str
-    subset: tuple
-    degree: int
-    element: str
-    combinatorial: str
-    cellular: str
+    __slots__ = ("kind", "subset", "degree", "element", "combinatorial", "cellular")
+
+    def __init__(self, kind: str, subset: tuple, degree: int, element: str,
+                 combinatorial: str, cellular: str):
+        self.kind = kind
+        self.subset = subset
+        self.degree = degree
+        self.element = element
+        self.combinatorial = combinatorial
+        self.cellular = cellular
+
+    def as_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass
 class DiffReport:
-    entries: list[DiffEntry] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries: list[DiffEntry] = []
 
     @property
     def empty(self) -> bool:

@@ -8,14 +8,11 @@ oracle/consistency mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
-from .cellular import DEFAULT_ORACLE_CAP, compare_with_hochster
 from .documents import dumps_report, expect, make_report, parse_complex, parse_int
 from .families import (
     CustomFamily,
@@ -44,6 +41,7 @@ from .hochster import (
 from .homology import reduced_cohomology
 from .perms import (
     DEFAULT_GROUP_CAP,
+    DEFAULT_ORACLE_CAP,
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
@@ -171,10 +169,19 @@ def _partition_key(p) -> str:
 def cmd_betti(args) -> int:
     K, G, _ = _resolve_input(args)
     pair = SpherePair(args.d)
-    table = betti(K, pair, group=G, cap=args.cap_subsets)
-    payload = {"degrees": {str(i): b for i, b in table.items()}}
-    if args.per_multidegree:
+    if not args.per_multidegree:
+        table = betti(K, pair, group=G, cap=args.cap_subsets)
+        payload = {"degrees": {str(i): b for i, b in table.items()}}
+    else:
+        # every summand once: the Betti numbers are the sums of the split's rows
+        if G is not None and not is_g_complex(K, G):
+            raise ValidationError("the group does not preserve the complex")
         split = betti_split(K, pair, cap=args.cap_subsets)
+        table: dict[int, int] = {}
+        for row in split.values():
+            for i, dim in row.items():
+                table[i] = table.get(i, 0) + dim
+        payload = {"degrees": {str(i): b for i, b in sorted(table.items())}}
         payload["multidegrees"] = {
             _subset_key(J): {str(i): d for i, d in row.items()}
             for J, row in sorted(split.items(), key=lambda kv: _subset_key(kv[0]))
@@ -276,6 +283,8 @@ def cmd_scan(args) -> int:
 
 
 def _write_scan_csv(path, family, degree, scan, values, ms):
+    import csv  # only `scan --csv` writes CSV; start-up stays lean
+
     with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         bases = sorted({b for t in scan.tables.values() for b in t}) if scan else []
@@ -321,6 +330,8 @@ def cmd_check_family(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .cellular import compare_with_hochster  # only the oracle builds the cellular model
+
     _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     if G is None:
@@ -336,7 +347,7 @@ def cmd_oracle(args) -> int:
     payload = {
         "degrees": degrees,
         "flip_koszul": bool(args.flip_koszul),
-        "discrepancies": [asdict(e) for e in diff.entries],
+        "discrepancies": [e.as_dict() for e in diff.entries],
         "verdict": "no discrepancies" if diff.empty else f"{len(diff.entries)} discrepancies",
     }
     _emit(args, make_report("oracle", payload, _caps(args)))

@@ -9,7 +9,6 @@ never claim anything beyond the scanned range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import factorial
@@ -25,6 +24,7 @@ from .perms import (
     support_split,
     vertex_subsets,
 )
+from .records import FrozenRecord
 from .simplicial import (
     SimplicialComplex,
     Vertex,
@@ -35,7 +35,8 @@ from .simplicial import (
 from .symrep import Partition, weight as table_weight
 
 
-class Family:
+class Family(FrozenRecord):
+    __slots__ = ()
     description: str = "family"
 
     def complex_at(self, m: int) -> SimplicialComplex:
@@ -51,9 +52,11 @@ class Family:
         return K, PermGroup.symmetric(m)
 
 
-@dataclass(frozen=True)
 class SkeletonFamily(Family):
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
     @property
     def description(self) -> str:
@@ -63,13 +66,13 @@ class SkeletonFamily(Family):
         return skeleton(m, self.k)
 
 
-@dataclass(frozen=True)
 class JoinSkeletonsFamily(Family):
-    ks: tuple[int, ...]
+    __slots__ = ("ks",)
 
-    def __post_init__(self):
-        if not self.ks or any(k < 0 for k in self.ks):
+    def __init__(self, ks: tuple[int, ...]):
+        if not ks or any(k < 0 for k in ks):
             raise ValidationError("join family needs skeleton dimensions >= 0")
+        object.__setattr__(self, "ks", ks)
 
     @property
     def description(self) -> str:
@@ -82,8 +85,9 @@ class JoinSkeletonsFamily(Family):
         return out
 
 
-@dataclass(frozen=True)
 class VcCubeDualFamily(Family):
+    __slots__ = ()
+
     @property
     def description(self) -> str:
         return "vccube"
@@ -92,10 +96,12 @@ class VcCubeDualFamily(Family):
         return vc_cube_dual(m)
 
 
-@dataclass(frozen=True)
 class CustomFamily(Family):
-    name: str
-    builder: object  # callable m -> SimplicialComplex
+    __slots__ = ("name", "builder")
+
+    def __init__(self, name: str, builder):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "builder", builder)  # callable m -> SimplicialComplex
 
     @property
     def description(self) -> str:
@@ -241,11 +247,13 @@ def _sym_generators_on(points: list[int], m: int) -> list[Permutation]:
 # -- scans ---------------------------------------------------------------------
 
 
-@dataclass
 class PolynomialFit:
-    degree: int
-    coefficients: tuple[Fraction, ...]  # ascending powers of m
-    onset_m: int
+    __slots__ = ("degree", "coefficients", "onset_m")
+
+    def __init__(self, degree: int, coefficients: tuple[Fraction, ...], onset_m: int):
+        self.degree = degree
+        self.coefficients = coefficients  # ascending powers of m
+        self.onset_m = onset_m
 
     def predict(self, m: int) -> Fraction:
         acc = Fraction(0)
@@ -257,15 +265,17 @@ class PolynomialFit:
         return [str(c) for c in self.coefficients]
 
 
-@dataclass
 class StabilityScanReport:
-    tables: dict[int, dict[Partition, int]] = field(default_factory=dict)
-    onset: int | None = None
-    certified: bool = False
-    weight: int = 0
-    betti: dict[int, int] = field(default_factory=dict)
-    diff_table: list[list[int]] | None = None
-    fit: PolynomialFit | None = None
+    __slots__ = ("tables", "onset", "certified", "weight", "betti", "diff_table", "fit")
+
+    def __init__(self):
+        self.tables: dict[int, dict[Partition, int]] = {}
+        self.onset: int | None = None
+        self.certified = False
+        self.weight = 0
+        self.betti: dict[int, int] = {}
+        self.diff_table: list[list[int]] | None = None
+        self.fit: PolynomialFit | None = None
 
 
 def betti_at_degree(

@@ -16,7 +16,6 @@ graded commutativity and strict associativity hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapExceeded, OracleMismatch, ValidationError
@@ -39,6 +38,7 @@ from .perms import (
     subset_orbit_reps,
     vertex_subsets,
 )
+from .records import FrozenRecord
 from .simplicial import SimplicialComplex, face_key, full_subcomplex
 from .symrep import (
     ClassFunction,
@@ -54,19 +54,19 @@ from .symrep import (
 )
 
 
-@dataclass(frozen=True)
-class SpherePair:
+class SpherePair(FrozenRecord):
     """(Cone A, A) with A rationally a d-sphere.
 
     d = 1 is the moment-angle pair (D², S¹); d = 0 the real one (D¹, S⁰).
     Representation routines need d >= 1 (connectivity); Betti tables allow 0.
     """
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d: int):
+        if d < 0:
             raise ValidationError("sphere dimension must be >= 0")
+        object.__setattr__(self, "d", d)
 
     def ambient_degree(self, p: int, j_size: int) -> int:
         return p + self.d * j_size + 1
@@ -128,27 +128,41 @@ def _ambient_dims(restricted: RestrictionDims, pair: SpherePair, J) -> dict[int,
     return {pair.ambient_degree(p, len(J)): dim for p, dim in restricted.dims(J).items()}
 
 
-@dataclass
 class MultidegreeComponent:
-    rep: frozenset
-    orbit_size: int
-    degree_p: int
-    dim: int
-    stabilizer_order: int | None
-    generator_character: dict[Permutation, Fraction]
-    element_character: dict[Permutation, Fraction] | None
+    __slots__ = ("rep", "orbit_size", "degree_p", "dim", "stabilizer_order",
+                 "generator_character", "element_character")
+
+    def __init__(
+        self,
+        rep: frozenset,
+        orbit_size: int,
+        degree_p: int,
+        dim: int,
+        stabilizer_order: int | None,
+        generator_character: dict[Permutation, Fraction],
+        element_character: dict[Permutation, Fraction] | None,
+    ):
+        self.rep = rep
+        self.orbit_size = orbit_size
+        self.degree_p = degree_p
+        self.dim = dim
+        self.stabilizer_order = stabilizer_order
+        self.generator_character = generator_character
+        self.element_character = element_character
 
     @property
     def total(self) -> int:
         return self.orbit_size * self.dim
 
 
-@dataclass
 class EquivariantReport:
-    degree: int
-    betti: int
-    components: list[MultidegreeComponent] = field(default_factory=list)
-    irreducibles: dict[Partition, int] | None = None
+    __slots__ = ("degree", "betti", "components", "irreducibles")
+
+    def __init__(self, degree: int, betti: int):
+        self.degree = degree
+        self.betti = betti
+        self.components: list[MultidegreeComponent] = []
+        self.irreducibles: dict[Partition, int] | None = None
 
     def check_total(self) -> bool:
         return self.betti == sum(c.total for c in self.components)
@@ -254,7 +268,6 @@ def _validate_indexed(K: SimplicialComplex, m: int) -> None:
             raise ValidationError(f"vertex index {v.index} outside 1..{m}")
 
 
-@dataclass
 class OrbitSummand:
     """One orbit summand of a fixed ambient degree, before induction to Σ_m.
 
@@ -263,12 +276,24 @@ class OrbitSummand:
     `mu_multiplicities` is its decomposition there.
     """
 
-    rep: frozenset
-    orbit_size: int
-    support: tuple[int, ...]
-    dim: int
-    finite_character: ClassFunction
-    mu_multiplicities: dict[Partition, int]
+    __slots__ = ("rep", "orbit_size", "support", "dim", "finite_character",
+                 "mu_multiplicities")
+
+    def __init__(
+        self,
+        rep: frozenset,
+        orbit_size: int,
+        support: tuple[int, ...],
+        dim: int,
+        finite_character: ClassFunction,
+        mu_multiplicities: dict[Partition, int],
+    ):
+        self.rep = rep
+        self.orbit_size = orbit_size
+        self.support = support
+        self.dim = dim
+        self.finite_character = finite_character
+        self.mu_multiplicities = mu_multiplicities
 
 
 # (J, K_J, p, d) -> (finite character, μ-multiplicities) of the J-summand in
@@ -435,13 +460,15 @@ def summand_routes(
 # -- ring structure -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(FrozenRecord):
     """A cochain on the restriction to `subset`, in simplicial degree `degree`."""
 
-    subset: frozenset
-    degree: int
-    cochain: Vector
+    __slots__ = ("subset", "degree", "cochain")
+
+    def __init__(self, subset: frozenset, degree: int, cochain: Vector):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "cochain", cochain)
 
 
 def spanning_classes(

@@ -11,7 +11,6 @@ orbits without a search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -20,23 +19,36 @@ from itertools import (
 from math import comb, factorial, prod
 
 from .errors import CapExceeded, OracleMismatch, ValidationError
+from .records import FrozenRecord
 from .simplicial import SimplicialComplex, Vertex, face_key
 
 DEFAULT_GROUP_CAP = 200_000
 DEFAULT_SUBSET_CAP = 1 << 21
 DEFAULT_SUPPORT_CAP = 8
+DEFAULT_ORACLE_CAP = 7  # vertices of the cellular model (`cellular`)
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """One-line notation: images[i-1] = g(i) for i in 1..m."""
+    """One-line notation: images[i-1] = g(i) for i in 1..m.  Immutable, equal
+    and hashed by its images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        m = len(self.images)
-        if sorted(self.images) != list(range(1, m + 1)):
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValidationError("not a bijection of {1..m}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
@@ -138,15 +150,15 @@ def restriction_sign(g: Permutation, subset) -> int:
     return action_sign(g, subset)
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    degree: int
-    generators: tuple[Permutation, ...]
+class PermGroup(FrozenRecord):
+    __slots__ = ("degree", "generators")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.degree != self.degree:
+    def __init__(self, degree: int, generators: tuple[Permutation, ...]):
+        for g in generators:
+            if g.degree != degree:
                 raise ValidationError("generator degree mismatch")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def symmetric(cls, m: int) -> "PermGroup":
@@ -213,28 +225,35 @@ def is_g_complex(K: SimplicialComplex, G: PermGroup) -> bool:
     Generators suffice: the action preserves face cardinality and groups are
     closed under composition.
     """
+    vertices = set(K.vertices)
     for g in G.generators:
-        for f in K.facets:
-            img = frozenset(g.act_vertex(v) for v in f)
-            if not K.has_face(img):
-                return False
-        for v in K.vertices:
-            if g.act_vertex(v) not in K.vertices:
-                return False
+        if any(g.act_vertex(v) not in vertices for v in K.vertices):
+            return False
+        # a vertex bijection that maps K into K is an automorphism, so it maps
+        # facets onto facets
+        if any(frozenset(g.act_vertex(v) for v in f) not in K.facets for f in K.facets):
+            return False
     return True
 
 
-@dataclass
 class OrbitTable:
     """Orbit representatives with sizes, and each orbit as a map from its
     subsets to the BFS words carrying the representative to them (None for a
     table listed by fibre pattern, which has no words)."""
 
-    group: PermGroup
-    representatives: list[frozenset] = field(default_factory=list)
-    orbit_sizes: dict[frozenset, int] = field(default_factory=dict)
-    orbits: dict[frozenset, dict[frozenset, Permutation]] | None = field(default_factory=dict)
-    total_subsets: int = 0
+    __slots__ = ("group", "representatives", "orbit_sizes", "orbits", "total_subsets")
+
+    def __init__(
+        self,
+        group: PermGroup,
+        orbits: dict[frozenset, dict[frozenset, Permutation]] | None,
+        total_subsets: int,
+    ):
+        self.group = group
+        self.representatives: list[frozenset] = []
+        self.orbit_sizes: dict[frozenset, int] = {}
+        self.orbits = orbits
+        self.total_subsets = total_subsets
 
     def stabilizer_gens(self, rep: frozenset) -> tuple[Permutation, ...]:
         """Schreier generators of the stabilizer of rep, with duplicates and
@@ -270,9 +289,15 @@ def vertex_subsets(
 def _checked_sizes(n: int, max_size: int | None, cap: int, min_size: int = 0) -> range:
     """Subset sizes min_size..max_size of an n-set, once their subset count is within cap."""
     sizes = range(min_size, n + 1 if max_size is None else min(max_size, n) + 1)
-    count = sum(comb(n, r) for r in sizes)
+    # stop at the first partial count past the cap: the full count of a large
+    # vertex set has too many digits to print
+    count = 0
+    for r in sizes:
+        count += comb(n, r)
+        if count > cap:
+            break
     if count > cap:
-        raise CapExceeded(f"subset enumeration {count} exceeds cap {cap}")
+        raise CapExceeded(f"subsets of {n} vertices exceed the subset cap {cap}")
     return sizes
 
 
@@ -289,7 +314,7 @@ def subset_orbit_reps(
     `OrbitTable.stabilizer_gens` reports.
     """
     all_subsets = list(vertex_subsets(K.vertices, max_size, cap))
-    table = OrbitTable(group=G, total_subsets=len(all_subsets))
+    table = OrbitTable(group=G, orbits={}, total_subsets=len(all_subsets))
     ident = G.identity()
     assigned: set[frozenset] = set()
     # G permutes the vertices, so in face_key order the first unassigned seed is

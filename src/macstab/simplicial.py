@@ -14,16 +14,30 @@ degree bookkeeping of polyhedral products rely on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, order=False)
 class Vertex:
-    index: int | None
-    tag: int = 0
+    """Immutable label (index, tag), equal and hashed by those two fields."""
+
+    __slots__ = ("index", "tag")
+
+    def __init__(self, index: int | None, tag: int = 0):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "tag", tag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Vertex is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.index == other.index and self.tag == other.tag
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.tag))
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -63,19 +77,25 @@ class SimplicialComplex:
     __slots__ = ("vertices", "facets", "_hash", "_faces", "_restrictions")
 
     def __init__(self, vertices, facets):
-        vs = tuple(sorted(set(vertices)))
+        ground = set(vertices)
+        vs = tuple(sorted(ground))
         fs = set()
         for f in facets:
             fw = frozenset(f)
-            if not fw <= set(vs):
+            if not fw <= ground:
                 raise ValidationError("facet uses a vertex not in the vertex list")
             fs.add(fw)
         # drop non-maximal entries so the facet family is canonical: largest
-        # first, a candidate is kept unless a kept (so larger) facet contains it
+        # first, a candidate is kept unless a kept (so larger) facet contains
+        # it, and such a facet passes through each of the candidate's vertices
         maximal: list[Face] = []
+        through: dict[Vertex, list[Face]] = {}
         for f in sorted(fs, key=len, reverse=True):
-            if not any(f < g for g in maximal):
+            rivals = through.get(next(iter(f)), ()) if f else maximal
+            if not any(f < g for g in rivals):
                 maximal.append(f)
+                for v in f:
+                    through.setdefault(v, []).append(f)
         self.vertices = vs
         self.facets = frozenset(maximal)
         self._restrictions = {}

@@ -9,7 +9,6 @@ must agree wherever both apply and the test suite enforces that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -17,6 +16,7 @@ from math import factorial, prod
 
 from .errors import CapExceeded, NotACharacter, ValidationError
 from .perms import Permutation
+from .records import FrozenRecord
 
 Partition = tuple[int, ...]
 
@@ -122,12 +122,14 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 # -- class functions on Σ_n --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(FrozenRecord):
     """Rational class function on Σ_n, stored over cycle types."""
 
-    n: int
-    values: tuple[tuple[Partition, Fraction], ...]
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: tuple[tuple[Partition, Fraction], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dict(cls, n: int, values: dict[Partition, Fraction]) -> "ClassFunction":
@@ -329,16 +331,16 @@ def pieri_induce(mu: Partition, m: int) -> list[Partition]:
 # -- padded coordinates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PaddedPartition:
-    base: Partition
-    m: int
+class PaddedPartition(FrozenRecord):
+    __slots__ = ("base", "m")
 
-    def __post_init__(self):
-        if self.base:
-            _check_partition(self.base)
-        if self.m < sum(self.base) + (self.base[0] if self.base else 0):
+    def __init__(self, base: Partition, m: int):
+        if base:
+            _check_partition(base)
+        if m < sum(base) + (base[0] if base else 0):
             raise ValidationError("outside stable range")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
 
     @property
     def realized(self) -> Partition:

@@ -359,11 +359,15 @@ def test_cli_oracle_builds_stabilizer_generators_once_per_orbit(monkeypatch, tmp
     assert len(calls) == len(set(calls)) > 0
 
 
-@pytest.mark.parametrize("command", ["betti", "oracle"])
-def test_cli_group_must_preserve_the_complex(command):
+@pytest.mark.parametrize(
+    "argv",
+    [("betti",), ("oracle",), ("betti", "--per-multidegree")],
+    ids=["betti", "oracle", "betti-per-multidegree"],
+)
+def test_cli_group_must_preserve_the_complex(argv):
     doc = {"vertices": [{"id": "a", "index": 3}], "facets": [],
            "group": {"degree": 3, "generators": [[1, 3, 2]]}}
-    rc, _, err = run_cli(command, "--input", "-", stdin=json.dumps(doc))
+    rc, _, err = run_cli(*argv, "--input", "-", stdin=json.dumps(doc))
     assert rc == 1 and "does not preserve the complex" in err
 
 
@@ -665,6 +669,31 @@ def test_cli_betti_builds_one_complex_and_no_restriction(monkeypatch, tmp_path):
     assert len(built) == 1 and len(built[0].vertices) == 9
     assert listed == Counter(built[0].facets)
     assert restricted == [] and bases == []
+
+
+def test_cli_betti_per_multidegree_computes_each_summand_once(monkeypatch, tmp_path):
+    # the Betti numbers are the sums of the split's rows: one pass over the subsets
+    from macstab.cli import main
+    from macstab.homology import RestrictionDims
+
+    path, out = tmp_path / "vccube4.json", tmp_path / "out.json"
+    path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
+    calls = []
+    _count_calls(monkeypatch, RestrictionDims, "dims", calls)
+    assert main(["betti", "--input", str(path), "--per-multidegree", "--output", str(out)]) == 0
+    assert len(calls) == 2 ** 9
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "29a95d7702507c460d091aae360f0e32ca9f2bc7369711ae693e6ee066b41dca"
+    )
+
+
+def test_cli_cap_on_a_large_family_exits_before_any_quadratic_work():
+    # 20,000 vertices: the subset count has too many digits to print, and the
+    # complex, the closure check and the cap check must each stay near linear
+    rc, out, err = run_cli("betti", "--family", "skeleton:0", "--m", "20000")
+    assert rc == 2 and out == ""
+    assert err.startswith("cap exceeded:") and err.count("\n") == 1
+    assert "20000 vertices" in err and "Traceback" not in err
 
 
 def test_cli_product_builds_each_restriction_once(monkeypatch, capsys):

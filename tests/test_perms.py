@@ -67,6 +67,29 @@ def test_is_g_complex(square, c4):
     assert not is_g_complex(path, PermGroup(3, (perm(3, (1, 2)),)))
 
 
+_LABELS = [Vertex(i, t) for i in (1, 2, 3) for t in (0, 1)] + [Vertex(None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sets(st.sampled_from(_LABELS), max_size=3), max_size=5),
+    st.sets(st.sampled_from(_LABELS)),
+    st.permutations([1, 2, 3]),
+    st.booleans(),
+)
+def test_is_g_complex_matches_the_face_definition(drawn, ground, images, close):
+    g = Permutation(tuple(images))
+    facets = {frozenset(f) for f in drawn}
+    if close:  # add the images under g and g², so that g preserves the facets
+        for _ in range(2):
+            facets |= {frozenset(g.act_vertex(v) for v in f) for f in facets}
+    K = SimplicialComplex(ground.union(*facets), facets)
+    expected = all(
+        K.has_face(frozenset(g.act_vertex(v) for v in f)) for f in K.facets
+    ) and all(g.act_vertex(v) in K.vertices for v in K.vertices)
+    assert is_g_complex(K, PermGroup(3, (g,))) == expected
+
+
 def test_enumerate_group():
     assert len(enumerate_group([perm(4, (1, 2, 3, 4))])) == 4
     assert len(enumerate_group([perm(3, (1, 2)), perm(3, (1, 2, 3))])) == 6
@@ -209,6 +232,19 @@ def test_pattern_orbits_match_the_search(case, data):
     for verts in broken:
         with pytest.raises(ValidationError):
             pattern_orbit_reps(SimplicialComplex(verts, []), m, max_size)
+
+
+def test_subset_cap_names_the_vertex_count_and_the_cap():
+    # the subset count of 20,000 vertices has too many digits to print
+    with pytest.raises(CapExceeded, match="20000 vertices exceed the subset cap 2097152"):
+        vertex_subsets(range(20000), cap=2**21)
+    # raised exactly when the total passes the cap, an empty size range included
+    assert len(list(vertex_subsets(range(4), 2, cap=11))) == 1 + 4 + 6
+    with pytest.raises(CapExceeded):
+        vertex_subsets(range(4), 2, cap=10)
+    assert list(vertex_subsets(range(4), -1, cap=0)) == []
+    with pytest.raises(CapExceeded):
+        vertex_subsets(range(4), -1, cap=-1)
 
 
 def test_pattern_table_has_no_schreier_words():

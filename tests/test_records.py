@@ -1,0 +1,57 @@
+"""Frozen records are values: equal and hashed by their fields, closed to assignment."""
+
+from fractions import Fraction
+
+import pytest
+
+from macstab.families import CustomFamily, JoinSkeletonsFamily, SkeletonFamily, VcCubeDualFamily
+from macstab.hochster import CohomologyClass, SpherePair
+from macstab.perms import PermGroup, Permutation
+from macstab.simplicial import Vertex, skeleton
+from macstab.symrep import ClassFunction, PaddedPartition
+
+_one = frozenset({Vertex(1)})
+
+# type: (a record built afresh on each call, records differing from it in one field each)
+CASES = {
+    Vertex: (lambda: Vertex(1, 0), [Vertex(2, 0), Vertex(1, 1), Vertex(None, 0)]),
+    Permutation: (lambda: Permutation((2, 1, 3)), [Permutation((1, 2, 3))]),
+    PermGroup: (lambda: PermGroup.cyclic(3), [PermGroup.symmetric(3), PermGroup.cyclic(4)]),
+    ClassFunction: (
+        lambda: ClassFunction.irreducible((2, 1)),
+        [ClassFunction.irreducible((3,)), ClassFunction.irreducible((2, 2))],
+    ),
+    PaddedPartition: (
+        lambda: PaddedPartition((1,), 3),
+        [PaddedPartition((1,), 4), PaddedPartition((), 3)],
+    ),
+    SpherePair: (lambda: SpherePair(1), [SpherePair(2)]),
+    CohomologyClass: (
+        lambda: CohomologyClass(_one, 0, (Fraction(1),)),
+        [
+            CohomologyClass(frozenset({Vertex(2)}), 0, (Fraction(1),)),
+            CohomologyClass(_one, 1, (Fraction(1),)),
+            CohomologyClass(_one, 0, (Fraction(-1),)),
+        ],
+    ),
+    SkeletonFamily: (lambda: SkeletonFamily(1), [SkeletonFamily(2)]),
+    JoinSkeletonsFamily: (lambda: JoinSkeletonsFamily((0, 0)), [JoinSkeletonsFamily((0, 1))]),
+    # no fields: only a record of another type differs
+    VcCubeDualFamily: (lambda: VcCubeDualFamily(), [SkeletonFamily(0)]),
+    CustomFamily: (
+        lambda: CustomFamily("a", skeleton),
+        [CustomFamily("b", skeleton), CustomFamily("a", print)],
+    ),
+}
+
+
+@pytest.mark.parametrize("make, others", CASES.values(), ids=[t.__name__ for t in CASES])
+def test_frozen_record_is_a_value(make, others):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for other in others:
+        assert a != other and not a == other
+    for name in (*type(a).__slots__, "added"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
