@@ -34,6 +34,7 @@ from .perms import (
     index_support,
     is_g_complex,
     pattern_orbit_reps,
+    prefix_subsets,
     restriction_sign,
     subset_orbit_reps,
     vertex_subsets,
@@ -94,7 +95,9 @@ def betti(
     With a group the sum runs over orbit representatives weighted by orbit
     size, which must agree with the plain sum over all subsets.  Each
     dimension is read off K's own coboundary rows (`RestrictionDims`), so
-    no restriction and no cohomology basis is built.
+    no restriction and no cohomology basis is built.  The subsets come in
+    prefix order and the representatives in `face_key` order, which is the
+    same order, so each subset extends the elimination of one before it.
     """
     out: dict[int, int] = {}
     if group is not None:
@@ -103,7 +106,7 @@ def betti(
         table = subset_orbit_reps(K, group, cap=cap)
         items = [(rep, table.orbit_sizes[rep]) for rep in table.representatives]
     else:
-        items = [(J, 1) for J in vertex_subsets(K.vertices, cap=cap)]
+        items = ((J, 1) for J in prefix_subsets(K.vertices, cap=cap))
     restricted = RestrictionDims(K)
     for J, mult in items:
         for i, dim in _ambient_dims(restricted, pair, J).items():
@@ -116,8 +119,9 @@ def betti_split(
     pair: SpherePair = MOMENT_ANGLE,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[frozenset, dict[int, int]]:
-    """Per-subset contribution table {J: {ambient degree: dimension}}."""
-    subsets = vertex_subsets(K.vertices, cap=cap)
+    """Per-subset contribution table {J: {ambient degree: dimension}}, in
+    prefix order (`perms.prefix_subsets`)."""
+    subsets = prefix_subsets(K.vertices, cap=cap)
     restricted = RestrictionDims(K)
     rows = ((J, _ambient_dims(restricted, pair, J)) for J in subsets)
     return {J: row for J, row in rows if row}

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OracleMismatch, ValidationError
-from .linalg import CochainComplex, Matrix, Vector, apply_signed
+from .linalg import CochainComplex, Matrix, Vector, _keep, _reduce, apply_signed
 from .perms import Permutation, act_on_subset, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
@@ -50,35 +50,76 @@ class RestrictionDims:
 
     A row's signs depend only on the global vertex order, so d_p(K_J) is
     d_p(K) at the rows of the (p+1)-faces inside J, and those rows' columns
-    are exactly the p-faces inside J.  K's face table and coboundary rows are
-    listed once; each J selects its faces by vertex bit mask, which keeps
-    K's `face_key` order, and re-indexes the selected rows.
+    are exactly the p-faces inside J.  So the echelon forms of K_J's
+    coboundaries are those of its prefix J − v (v the last vertex of J in
+    K's order) with the rows of the faces through v inserted.  K's faces are
+    listed once, by last vertex, each with its bit mask and its row of K's
+    own coboundary; the columns are K's face indices in reverse, so a new
+    row leads with a face through v, not with an old one.
+
+    A stack holds the face counts and echelon forms of each prefix of the
+    last J asked for; `dims(J)` pops it to the prefix J shares and pushes
+    J's other vertices.  Any order of calls is correct, and in the prefix
+    order of `perms.prefix_subsets` each J is one push.  A push copies its
+    parent's pivot dicts, which share rows: elimination never mutates a row.
     """
 
     def __init__(self, K: SimplicialComplex):
-        self._bits = {v: 1 << k for k, v in enumerate(K.vertices)}
-        self._masks = [
-            [sum(self._bits[v] for v in f) for f in K.faces_of_dim(p)]
-            for p in range(-1, K.dim + 1)
-        ]
-        self._rows = coboundaries(K)
+        self._position = {v: k for k, v in enumerate(K.vertices)}
+        # (q, bit mask, row of d_{q-1}) for each q-face, listed under its last vertex
+        self._faces: list[list[tuple[int, int, dict[int, int]]]] = [[] for _ in K.vertices]
+        for p, rows in coboundaries(K).items():
+            last = len(K.faces_of_dim(p)) - 1
+            for tau, row in zip(K.faces_of_dim(p + 1), rows):
+                ks = [self._position[v] for v in tau]
+                self._faces[max(ks)].append(
+                    (p + 1, sum(1 << k for k in ks), {last - c: x for c, x in row.items()})
+                )
+        # one level per prefix of the last J, ∅ at the bottom: the position
+        # pushed, the vertex mask, n_q for q = -1 .. dim and the pivots of d_q
+        # for q = -1 .. dim - 1
+        counts = [0 if K.is_void else 1] + [0] * (K.dim + 1)
+        self._stack = [(-1, 0, counts, [{} for _ in range(K.dim + 1)])]
 
     def dims(self, J) -> dict[int, int]:
         """The non-zero dimensions of H̃^*(K_J), by degree."""
-        mask = sum(self._bits[v] for v in J)
-        inside: dict[int, list[int]] = {}
-        for p, masks in enumerate(self._masks, start=-1):
-            faces = [k for k, f in enumerate(masks) if f & mask == f]
-            if not faces:
-                break  # faces inside J are closed under taking subsets
-            inside[p] = faces
+        ks = sorted(self._position[v] for v in J)
+        shared = 0
+        for k, level in zip(ks, self._stack[1:]):
+            if k != level[0]:
+                break
+            shared += 1
+        del self._stack[shared + 1:]
+        for k in ks[shared:]:
+            self._push(k)
+        ranks = self._ranks()
+        dims = {}
+        for i, n in enumerate(self._stack[-1][2]):
+            p, dim = i - 1, n - ranks[i] - ranks[i + 1]
+            if dim < 0:
+                # rank(d_{p-1}) + rank(d_p) <= n for any complex, so this is the rank's fault
+                raise OracleMismatch(f"the ranks next to degree {p} exceed its {n} cochains")
+            if dim:
+                dims[p] = dim
+        return dims
 
-        def coboundary(p: int) -> list[dict[int, int]]:
-            index = {k: i for i, k in enumerate(inside[p])}
-            rows = self._rows[p]
-            return [{index[c]: x for c, x in rows[k].items()} for k in inside[p + 1]]
+    def _push(self, k: int) -> None:
+        """Push the top level's subset with the vertex at position k added,
+        which comes after all of its vertices."""
+        _, mask, counts, pivots = self._stack[-1]
+        mask |= 1 << k
+        counts = counts.copy()
+        pivots = [dict(d) for d in pivots]
+        for q, face, row in self._faces[k]:
+            if face & mask == face:
+                counts[q + 1] += 1
+                _keep(pivots[q], _reduce(row, pivots[q]))
+        self._stack.append((k, mask, counts, pivots))
 
-        return CochainComplex({p: len(faces) for p, faces in inside.items()}, coboundary).dims()
+    def _ranks(self) -> list[int]:
+        """rank d_p for p = -2 .. dim of the top level's complex: its pivot
+        counts, and 0 at both ends."""
+        return [0, *map(len, self._stack[-1][3]), 0]
 
 
 def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[int, int]]:

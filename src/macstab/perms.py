@@ -286,6 +286,22 @@ def vertex_subsets(
     return (frozenset(c) for r in sizes for c in combinations(verts, r))
 
 
+def prefix_subsets(vertices, cap: int = DEFAULT_SUBSET_CAP):
+    """Every subset of `vertices` in prefix-tree pre-order: lexicographic on
+    positions, so each subset follows its prefix without its last vertex,
+    and for sorted `vertices` this is `face_key` order.  The count is checked
+    against `cap` before the first is made."""
+    verts = list(vertices)
+    _checked_sizes(len(verts), None, cap)
+
+    def below(J: frozenset, start: int):
+        yield J
+        for k in range(start, len(verts)):
+            yield from below(J | {verts[k]}, k + 1)
+
+    return below(frozenset(), 0)
+
+
 def _checked_sizes(n: int, max_size: int | None, cap: int, min_size: int = 0) -> range:
     """Subset sizes min_size..max_size of an n-set, once their subset count is within cap."""
     sizes = range(min_size, n + 1 if max_size is None else min(max_size, n) + 1)

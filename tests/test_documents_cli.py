@@ -653,22 +653,30 @@ def _record_complexes(monkeypatch):
 
 def test_cli_betti_builds_one_complex_and_no_restriction(monkeypatch, tmp_path):
     # every summand is read off the complex's own coboundary rows: one complex,
-    # each facet's faces listed once, and no restriction or cohomology built
+    # each facet's faces listed once, and no restriction or cohomology built;
+    # the subsets come in prefix order, so each one is a single push of the
+    # echelon stack, and no rank is taken from scratch
     from collections import Counter
 
     from macstab.cli import main
-    from macstab.homology import CohomologyBasis
+    from macstab.homology import CohomologyBasis, RestrictionDims
+    from macstab.linalg import CochainComplex
 
     path = tmp_path / "vccube4.json"
     path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
     built, listed = _record_complexes(monkeypatch)
     restricted = _count_bound_calls(monkeypatch, "simplicial", "full_subcomplex")
-    bases = []
+    ranked = _count_bound_calls(monkeypatch, "linalg", "rank")
+    bases, complexes, pushes = [], [], []
     _count_calls(monkeypatch, CohomologyBasis, "__init__", bases)
+    _count_calls(monkeypatch, CochainComplex, "__init__", complexes)
+    _count_calls(monkeypatch, RestrictionDims, "_push", pushes)
     assert main(["betti", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
     assert len(built) == 1 and len(built[0].vertices) == 9
     assert listed == Counter(built[0].facets)
     assert restricted == [] and bases == []
+    assert ranked == [] and complexes == []
+    assert len(pushes) == 2 ** 9 - 1
 
 
 def test_cli_betti_per_multidegree_computes_each_summand_once(monkeypatch, tmp_path):
@@ -815,16 +823,18 @@ def test_cli_product_computes_each_product_once(monkeypatch, capsys):
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys, tmp_path):
     # negative control: the ranks give the Betti numbers, which must not be
     # negative, and the cocycle kernels and the representatives must agree
-    # with them wherever they are built
+    # with them wherever they are built; `betti` reads its ranks off the
+    # echelon stack of `RestrictionDims`, so that seam is off by one too
     import macstab.linalg as linalg
     from macstab.cli import main
     from macstab.hochster import summand_memo
-    from macstab.homology import reduced_cohomology
+    from macstab.homology import RestrictionDims, reduced_cohomology
 
     path = tmp_path / "vccube4.json"
     path.write_text(json.dumps(serialize_complex(vc_cube_dual(4))))
-    rank = linalg.rank
+    rank, ranks = linalg.rank, RestrictionDims._ranks
     monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + 1)
+    monkeypatch.setattr(RestrictionDims, "_ranks", lambda self: [r + 1 for r in ranks(self)])
     for argv in (
         ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..5"],
         ["product", "--family", "skeleton:0", "--m", "4", "--check-equivariance"],

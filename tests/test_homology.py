@@ -193,6 +193,35 @@ def test_restriction_dims_match_the_built_restrictions(K):
             assert restricted.dims(J) == reduced_cohomology(full_subcomplex(K, J)).dims()
 
 
+@st.composite
+def complexes_with_idle_vertices(draw):
+    """A small complex, {∅} or the void complex, with up to two more ground
+    vertices that lie in no face."""
+    K = draw(st.one_of(
+        small_complexes(),
+        st.integers(min_value=1, max_value=3).map(lambda n: skeleton(n, -1)),
+        st.just(SimplicialComplex([], [])),
+    ))
+    idle = [Vertex(None, t) for t in range(draw(st.integers(min_value=0, max_value=2)))]
+    return SimplicialComplex(list(K.vertices) + idle, K.facets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes_with_idle_vertices(), st.data())
+def test_restriction_dims_do_not_depend_on_the_call_order(K, data):
+    # the echelon stack pops to the prefix a subset shares with the last one:
+    # subsets in any order, repeated, ∅ among them and a superset after a
+    # subset, each give the cohomology of the built restriction
+    subsets = [frozenset(J) for r in range(len(K.vertices) + 1)
+               for J in combinations(K.vertices, r)]
+    picked = data.draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+    calls = data.draw(st.permutations(picked + picked[:3] + [frozenset()]))
+    calls.append(calls[-1] | data.draw(st.sampled_from(subsets)))
+    restricted = RestrictionDims(K)
+    for J in calls:
+        assert restricted.dims(J) == reduced_cohomology(full_subcomplex(K, J)).dims()
+
+
 def _dense_representatives(coh, p):
     """The dense route: `Matrix.nullspace` of d_p, then `extend_to_basis` over
     the dense columns of d_{p-1}."""
