@@ -67,7 +67,7 @@ class MomentAngleCellComplex:
             raise CapExceeded(f"{n} vertices exceed the cellular cap {cap}")
         self.K = K
         self.blocks: dict[frozenset, Block] = {}
-        # own loop, not perms.vertex_subsets: the oracle checks hochster.betti, which uses it
+        # own loop, not perms.prefix_subsets: the oracle checks hochster.betti, which walks it
         for r in range(n + 1):
             for J in combinations(K.vertices, r):
                 Jw = frozenset(J)

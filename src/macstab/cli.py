@@ -46,7 +46,7 @@ from .perms import (
     DEFAULT_SUPPORT_CAP,
     PermGroup,
     is_g_complex,
-    vertex_subsets,
+    prefix_subsets,
 )
 from .simplicial import SimplicialComplex
 
@@ -121,13 +121,17 @@ def _load_custom(path: str):
 
 def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | None]:
     """Returns (complex, group, family rank when instantiated from a family)."""
-    if getattr(args, "family", None):
+    # a document and a family are two inputs: neither may be dropped silently
+    given = [f for f, v in (("--family", args.family), ("--m", args.m)) if v is not None]
+    if args.input is not None and given:
+        raise ValidationError(f"--input conflicts with {' and '.join(given)}: give one input")
+    if args.family:
         if args.m is None:
             raise ValidationError("--family needs --m")
         fam = parse_family(args.family, custom_loader=_load_custom)
         K, G = fam.instantiate(args.m)
         return K, G, args.m
-    if getattr(args, "input", None):
+    if args.input:
         K, G = parse_complex(_read_json(args.input))
         return K, G, None
     raise ValidationError("provide --input FILE or --family SPEC --m N")
@@ -297,6 +301,11 @@ def _write_scan_csv(path, family, degree, scan, values, ms):
 
 
 def cmd_check_family(args) -> int:
+    # with no size to check, "all_passed" would be vacuously true
+    if args.max_r < 0:
+        raise ValidationError(f"--max-r {args.max_r}: need at least 0")
+    if args.max_stab_size < 1:
+        raise ValidationError(f"--max-stab-size {args.max_stab_size}: need at least 1")
     fam = parse_family(args.family, custom_loader=_load_custom)
     ms = _parse_range(args.m_range)
     d0 = min(ms)
@@ -313,7 +322,9 @@ def cmd_check_family(args) -> int:
     Kd, _ = fam.instantiate(d0)
     stab_results = {}
     ok_all = True
-    for J in vertex_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets, min_size=1):
+    for J in prefix_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets):
+        if not J:
+            continue
         ok = check_stabiliser_consistent(fam, J, ms, args.cap_support)
         stab_results[_subset_key(J)] = ok
         ok_all = ok_all and ok

@@ -20,9 +20,9 @@ from .perms import (
     DEFAULT_SUPPORT_CAP,
     PermGroup,
     Permutation,
+    prefix_subsets,
     stabilizer_order_in_sym,
     support_split,
-    vertex_subsets,
 )
 from .records import FrozenRecord
 from .simplicial import (
@@ -176,7 +176,9 @@ def check_r_vertex_stable(
         if m < d:
             continue
         Km, _ = f.instantiate(m)
-        for S in vertex_subsets(Km.vertices, r + 1, cap, min_size=r + 1):
+        for S in prefix_subsets(Km.vertices, r + 1, cap):
+            if len(S) <= r:
+                continue
             idx = {v.index for v in S if v.index is not None}
             if len(idx) > d:
                 return False

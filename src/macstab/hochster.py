@@ -37,7 +37,6 @@ from .perms import (
     prefix_subsets,
     restriction_sign,
     subset_orbit_reps,
-    vertex_subsets,
 )
 from .records import FrozenRecord
 from .simplicial import SimplicialComplex, face_key, full_subcomplex
@@ -95,9 +94,9 @@ def betti(
     With a group the sum runs over orbit representatives weighted by orbit
     size, which must agree with the plain sum over all subsets.  Each
     dimension is read off K's own coboundary rows (`RestrictionDims`), so
-    no restriction and no cohomology basis is built.  The subsets come in
-    prefix order and the representatives in `face_key` order, which is the
-    same order, so each subset extends the elimination of one before it.
+    no restriction and no cohomology basis is built.  Subsets and orbit
+    representatives both come in the prefix order of `perms.prefix_subsets`,
+    so each subset extends the elimination of one before it.
     """
     out: dict[int, int] = {}
     if group is not None:
@@ -167,9 +166,6 @@ class EquivariantReport:
         self.betti = betti
         self.components: list[MultidegreeComponent] = []
         self.irreducibles: dict[Partition, int] | None = None
-
-    def check_total(self) -> bool:
-        return self.betti == sum(c.total for c in self.components)
 
 
 def summand_character(
@@ -478,8 +474,9 @@ class CohomologyClass(FrozenRecord):
 def spanning_classes(
     K: SimplicialComplex, cap: int = DEFAULT_SUBSET_CAP
 ) -> list[CohomologyClass]:
-    """Basis classes of every subset, subsets in enumeration order."""
-    return [c for J in vertex_subsets(K.vertices, cap=cap) for c in basis_classes(K, J)]
+    """Basis classes of every subset, subsets by size in `combinations` order."""
+    subsets = sorted(prefix_subsets(K.vertices, cap=cap), key=len)
+    return [c for J in subsets for c in basis_classes(K, J)]
 
 
 def basis_classes(K: SimplicialComplex, J) -> list[CohomologyClass]:

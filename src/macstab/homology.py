@@ -196,9 +196,3 @@ def lefschetz_cochain_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
         total += (-1 if p % 2 else 1) * trace
     return total
 
-
-def euler_check(K: SimplicialComplex) -> bool:
-    """Reduced Euler characteristic from face counts equals the cohomology one."""
-    dims = reduced_cohomology(K).dims()
-    coh = sum((-1 if p % 2 else 1) * b for p, b in dims.items())
-    return coh == K.euler_characteristic_reduced()

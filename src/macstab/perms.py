@@ -273,48 +273,43 @@ class OrbitTable:
         return tuple(stab) if stab else (self.group.identity(),)
 
 
-def vertex_subsets(
-    vertices,
-    max_size: int | None = None,
-    cap: int = DEFAULT_SUBSET_CAP,
-    min_size: int = 0,
-):
-    """Subsets of sizes min_size..max_size, size by size in `combinations`
-    order; their count is checked against `cap` before the first is made."""
+def prefix_subsets(vertices, max_size: int | None = None, cap: int = DEFAULT_SUBSET_CAP):
+    """The subsets of `vertices` with at most `max_size` elements (all of
+    them for None) in prefix-tree pre-order: lexicographic on positions, so
+    each subset follows its prefix without its last vertex, one size's
+    subsets come in `combinations` order, and for sorted `vertices` this is
+    `face_key` order.  Their count is checked against `cap` before the
+    first is made."""
     verts = list(vertices)
-    sizes = _checked_sizes(len(verts), max_size, cap, min_size)
-    return (frozenset(c) for r in sizes for c in combinations(verts, r))
+    top, _ = _checked_sizes(len(verts), max_size, cap)
+
+    def walk():
+        # (subset, first position it may still take); children are pushed
+        # last-first so that they come off in position order
+        stack = [(frozenset(), 0)] if top >= 0 else []
+        while stack:
+            J, start = stack.pop()
+            yield J
+            if len(J) < top:
+                stack.extend((J | {verts[k]}, k + 1) for k in range(len(verts) - 1, start - 1, -1))
+
+    return walk()
 
 
-def prefix_subsets(vertices, cap: int = DEFAULT_SUBSET_CAP):
-    """Every subset of `vertices` in prefix-tree pre-order: lexicographic on
-    positions, so each subset follows its prefix without its last vertex,
-    and for sorted `vertices` this is `face_key` order.  The count is checked
-    against `cap` before the first is made."""
-    verts = list(vertices)
-    _checked_sizes(len(verts), None, cap)
-
-    def below(J: frozenset, start: int):
-        yield J
-        for k in range(start, len(verts)):
-            yield from below(J | {verts[k]}, k + 1)
-
-    return below(frozenset(), 0)
-
-
-def _checked_sizes(n: int, max_size: int | None, cap: int, min_size: int = 0) -> range:
-    """Subset sizes min_size..max_size of an n-set, once their subset count is within cap."""
-    sizes = range(min_size, n + 1 if max_size is None else min(max_size, n) + 1)
+def _checked_sizes(n: int, max_size: int | None, cap: int) -> tuple[int, int]:
+    """The largest subset size of an n-set that max_size allows (negative
+    for none), and the count of subsets up to that size, once it is within cap."""
+    top = n if max_size is None else min(max_size, n)
     # stop at the first partial count past the cap: the full count of a large
     # vertex set has too many digits to print
     count = 0
-    for r in sizes:
+    for r in range(top + 1):
         count += comb(n, r)
         if count > cap:
             break
     if count > cap:
         raise CapExceeded(f"subsets of {n} vertices exceed the subset cap {cap}")
-    return sizes
+    return top, count
 
 
 def subset_orbit_reps(
@@ -329,13 +324,13 @@ def subset_orbit_reps(
     in `face_key` order; the BFS words fix the Schreier generators that
     `OrbitTable.stabilizer_gens` reports.
     """
-    all_subsets = list(vertex_subsets(K.vertices, max_size, cap))
-    table = OrbitTable(group=G, orbits={}, total_subsets=len(all_subsets))
+    _, total = _checked_sizes(len(K.vertices), max_size, cap)
+    table = OrbitTable(group=G, orbits={}, total_subsets=total)
     ident = G.identity()
     assigned: set[frozenset] = set()
     # G permutes the vertices, so in face_key order the first unassigned seed is
     # the least subset of its orbit: no rebasing and no sort are needed
-    for seed in sorted(all_subsets, key=face_key):
+    for seed in prefix_subsets(K.vertices, max_size, cap):
         if seed in assigned:
             continue
         orbit = {seed: ident}
@@ -379,13 +374,11 @@ def pattern_orbit_reps(
     indexed = {v for v in K.vertices if v.index is not None}
     if indexed != {Vertex(i, t) for i in range(1, m + 1) for t in tags}:
         raise ValidationError(f"the vertex set is not closed under Σ_{m}")
-    sizes = _checked_sizes(len(K.vertices), max_size, cap)
-    top = sizes[-1] if sizes else -1
+    top, total = _checked_sizes(len(K.vertices), max_size, cap)
     fibres = sorted(
         (c for r in range(1, len(tags) + 1) for c in combinations(tags, r)),
         key=lambda c: c + (float("inf"),),
     )
-    total = sum(comb(len(K.vertices), r) for r in sizes)
     table = OrbitTable(group=PermGroup.symmetric(m), orbits=None, total_subsets=total)
     for b in range(min(m, top) + 1):
         # multisets of b fibres, each listed in the order it is placed on 1..b

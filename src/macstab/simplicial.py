@@ -159,10 +159,6 @@ class SimplicialComplex:
     def face_counts(self) -> dict[int, int]:
         return {p: len(faces) for p, faces in self._face_table().items()}
 
-    def euler_characteristic_reduced(self) -> int:
-        """Alternating face count over the augmented complex (∅ in degree -1)."""
-        return sum((-1) ** d * n for d, n in self.face_counts().items())
-
 
 def _list_faces(facets) -> dict[int, list[Face]]:
     """Every subset of every facet, by dimension from -1 up, each sorted by `face_key`."""

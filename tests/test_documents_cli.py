@@ -235,6 +235,10 @@ def test_cli_exit_codes(tmp_path):
         (("oracle", "--family", "vccube", "--m", "3", "--d", "2"), None),
         (("product", "--family", "skeleton:0", "--m", "3", "--d", "0"), None),
         (("check-family", "--family", "skeleton:0", "--m", "5..3"), None),
+        # bounds that check nothing: "all_passed" would read true for any family
+        (("check-family", "--family", "skeleton:0", "--m", "3..4", "--max-r", "-1"), None),
+        (("check-family", "--family", "skeleton:0", "--m", "3..4", "--max-stab-size", "0"),
+         None),
         (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "5..3", "--betti-only"),
          None),
         (("betti", "--family", "skeleton:0", "--m", "3", "--output", "/nonexistent/x.json"),
@@ -245,20 +249,39 @@ def test_cli_exit_codes(tmp_path):
     ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
          "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
          "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d",
-         "check-family-empty-range", "scan-empty-range", "output-missing-dir",
-         "csv-missing-dir"],
+         "check-family-empty-range", "check-family-max-r", "check-family-max-stab-size",
+         "scan-empty-range", "output-missing-dir", "csv-missing-dir"],
 )
 def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     rc, _, err = run_cli(*argv, stdin=stdin)
     assert rc == 1 and err.startswith("error: ")
     assert "Traceback" not in err
-    if "--d" in argv:
-        assert "--d" in err
+    for flag in ("--d", "--max-r", "--max-stab-size"):
+        if flag in argv:
+            assert flag in err
     if "5..3" in argv:
         assert "'5..3'" in err
     for path in ("/nonexistent/x.json", "/nonexistent/x.csv"):
         if path in argv:
             assert path in err
+
+
+@pytest.mark.parametrize("command", [("betti",), ("decompose", "--degree", "3"), ("oracle",),
+                                     ("product",)])
+@pytest.mark.parametrize("extra", [("--family", "skeleton:0", "--m", "3"), ("--m", "3"),
+                                   ("--family", "skeleton:0")])
+@pytest.mark.parametrize("path", ["/nonexistent.json", "document"])
+def test_cli_input_with_a_family_flag_is_a_conflict(tmp_path, capsys, command, extra, path):
+    import macstab.cli as cli
+
+    if path == "document":  # a readable document: the conflict, not the file, is refused
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(serialize_complex(skeleton(3, 0))))
+    assert cli.main([*command, "--input", str(path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --input conflicts with")
+    for flag in ("--family", "--m"):
+        assert (flag in err) == (flag in extra)
 
 
 @pytest.mark.parametrize(

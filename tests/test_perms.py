@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -11,11 +12,11 @@ from macstab.perms import (
     enumerate_group,
     is_g_complex,
     pattern_orbit_reps,
+    prefix_subsets,
     restriction_sign,
     stabilizer_order_in_sym,
     subset_orbit_reps,
     support_split,
-    vertex_subsets,
 )
 from macstab.simplicial import (
     SimplicialComplex,
@@ -137,11 +138,29 @@ def test_orbit_stabilizer_identity(square, c4):
         table = subset_orbit_reps(K, G)
         covered = [s for rep in table.representatives for s in table.orbits[rep]]
         assert len(covered) == len(set(covered)) == table.total_subsets
-        assert set(covered) == set(vertex_subsets(K.vertices))
+        assert set(covered) == {
+            frozenset(c) for r in range(len(K.vertices) + 1) for c in combinations(K.vertices, r)
+        }
         for rep in table.representatives:
             assert rep == min(table.orbits[rep], key=face_key)
             stab_order = len(enumerate_group(list(table.stabilizer_gens(rep))))
             assert stab_order * table.orbit_sizes[rep] == order
+
+
+def test_orbit_search_walks_the_prefix_order_without_a_sort(monkeypatch):
+    # the seeds come in face_key order from the walk itself: no key is computed
+    # (2^9 = 512 face_key calls when the subsets were listed by size and sorted)
+    K = vc_cube_dual(4)
+    calls = []
+
+    def counting(face):
+        calls.append(face)
+        return face_key(face)
+
+    monkeypatch.setattr("macstab.perms.face_key", counting)
+    table = subset_orbit_reps(K, PermGroup.symmetric(4))
+    assert calls == []
+    assert table.representatives == sorted(table.representatives, key=face_key)
 
 
 def test_transversal_carries_rep(square, c4):
@@ -237,14 +256,37 @@ def test_pattern_orbits_match_the_search(case, data):
 def test_subset_cap_names_the_vertex_count_and_the_cap():
     # the subset count of 20,000 vertices has too many digits to print
     with pytest.raises(CapExceeded, match="20000 vertices exceed the subset cap 2097152"):
-        vertex_subsets(range(20000), cap=2**21)
+        prefix_subsets(range(20000), cap=2**21)
     # raised exactly when the total passes the cap, an empty size range included
-    assert len(list(vertex_subsets(range(4), 2, cap=11))) == 1 + 4 + 6
+    assert len(list(prefix_subsets(range(4), 2, cap=11))) == 1 + 4 + 6
     with pytest.raises(CapExceeded):
-        vertex_subsets(range(4), 2, cap=10)
-    assert list(vertex_subsets(range(4), -1, cap=0)) == []
+        prefix_subsets(range(4), 2, cap=10)
+    assert list(prefix_subsets(range(4), -1, cap=0)) == []
     with pytest.raises(CapExceeded):
-        vertex_subsets(range(4), -1, cap=-1)
+        prefix_subsets(range(4), -1, cap=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(lambda n: st.tuples(
+    st.permutations([Vertex(i) for i in range(1, n + 1)]),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=n + 1)),
+)))
+def test_prefix_subsets_walk_each_subset_up_to_the_bound_once_in_prefix_order(case):
+    verts, max_size = case
+    n = len(verts)
+    top = n if max_size is None else min(max_size, n)
+    walked = list(prefix_subsets(verts, max_size))
+    by_size = [frozenset(c) for r in range(top + 1) for c in combinations(verts, r)]
+    assert len(set(walked)) == len(walked)
+    assert set(walked) == set(by_size)
+    # lexicographic on sorted positions: each subset after its prefix
+    position = {v: k for k, v in enumerate(verts)}
+    keys = [sorted(position[v] for v in J) for J in walked]
+    assert keys == sorted(keys)
+    # a stable sort on size recovers the size-by-size `combinations` order
+    assert sorted(walked, key=len) == by_size
+    table = subset_orbit_reps(SimplicialComplex(verts, []), PermGroup.trivial(max(n, 1)), max_size)
+    assert table.total_subsets == len(walked)
 
 
 def test_pattern_table_has_no_schreier_words():
