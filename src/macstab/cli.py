@@ -1,8 +1,8 @@
 """Command line surface.
 
 Commands: betti, decompose, scan, check-family, oracle, product.
-Exit codes: 0 success, 1 validation error, 2 cap exceeded, 3 internal
-oracle/consistency mismatch.
+Exit codes: 0 success, 1 validation or usage error, 2 cap exceeded, 3
+internal oracle/consistency mismatch.
 """
 
 from __future__ import annotations
@@ -51,7 +51,14 @@ from .perms import (
 from .simplicial import SimplicialComplex
 
 
-def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors: exit 1, where argparse exits 2 (the cap code)."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True, pair_ok=True):
     if input_ok:
         p.add_argument("--input", help="complex document (JSON file, '-' for stdin)")
     if family_ok:
@@ -60,7 +67,8 @@ def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True):
     else:
         p.add_argument("--family", required=True,
                        help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
-    p.add_argument("--d", type=int, default=1, help="sphere dimension of the pair (default 1)")
+    if pair_ok:
+        p.add_argument("--d", type=int, default=1, help="sphere dimension of the pair (default 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
     p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
@@ -392,7 +400,7 @@ def cmd_product(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="macstab", description=__doc__)
+    top = _Parser(prog="macstab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("betti", help="Betti numbers of the polyhedral product")
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-family", help="structural checks over a family")
-    _add_common(p, family_ok=False, input_ok=False)
+    _add_common(p, family_ok=False, input_ok=False, pair_ok=False)
     p.add_argument("--m-range", "--m", dest="m_range", required=True)
     p.add_argument("--max-r", type=int, default=2)
     p.add_argument("--max-stab-size", type=int, default=3)
@@ -437,11 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # one command's caches; kept after it returns so its statistics can be read
     reduced_cohomology.cache_clear()
     summand_memo.clear()
     try:
+        args = build_parser().parse_args(argv)
+        for flag in ("--cap-subsets", "--cap-group", "--cap-support", "--cap-oracle"):
+            cap = getattr(args, flag[2:].replace("-", "_"))
+            if cap < 0:
+                raise ValidationError(f"{flag} {cap}: need at least 0")
         for path in (args.output, getattr(args, "csv", None)):
             if path:
                 _check_writable(path)

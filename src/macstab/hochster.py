@@ -39,7 +39,7 @@ from .perms import (
     subset_orbit_reps,
 )
 from .records import FrozenRecord
-from .simplicial import SimplicialComplex, face_key, full_subcomplex
+from .simplicial import SimplicialComplex, full_subcomplex
 from .symrep import (
     ClassFunction,
     Partition,
@@ -225,7 +225,8 @@ def equivariant_decomposition(
     found: NonzeroSummands,
     group_cap: int = DEFAULT_GROUP_CAP,
 ) -> EquivariantReport:
-    """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero.
+    """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero,
+    in the `face_key` order of the orbit table's representatives.
 
     `found` is `nonzero_summands(K, G, pair, i)`, computed by a caller that
     has checked that G preserves K.
@@ -255,7 +256,6 @@ def equivariant_decomposition(
             )
         )
         report.betti += table.orbit_sizes[rep] * dim
-    report.components.sort(key=lambda c: face_key(c.rep))
     return report
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import CapExceeded, NotACharacter, ValidationError
 from .perms import Permutation
@@ -78,44 +78,49 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for a in lam if a > j) for j in range(lam[0]))
 
 
-@lru_cache(maxsize=None)
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Irreducible character value χ_λ(μ) by the border-strip recursion."""
-    if sum(lam) != sum(mu):
-        raise ValidationError("character of mismatched sizes")
-    if sum(lam) == 0:
-        return 1
     _check_partition(lam)
     _check_partition(mu)
-    k = mu[0]
-    rest = mu[1:]
-    total = 0
-    # beta-set encoding: strips of length k <-> lowering one beta number by k
+    if sum(lam) != sum(mu):
+        raise ValidationError(f"character of mismatched sizes: {lam} and {mu}")
+    return _strip_sum(_beta_set(lam), tuple(mu))
+
+
+def _beta_set(lam: Partition) -> tuple[int, ...]:
+    """The beta numbers λ_i + ℓ - i of λ, decreasing; none is 0 for a partition."""
     ell = len(lam)
-    betas = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(betas)
+    return tuple(part + ell - 1 - i for i, part in enumerate(lam))
+
+
+@lru_cache(maxsize=None)
+def _strip_sum(betas: tuple[int, ...], mu: Partition) -> int:
+    """χ_λ(μ) for λ given by its beta set, with no zero part.
+
+    Removing a border strip of length k lowers one beta number by k onto a
+    free value, with sign (-1)^(numbers jumped).
+    """
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    total = 0
     for i, b in enumerate(betas):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
+        low = b - k
+        if low < 0 or low in betas:
             continue
-        new_betas = sorted((x for x in betas if x != b), reverse=True)
-        # height of the strip = number of beta numbers jumped over
-        height = sum(1 for x in betas if nb < x < b)
-        merged = []
-        inserted = False
-        for x in new_betas:
-            if not inserted and nb > x:
-                merged.append(nb)
-                inserted = True
-            merged.append(x)
-        if not inserted:
-            merged.append(nb)
-        new_lam = tuple(
-            x - (len(merged) - 1 - idx) for idx, x in enumerate(merged)
-        )
-        new_lam = tuple(a for a in new_lam if a > 0)
-        sign = -1 if height % 2 else 1
-        total += sign * mn_character(new_lam, rest)
+        j = i + 1
+        while j < len(betas) and betas[j] > low:
+            j += 1
+        lowered = betas[:i] + betas[i + 1 : j] + (low,) + betas[j:]
+        # trailing beta numbers 0, 1, …, zeros - 1 are zero parts: drop them,
+        # so that each partition has one cache key
+        zeros = 0
+        while zeros < len(lowered) and lowered[-1 - zeros] == zeros:
+            zeros += 1
+        if zeros:
+            lowered = tuple(x - zeros for x in lowered[: len(lowered) - zeros])
+        term = _strip_sum(lowered, rest)
+        total += -term if (j - i - 1) % 2 else term
     return total
 
 
@@ -139,19 +144,6 @@ class ClassFunction(FrozenRecord):
             raise ValidationError(f"missing classes {missing[:3]}")
         return cls(n, tuple((mu, Fraction(values[mu])) for mu in classes))
 
-    @classmethod
-    def irreducible(cls, lam: Partition) -> "ClassFunction":
-        n = sum(lam)
-        return cls.from_dict(
-            n, {mu: Fraction(mn_character(lam, mu)) for mu in partitions(n)}
-        )
-
-    def value(self, mu: Partition) -> Fraction:
-        for key, val in self.values:
-            if key == mu:
-                return val
-        raise ValidationError(f"no class {mu}")
-
     def as_dict(self) -> dict[Partition, Fraction]:
         return dict(self.values)
 
@@ -163,25 +155,19 @@ class ClassFunction(FrozenRecord):
             self.n, tuple((mu, v + o[mu]) for mu, v in self.values)
         )
 
-    def dim(self) -> Fraction:
-        return self.value((1,) * self.n if self.n else ())
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    if f.n != g.n:
-        raise ValidationError("rank mismatch")
-    gd = g.as_dict()
-    total = sum(
-        class_size(mu) * val * gd[mu] for mu, val in f.values
-    )
-    return total / factorial(f.n)
-
 
 def decompose(chi: ClassFunction) -> dict[Partition, int]:
-    """Multiplicities ⟨χ, χ_λ⟩; aborts if any is negative or non-integral."""
+    """Multiplicities ⟨χ, χ_λ⟩ = Σ_μ |C_μ| χ(μ) χ_λ(μ) / n!, in `partitions`
+    order; aborts if any is negative or non-integral."""
+    weights = [(mu, class_size(mu) * val) for mu, val in chi.values if val]
+    # integer weights over one common denominator: the sums over μ run in integers
+    den = lcm(*(w.denominator for _, w in weights))
+    weights = [(mu, int(w * den)) for mu, w in weights]
+    den *= factorial(chi.n)
     out: dict[Partition, int] = {}
     for lam in partitions(chi.n):
-        c = inner_product(chi, ClassFunction.irreducible(lam))
+        betas = _beta_set(lam)
+        c = Fraction(sum(w * _strip_sum(betas, mu) for mu, w in weights), den)
         if c.denominator != 1 or c < 0:
             raise NotACharacter(
                 f"multiplicity of {lam} is {c}; the class function is not a character"

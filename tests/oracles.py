@@ -20,7 +20,14 @@ from macstab.homology import induced_cohomology_map, reduced_cohomology, represe
 from macstab.linalg import apply_signed
 from macstab.perms import PermGroup, Permutation, enumerate_group
 from macstab.simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
-from macstab.symrep import ClassFunction, Partition, _check_partition, class_size, partitions
+from macstab.symrep import (
+    ClassFunction,
+    Partition,
+    _check_partition,
+    class_size,
+    mn_character,
+    partitions,
+)
 
 
 def assemble_global_boundary(Z: MomentAngleCellComplex) -> dict[int, list[dict[int, int]]]:
@@ -201,6 +208,23 @@ def character_table_by_projection(n: int) -> dict[Partition, dict[Partition, int
                 psi = {mu: psi[mu] - mult * chi[mu] for mu in classes}
         table[lam] = psi
     return table
+
+
+def irreducible_character(lam: Partition) -> ClassFunction:
+    """χ_λ as a full table over the classes of Σ_|λ|."""
+    n = sum(lam)
+    return ClassFunction.from_dict(
+        n, {mu: Fraction(mn_character(lam, mu)) for mu in partitions(n)}
+    )
+
+
+def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
+    """⟨f, g⟩ = Σ_μ |C_μ| f(μ) g(μ) / n!, term by term: the reference for
+    `symrep.decompose`."""
+    if f.n != g.n:
+        raise ValidationError("rank mismatch")
+    gd = g.as_dict()
+    return sum(class_size(mu) * val * gd[mu] for mu, val in f.values) / factorial(f.n)
 
 
 def regular_character(n: int) -> ClassFunction:

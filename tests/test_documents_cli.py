@@ -209,6 +209,21 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 2 and "cap" in err
 
 
+# usage errors exit 1 like any malformed input (2 is the cap code), each naming its flag
+USAGE_ERRORS = {
+    ("betti", "--family", "skeleton:0", "--m", "x"): "--m",
+    ("betti", "--bogus"): "--bogus",
+    ("scan", "--family", "skeleton:0", "--m", "3..4"): "--degree",
+    ("check-family", "--family", "skeleton:0", "--m", "3..4", "--d", "5"): "--d",
+    ("betti", "--family", "skeleton:0", "--m", "3", "--cap-subsets", "-1"): "--cap-subsets",
+    ("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--cap-group", "-1"):
+        "--cap-group",
+    ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--cap-support", "-1"):
+        "--cap-support",
+    ("oracle", "--family", "skeleton:0", "--m", "3", "--cap-oracle", "-1"): "--cap-oracle",
+}
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -245,12 +260,15 @@ def test_cli_exit_codes(tmp_path):
          None),
         (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4",
           "--csv", "/nonexistent/x.csv"), None),
+        *((argv, None) for argv in USAGE_ERRORS),
     ],
     ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
          "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
          "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d",
          "check-family-empty-range", "check-family-max-r", "check-family-max-stab-size",
-         "scan-empty-range", "output-missing-dir", "csv-missing-dir"],
+         "scan-empty-range", "output-missing-dir", "csv-missing-dir",
+         "m-not-int", "unknown-flag", "scan-no-degree", "check-family-d", "cap-subsets",
+         "cap-group", "cap-support", "cap-oracle"],
 )
 def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     rc, _, err = run_cli(*argv, stdin=stdin)
@@ -264,6 +282,14 @@ def test_cli_malformed_input_is_a_validation_error(argv, stdin):
     for path in ("/nonexistent/x.json", "/nonexistent/x.csv"):
         if path in argv:
             assert path in err
+    if argv in USAGE_ERRORS:
+        assert USAGE_ERRORS[argv] in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("scan", "--help")])
+def test_cli_help_exits_0(argv):
+    rc, out, err = run_cli(*argv)
+    assert rc == 0 and out.startswith("usage: macstab") and err == ""
 
 
 @pytest.mark.parametrize("command", [("betti",), ("decompose", "--degree", "3"), ("oracle",),

@@ -8,7 +8,7 @@ from macstab.families import CustomFamily, JoinSkeletonsFamily, SkeletonFamily, 
 from macstab.hochster import CohomologyClass, SpherePair
 from macstab.perms import PermGroup, Permutation
 from macstab.simplicial import Vertex, skeleton
-from macstab.symrep import ClassFunction, PaddedPartition
+from macstab.symrep import ClassFunction, PaddedPartition, partitions
 
 _one = frozenset({Vertex(1)})
 
@@ -18,8 +18,11 @@ CASES = {
     Permutation: (lambda: Permutation((2, 1, 3)), [Permutation((1, 2, 3))]),
     PermGroup: (lambda: PermGroup.cyclic(3), [PermGroup.symmetric(3), PermGroup.cyclic(4)]),
     ClassFunction: (
-        lambda: ClassFunction.irreducible((2, 1)),
-        [ClassFunction.irreducible((3,)), ClassFunction.irreducible((2, 2))],
+        lambda: ClassFunction.from_dict(3, {(3,): -1, (2, 1): 0, (1, 1, 1): 2}),
+        [
+            ClassFunction.from_dict(3, {(3,): 1, (2, 1): 0, (1, 1, 1): 2}),
+            ClassFunction.from_dict(4, {mu: 0 for mu in partitions(4)} | {(1, 1, 1, 1): 2}),
+        ],
     ),
     PaddedPartition: (
         lambda: PaddedPartition((1,), 3),

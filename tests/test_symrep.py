@@ -27,6 +27,8 @@ from macstab.symrep import (
 
 from oracles import (
     character_table_by_projection,
+    inner_product,
+    irreducible_character,
     natural_permutation_character,
     perm_module_character,
     regular_character,
@@ -53,6 +55,16 @@ def test_mn_trivial_and_sign():
             assert mn_character((n,), mu) == 1
             sign = (-1) ** sum(part - 1 for part in mu)
             assert mn_character((1,) * n, mu) == sign
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [((2, 1), (2, 2)), ((3,), (1, 1)), ((1, 2), (2, 1)), ((2, 1), (1, 2)),
+     ((2, 0, 1), (3,)), ((3,), (3, 0)), ((2, -1, 2), (3,)), ((-3,), (-3,))],
+)
+def test_mn_rejects_mismatched_or_malformed_input(lam, mu):
+    with pytest.raises(ValidationError):
+        mn_character(lam, mu)
 
 
 def test_mn_standard_value():
@@ -112,6 +124,27 @@ def test_decompose_swap_character_on_two_points():
     assert decompose(chi) == {(1, 1): 1}
 
 
+@given(st.data())
+def test_decompose_recovers_random_characters(data):
+    n = data.draw(st.integers(1, 7))
+    coeffs = {lam: data.draw(st.integers(0, 3)) for lam in partitions(n)}
+    irreducibles = {lam: irreducible_character(lam).as_dict() for lam in coeffs}
+    values = {mu: sum(c * irreducibles[lam][mu] for lam, c in coeffs.items())
+              for mu in partitions(n)}
+    chi = ClassFunction.from_dict(n, values)
+    expected = {lam: c for lam, c in coeffs.items() if c}
+    assert decompose(chi) == expected
+    assert {lam: inner_product(chi, irreducible_character(lam)) for lam in expected} == expected
+    # off by 1/2 at one class, or a negative coefficient: not a character
+    mu = data.draw(st.sampled_from(partitions(n)))
+    with pytest.raises(NotACharacter):
+        decompose(ClassFunction.from_dict(n, {**values, mu: values[mu] + Fraction(1, 2)}))
+    lam = data.draw(st.sampled_from(partitions(n)))
+    negative = {nu: values[nu] - (coeffs[lam] + 1) * irreducibles[lam][nu] for nu in values}
+    with pytest.raises(NotACharacter):
+        decompose(ClassFunction.from_dict(n, negative))
+
+
 def test_decompose_rejects_non_characters():
     vals = {mu: Fraction(0) for mu in partitions(3)}
     vals[(1, 1, 1)] = Fraction(1)
@@ -135,7 +168,7 @@ def test_induce_to_sym_examples():
     g = Permutation.from_cycles(4, (1, 3), (2, 4))
     ind = induce_to_sym([Permutation.identity(4), g],
                         {Permutation.identity(4): Fraction(1), g: Fraction(-1)})
-    assert ind.dim() == 12
+    assert ind.as_dict()[(1, 1, 1, 1)] == 12
 
 
 @pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)])
@@ -184,7 +217,7 @@ def test_induction_routes_agree(b):
 
 
 def test_induce_young_matches_explicit():
-    psi = ClassFunction.irreducible((2, 1))
+    psi = irreducible_character((2, 1))
     ind = induce_young(psi, 6)
     assert decompose(ind) == {lam: 1 for lam in pieri_induce((2, 1), 6)}
 
