@@ -54,43 +54,41 @@ from .simplicial import SimplicialComplex
 class _Parser(argparse.ArgumentParser):
     """Usage errors are validation errors: exit 1, where argparse exits 2 (the cap code)."""
 
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)  # a flag only as spelled in full
+
     def error(self, message):
         raise ValidationError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, family_ok=True, input_ok=True, pair_ok=True):
-    if input_ok:
+# flag -> (the key a report echoes it under, default)
+_CAPS = {
+    "--cap-subsets": ("subsets", DEFAULT_SUBSET_CAP),
+    "--cap-group": ("group", DEFAULT_GROUP_CAP),
+    "--cap-support": ("support", DEFAULT_SUPPORT_CAP),
+    "--cap-oracle": ("oracle_vertices", DEFAULT_ORACLE_CAP),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, caps, inputs=True, pair=True):
+    """`caps` are the cap flags the command reads; without `inputs` it takes only a family."""
+    if inputs:
         p.add_argument("--input", help="complex document (JSON file, '-' for stdin)")
-    if family_ok:
-        p.add_argument("--family", help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
+    p.add_argument("--family", required=not inputs,
+                   help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
+    if inputs:
         p.add_argument("--m", type=int, help="family rank")
-    else:
-        p.add_argument("--family", required=True,
-                       help="family spec: skeleton:k | join:k1,k2 | vccube | custom:FILE")
-    if pair_ok:
+    if pair:
         p.add_argument("--d", type=int, default=1, help="sphere dimension of the pair (default 1)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
-    p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
-    p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
-    p.add_argument("--cap-oracle", type=int, default=DEFAULT_ORACLE_CAP)
+    for flag in caps:
+        p.add_argument(flag, type=int, default=_CAPS[flag][1])
 
 
 def _caps(args) -> dict:
-    return {
-        "subsets": args.cap_subsets,
-        "group": args.cap_group,
-        "support": args.cap_support,
-        "oracle_vertices": args.cap_oracle,
-    }
-
-
-def _require_moment_angle(args) -> None:
-    """The cellular model and the transported cup product exist for d = 1 only."""
-    if args.d != 1:
-        raise ValidationError(
-            f"--d {args.d}: {args.command} covers only the moment-angle pair, d = 1"
-        )
+    """Every cap as the report echoes it; one the command does not take reads its default."""
+    return {key: getattr(args, flag[2:].replace("-", "_"), default)
+            for flag, (key, default) in _CAPS.items()}
 
 
 def _read_json(path: str):
@@ -240,9 +238,8 @@ def cmd_decompose(args) -> int:
     }
     if args.irreducibles:
         summands = orbit_summands(K, pair, args.degree, m, args.cap_support, found=found)
-        report.irreducibles = padded_table(summands, m)
         payload["irreducibles"] = {
-            _partition_key(b): mult for b, mult in report.irreducibles.items()
+            _partition_key(b): mult for b, mult in padded_table(summands, m).items()
         }
     _emit(args, make_report("decompose", payload, _caps(args)))
     return 0
@@ -333,7 +330,7 @@ def cmd_check_family(args) -> int:
     for J in prefix_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets):
         if not J:
             continue
-        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support)
+        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support, args.cap_group)
         stab_results[_subset_key(J)] = ok
         ok_all = ok_all and ok
     results["stabiliser_consistent"] = stab_results
@@ -351,7 +348,6 @@ def cmd_check_family(args) -> int:
 def cmd_oracle(args) -> int:
     from .cellular import compare_with_hochster  # only the oracle builds the cellular model
 
-    _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     if G is None:
         G = PermGroup.trivial(max((v.index or 1 for v in K.vertices), default=1))
@@ -374,7 +370,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_product(args) -> int:
-    _require_moment_angle(args)
     K, G, _ = _resolve_input(args)
     classes = spanning_classes(K, args.cap_subsets)
     products = product_table(K, classes)
@@ -404,18 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("betti", help="Betti numbers of the polyhedral product")
-    _add_common(p)
+    _add_common(p, ("--cap-subsets",))
     p.add_argument("--per-multidegree", action="store_true")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("decompose", help="orbit decomposition at one degree")
-    _add_common(p)
+    _add_common(p, ("--cap-subsets", "--cap-group", "--cap-support"))
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--irreducibles", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("scan", help="stability scan over a family")
-    _add_common(p, family_ok=False, input_ok=False)
+    _add_common(p, ("--cap-subsets", "--cap-support"), inputs=False)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--m-range", "--m", dest="m_range", required=True,
                    help="rank window A..B")
@@ -424,21 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-family", help="structural checks over a family")
-    _add_common(p, family_ok=False, input_ok=False, pair_ok=False)
+    _add_common(p, ("--cap-subsets", "--cap-support", "--cap-group"),
+                inputs=False, pair=False)
     p.add_argument("--m-range", "--m", dest="m_range", required=True)
     p.add_argument("--max-r", type=int, default=2)
     p.add_argument("--max-stab-size", type=int, default=3)
     p.set_defaults(func=cmd_check_family)
 
-    p = sub.add_parser("oracle", help="cross-check the two pipelines")
-    _add_common(p)
+    p = sub.add_parser("oracle", help="cross-check the two pipelines (d = 1)")
+    _add_common(p, ("--cap-subsets", "--cap-oracle"), pair=False)
     p.add_argument("--degrees", help="comma separated ambient degrees")
     p.add_argument("--flip-koszul", action="store_true",
                    help="deliberately corrupt the smash twist (negative control)")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("product", help="cup product table and equivariance check")
-    _add_common(p)
+    p = sub.add_parser("product", help="cup product table and equivariance check (d = 1)")
+    _add_common(p, ("--cap-subsets",), pair=False)
     p.add_argument("--check-equivariance", action="store_true")
     p.set_defaults(func=cmd_product)
     return top
@@ -450,8 +446,8 @@ def main(argv=None) -> int:
     summand_memo.clear()
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("--cap-subsets", "--cap-group", "--cap-support", "--cap-oracle"):
-            cap = getattr(args, flag[2:].replace("-", "_"))
+        for flag in _CAPS:
+            cap = getattr(args, flag[2:].replace("-", "_"), 0)  # 0: a cap it does not take
             if cap < 0:
                 raise ValidationError(f"{flag} {cap}: need at least 0")
         for path in (args.output, getattr(args, "csv", None)):

@@ -16,6 +16,7 @@ from math import factorial
 from .errors import ValidationError
 from .hochster import SpherePair, orbit_summands, padded_table, pattern_summands
 from .perms import (
+    DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
@@ -208,13 +209,14 @@ def check_r_face_stable(f: Family, r: int, d: int, m_range) -> bool:
 
 
 def check_stabiliser_consistent(
-    f: Family, J, m_range, support_cap: int = DEFAULT_SUPPORT_CAP
+    f: Family, J, m_range, support_cap: int = DEFAULT_SUPPORT_CAP,
+    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> bool:
     """stab(J, m) = (finite part on the support) × Σ_{m-b} with b = |support|.
 
     Verified by the exact order identity against a brute-force stabilizer
-    count in Σ_m, and by checking that the complement symmetric group fixes
-    J pointwise.
+    count over Σ_m (m! at most `group_cap`), and by checking that the
+    complement symmetric group fixes J pointwise.
     """
     Jw = frozenset(J)
     b = len({v.index for v in Jw if v.index is not None})
@@ -228,7 +230,7 @@ def check_stabiliser_consistent(
         if comp_rank != m - len(support):
             return False
         expected = len(finite_part) * factorial(comp_rank)
-        if stabilizer_order_in_sym(Jw, Km, m) != expected:
+        if stabilizer_order_in_sym(Jw, Km, m, group_cap) != expected:
             return False
         complement = [i for i in range(1, m + 1) if i not in support]
         for gen in _sym_generators_on(complement, m):

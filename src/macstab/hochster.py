@@ -153,19 +153,14 @@ class MultidegreeComponent:
         self.generator_character = generator_character
         self.element_character = element_character
 
-    @property
-    def total(self) -> int:
-        return self.orbit_size * self.dim
-
 
 class EquivariantReport:
-    __slots__ = ("degree", "betti", "components", "irreducibles")
+    __slots__ = ("degree", "betti", "components")
 
     def __init__(self, degree: int, betti: int):
         self.degree = degree
         self.betti = betti
         self.components: list[MultidegreeComponent] = []
-        self.irreducibles: dict[Partition, int] | None = None
 
 
 def summand_character(
@@ -229,21 +224,22 @@ def equivariant_decomposition(
     in the `face_key` order of the orbit table's representatives.
 
     `found` is `nonzero_summands(K, G, pair, i)`, computed by a caller that
-    has checked that G preserves K.
+    has checked that G preserves K.  The generators are traced on their own
+    only when `group_cap` stops the enumeration of the stabiliser.
     """
     table, summands = found
     report = EquivariantReport(degree=i, betti=0)
     for rep, p, dim in summands:
         gens = table.stabilizer_gens(rep)
-        gen_char = summand_character(K, rep, gens, p, pair)
-        elem_char = None
-        order = None
         try:
             elements = enumerate_group(list(gens), cap=group_cap)
+        except CapExceeded:
+            order, elem_char = None, None
+            gen_char = summand_character(K, rep, gens, p, pair)
+        else:
             order = len(elements)
             elem_char = summand_character(K, rep, elements, p, pair)
-        except CapExceeded:
-            pass
+            gen_char = {g: elem_char[g] for g in gens}
         report.components.append(
             MultidegreeComponent(
                 rep=rep,

@@ -367,14 +367,15 @@ def pattern_orbit_reps(
     least subset puts the fibres on the indices 1..b in the order of their
     sorted tags, a fibre after its own extensions.  Same representatives, order,
     sizes and count as `subset_orbit_reps` under `PermGroup.symmetric(m)`;
-    the table carries no BFS words.
+    the table carries no BFS words.  `cap` bounds the representatives listed,
+    not the count of subsets they add up to.
     """
     unindexed = [v for v in K.vertices if v.index is None]
     tags = sorted({v.tag for v in K.vertices if v.index is not None})
     indexed = {v for v in K.vertices if v.index is not None}
     if indexed != {Vertex(i, t) for i in range(1, m + 1) for t in tags}:
         raise ValidationError(f"the vertex set is not closed under Σ_{m}")
-    top, total = _checked_sizes(len(K.vertices), max_size, cap)
+    top, total = _checked_sizes(len(K.vertices), max_size, 1 << len(K.vertices))
     fibres = sorted(
         (c for r in range(1, len(tags) + 1) for c in combinations(tags, r)),
         key=lambda c: c + (float("inf"),),
@@ -389,6 +390,8 @@ def pattern_orbit_reps(
             ties = prod(factorial(c) for c in Counter(placed).values())
             for r in range(min(len(unindexed), top - len(indexed_part)) + 1):
                 for U in combinations(unindexed, r):
+                    if len(table.representatives) >= cap:
+                        raise CapExceeded(f"orbit representatives exceed the subset cap {cap}")
                     rep = frozenset(indexed_part.union(U))
                     table.representatives.append(rep)
                     table.orbit_sizes[rep] = factorial(m) // (factorial(m - b) * ties)
@@ -444,10 +447,10 @@ def support_split(
     return support, finite_part, m - len(support)
 
 
-def stabilizer_order_in_sym(J, K: SimplicialComplex, m: int) -> int:
-    """|stab(J, m)| inside Σ_m by brute force; only for small m."""
-    if m > 8:
-        raise CapExceeded("brute-force stabilizer only for m <= 8")
+def stabilizer_order_in_sym(J, K: SimplicialComplex, m: int, cap: int = DEFAULT_GROUP_CAP) -> int:
+    """|stab(J, m)| inside Σ_m by brute force over its m! elements, at most `cap`."""
+    if factorial(m) > cap:
+        raise CapExceeded(f"the {m}! elements of Σ_{m} exceed the group cap {cap}")
     Jw = frozenset(J)
     count = 0
     for imgs in iter_permutations(range(1, m + 1)):

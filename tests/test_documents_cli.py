@@ -321,15 +321,123 @@ def test_cli_input_with_a_family_flag_is_a_conflict(tmp_path, capsys, command, e
         ("oracle", "--family", "skeleton:0", "--m", "4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-support", "1"),
+        # the brute-force stabiliser lists Σ_5's 5! = 120 elements
+        ("check-family", "--family", "skeleton:0", "--m", "3..5", "--max-stab-size", "1",
+         "--cap-group", "100"),
+        ("product", "--family", "skeleton:0", "--m", "3", "--cap-subsets", "1"),
+        ("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--cap-subsets", "1"),
     ],
     ids=["scan", "scan-betti-only", "scan-support", "scan-default-support", "oracle",
-         "check-family", "check-family-support"],
+         "check-family", "check-family-support", "check-family-group", "product", "decompose"],
 )
 def test_cli_every_command_honours_its_caps(capsys, argv):
     from macstab.cli import main
 
     assert main(list(argv)) == 2
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_cli_check_family_stabiliser_count_is_bounded_by_the_group_cap(capsys):
+    from macstab.cli import main
+
+    argv = ["check-family", "--family", "skeleton:0", "--m", "3..5", "--max-stab-size", "1"]
+    assert main([*argv, "--cap-group", "100"]) == 2
+    assert "5! elements of Σ_5 exceed the group cap 100" in capsys.readouterr().err
+    assert main([*argv, "--cap-group", "120"]) == 0
+    assert report_of(capsys.readouterr().out)["all_passed"] is True
+
+
+@pytest.mark.parametrize("extra", [(), ("--betti-only",)], ids=["full", "betti-only"])
+def test_cli_pattern_scan_caps_the_representatives_it_lists(capsys, extra):
+    from macstab.cli import main
+
+    # at m = 12, 1 + 12 + 66 + 220 = 299 subsets of at most 3 points reach
+    # degree 3, in the 4 orbits of the subsets of sizes 0..3
+    argv = ["scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..12", *extra]
+    assert main([*argv, "--cap-subsets", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["caps"]["subsets"] == 4
+    assert main([*argv, "--cap-subsets", "3"]) == 2
+    assert "orbit representatives exceed the subset cap 3" in capsys.readouterr().err
+
+
+def test_cli_decompose_traces_each_stabiliser_element_once(monkeypatch, capsys):
+    from macstab.cli import main
+
+    argv = ["decompose", "--family", "vccube", "--m", "3", "--degree", "5"]
+    traced = _count_bound_calls(monkeypatch, "homology", "cohomology_trace")
+    assert main(argv) == 0
+    components = report_of(capsys.readouterr().out)["components"]
+    assert len(traced) == sum(c["stabilizer_order"] for c in components) == 12
+    # with the enumeration stopped by the group cap, the generators alone are
+    # traced, to the same values
+    traced.clear()
+    assert main([*argv, "--cap-group", "1"]) == 0
+    capped = report_of(capsys.readouterr().out)["components"]
+    assert len(traced) == sum(len(c["generator_traces"]) for c in capped)
+    assert [c["generator_traces"] for c in capped] == [c["generator_traces"] for c in components]
+    assert all(c["stabilizer_order"] is None and "character" not in c for c in capped)
+
+
+# the flags each command does not read, and abbreviations of the flags it does
+NOT_TAKEN = [
+    ("betti", "--family", "skeleton:0", "--m", "3", "--cap-group", "5"),
+    ("betti", "--family", "skeleton:0", "--m", "3", "--cap-support", "5"),
+    ("betti", "--family", "skeleton:0", "--m", "3", "--cap-oracle", "5"),
+    ("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--cap-oracle", "5"),
+    ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--cap-group", "5"),
+    ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--cap-oracle", "5"),
+    ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-oracle", "5"),
+    ("oracle", "--family", "skeleton:0", "--m", "3", "--cap-group", "5"),
+    ("oracle", "--family", "skeleton:0", "--m", "3", "--cap-support", "5"),
+    ("oracle", "--family", "skeleton:0", "--m", "3", "--d", "1"),
+    ("product", "--family", "skeleton:0", "--m", "3", "--cap-group", "5"),
+    ("product", "--family", "skeleton:0", "--m", "3", "--cap-support", "5"),
+    ("product", "--family", "skeleton:0", "--m", "3", "--cap-oracle", "5"),
+    ("product", "--family", "skeleton:0", "--m", "3", "--d", "1"),
+    ("decompose", "--family", "vccube", "--m", "3", "--degree", "5", "--irr"),
+    ("betti", "--fam", "skeleton:0", "--m", "3", "--cap-sub", "5"),
+    # not `--degrees 2`
+    ("oracle", "--family", "vccube", "--m", "3", "--d", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", NOT_TAKEN, ids=[" ".join(a) for a in NOT_TAKEN])
+def test_cli_refuses_a_flag_the_command_does_not_take(capsys, argv):
+    from macstab.cli import main
+
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unrecognized arguments: ")
+    for flag in argv:
+        if flag.startswith("--") and flag not in ("--family", "--m", "--degree"):
+            assert flag in err
+
+
+def test_cli_each_command_takes_the_flags_it_reads():
+    import argparse
+
+    from macstab.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    document = ["--input", "--family", "--m"]
+    assert surface == {
+        "betti": [*document, "--d", "--output", "--cap-subsets", "--per-multidegree"],
+        "decompose": [*document, "--d", "--output", "--cap-subsets", "--cap-group",
+                      "--cap-support", "--degree", "--irreducibles"],
+        "scan": ["--family", "--d", "--output", "--cap-subsets", "--cap-support", "--degree",
+                 "--m-range", "--m", "--betti-only", "--csv"],
+        "check-family": ["--family", "--output", "--cap-subsets", "--cap-support", "--cap-group",
+                         "--m-range", "--m", "--max-r", "--max-stab-size"],
+        "oracle": [*document, "--output", "--cap-subsets", "--cap-oracle", "--degrees",
+                   "--flip-koszul"],
+        "product": [*document, "--output", "--cap-subsets", "--check-equivariance"],
+    }
+    # one settable value per action: 48 across the six commands
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 48
 
 
 @pytest.mark.parametrize(
@@ -612,13 +720,16 @@ def test_cli_fuzz_returns_an_exit_code(doc, flags, d):
     from macstab.cli import main
 
     command, extra = flags
-    argv = [command, "--input", "-", "--d", d, "--cap-subsets", "64",
-            "--cap-oracle", "5", *extra]
+    # each command with its own flags only: the pair for betti and decompose,
+    # the cellular model's cap for oracle
+    own = {"betti": ["--d", d], "decompose": ["--d", d], "oracle": ["--cap-oracle", "5"]}
+    argv = [command, "--input", "-", "--cap-subsets", "64", *own.get(command, []), *extra]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
             redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), (argv, doc, err.getvalue())
+    assert "unrecognized arguments" not in err.getvalue(), argv
 
 
 def test_cli_decompose_irreducibles_builds_one_orbit_table(monkeypatch, capsys):
