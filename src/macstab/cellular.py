@@ -118,44 +118,16 @@ def block_trace(
     return block.trace(i, block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
 
 
-class DiffEntry:
-    __slots__ = ("kind", "subset", "degree", "element", "combinatorial", "cellular")
-
-    def __init__(self, kind: str, subset: tuple, degree: int, element: str,
-                 combinatorial: str, cellular: str):
-        self.kind = kind
-        self.subset = subset
-        self.degree = degree
-        self.element = element
-        self.combinatorial = combinatorial
-        self.cellular = cellular
-
-    def as_dict(self) -> dict:
-        """The fields by name, in declaration order."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class DiffReport:
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[DiffEntry] = []
-
-    @property
-    def empty(self) -> bool:
-        return not self.entries
-
-    def add(self, kind, subset, degree, element, lhs, rhs):
-        self.entries.append(
-            DiffEntry(
-                kind=kind,
-                subset=tuple(sorted(str(v) for v in subset)),
-                degree=degree,
-                element=str(element),
-                combinatorial=str(lhs),
-                cellular=str(rhs),
-            )
-        )
+def _discrepancy(kind: str, subset, degree: int, element, combinatorial, cellular) -> dict:
+    """One disagreement as the oracle report lists it."""
+    return {
+        "kind": kind,
+        "subset": tuple(sorted(str(v) for v in subset)),
+        "degree": degree,
+        "element": str(element),
+        "combinatorial": str(combinatorial),
+        "cellular": str(cellular),
+    }
 
 
 def compare_with_hochster(
@@ -165,8 +137,9 @@ def compare_with_hochster(
     flip_koszul: bool = False,
     cap: int = DEFAULT_ORACLE_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> DiffReport:
-    """Cross-check the split pipeline against the cellular one, orbit by orbit.
+) -> list[dict]:
+    """Cross-check the split pipeline against the cellular one, orbit by orbit,
+    returning the discrepancies found (none when the two agree).
 
     Verifies, per orbit representative J and ambient degree: the dimension of
     H̃^{i-|J|-1}(K_J) against the block cohomology, and the trace of every
@@ -178,7 +151,7 @@ def compare_with_hochster(
         raise ValidationError("the group does not preserve the complex")
     Z = MomentAngleCellComplex(K, cap=cap)
     table = subset_orbit_reps(K, G, cap=subset_cap)
-    report = DiffReport()
+    found: list[dict] = []
     degrees = list(degrees)
     for rep in table.representatives:
         coh = reduced_cohomology(full_subcomplex(K, rep))
@@ -188,7 +161,7 @@ def compare_with_hochster(
             hoch_dim = coh.dim(p)
             cell_dim = Z.blocks[rep].dim(i)
             if hoch_dim != cell_dim:
-                report.add("dimension", rep, i, "-", hoch_dim, cell_dim)
+                found.append(_discrepancy("dimension", rep, i, "-", hoch_dim, cell_dim))
                 continue
             if hoch_dim == 0:
                 continue
@@ -200,13 +173,12 @@ def compare_with_hochster(
                     lhs *= restriction_sign(g, rep)
                 rhs = block_trace(Z, g, rep, i)
                 if lhs != rhs:
-                    report.add("trace", rep, i, g, lhs, rhs)
+                    found.append(_discrepancy("trace", rep, i, g, lhs, rhs))
     hoch_betti = hochster_betti(K, MOMENT_ANGLE, cap=subset_cap)
     cell_betti = Z.betti()
     for i in degrees:
         hb = hoch_betti.get(i, 0)
         cb = cell_betti.get(i, 0)
         if hb != cb:
-            report.add("betti", (), i, "-", hb, cb)
-    return report
-
+            found.append(_discrepancy("betti", (), i, "-", hb, cb))
+    return found

@@ -48,7 +48,7 @@ from .perms import (
     is_g_complex,
     prefix_subsets,
 )
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, subset_label
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,6 +139,8 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
         return K, G, args.m
     if args.input:
         K, G = parse_complex(_read_json(args.input))
+        if G is not None and not is_g_complex(K, G):
+            raise ValidationError("the group does not preserve the complex")
         return K, G, None
     raise ValidationError("provide --input FILE or --family SPEC --m N")
 
@@ -168,10 +170,6 @@ def _emit(args, doc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _subset_key(J) -> str:
-    return "{" + ",".join(str(v) for v in sorted(J)) + "}"
-
-
 def _partition_key(p) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 
@@ -184,8 +182,6 @@ def cmd_betti(args) -> int:
         payload = {"degrees": {str(i): b for i, b in table.items()}}
     else:
         # every summand once: the Betti numbers are the sums of the split's rows
-        if G is not None and not is_g_complex(K, G):
-            raise ValidationError("the group does not preserve the complex")
         split = betti_split(K, pair, cap=args.cap_subsets)
         table: dict[int, int] = {}
         for row in split.values():
@@ -193,8 +189,8 @@ def cmd_betti(args) -> int:
                 table[i] = table.get(i, 0) + dim
         payload = {"degrees": {str(i): b for i, b in sorted(table.items())}}
         payload["multidegrees"] = {
-            _subset_key(J): {str(i): d for i, d in row.items()}
-            for J, row in sorted(split.items(), key=lambda kv: _subset_key(kv[0]))
+            subset_label(J): {str(i): d for i, d in row.items()}
+            for J, row in sorted(split.items(), key=lambda kv: subset_label(kv[0]))
         }
     _emit(args, make_report("betti", payload, _caps(args)))
     return 0
@@ -207,34 +203,24 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose needs a group (document group or --family)")
     if args.irreducibles and m is None:
         raise ValidationError("--irreducibles needs a family input (index action)")
-    if not is_g_complex(K, G):
-        raise ValidationError("the group does not preserve the complex")
     # one orbit table for both reports; a family's group is the index action of Σ_m
     found = nonzero_summands(K, G, pair, args.degree, cap=args.cap_subsets)
-    report = equivariant_decomposition(K, G, pair, args.degree, found, group_cap=args.cap_group)
-    comps = []
-    for c in report.components:
-        entry = {
-            "orbit_representative": _subset_key(c.rep),
-            "orbit_size": c.orbit_size,
-            "restriction_degree": c.degree_p,
-            "dimension": c.dim,
-            "stabilizer_order": c.stabilizer_order,
-            "generator_traces": {
-                str(g): str(t) for g, t in c.generator_character.items()
-            },
-        }
-        if c.element_character is not None:
-            entry["character"] = {
-                str(g): str(t) for g, t in sorted(
-                    c.element_character.items(), key=lambda kv: str(kv[0])
-                )
-            }
-        comps.append(entry)
+    components = equivariant_decomposition(K, pair, found, args.cap_group)
     payload = {
         "degree": args.degree,
-        "betti": report.betti,
-        "components": comps,
+        "betti": sum(c.orbit_size * c.dim for c in components),
+        "components": [
+            {
+                "orbit_representative": subset_label(c.rep),
+                "orbit_size": c.orbit_size,
+                "restriction_degree": c.degree_p,
+                "dimension": c.dim,
+                "stabilizer_order": len(c.character),
+                "generator_traces": {str(g): str(c.character[g]) for g in c.generators},
+                "character": {str(g): str(t) for g, t in c.character.items()},
+            }
+            for c in components
+        ],
     }
     if args.irreducibles:
         summands = orbit_summands(K, pair, args.degree, m, args.cap_support, found=found)
@@ -331,7 +317,7 @@ def cmd_check_family(args) -> int:
         if not J:
             continue
         ok = check_stabiliser_consistent(fam, J, ms, args.cap_support, args.cap_group)
-        stab_results[_subset_key(J)] = ok
+        stab_results[subset_label(J)] = ok
         ok_all = ok_all and ok
     results["stabiliser_consistent"] = stab_results
     # vertex stability + stabiliser splitting is what the stability theory
@@ -355,18 +341,18 @@ def cmd_oracle(args) -> int:
         degrees = [parse_int(x, "--degrees entry") for x in args.degrees.split(",")]
     else:
         degrees = list(range(0, 2 * len(K.vertices) + 1))
-    diff = compare_with_hochster(
+    found = compare_with_hochster(
         K, G, degrees,
         flip_koszul=args.flip_koszul, cap=args.cap_oracle, subset_cap=args.cap_subsets,
     )
     payload = {
         "degrees": degrees,
         "flip_koszul": bool(args.flip_koszul),
-        "discrepancies": [e.as_dict() for e in diff.entries],
-        "verdict": "no discrepancies" if diff.empty else f"{len(diff.entries)} discrepancies",
+        "discrepancies": found,
+        "verdict": f"{len(found)} discrepancies" if found else "no discrepancies",
     }
     _emit(args, make_report("oracle", payload, _caps(args)))
-    return 0 if diff.empty else 3
+    return 3 if found else 0
 
 
 def cmd_product(args) -> int:
@@ -378,8 +364,8 @@ def cmd_product(args) -> int:
         for b, prod in zip(classes, row):
             table.append(
                 {
-                    "left": {"subset": _subset_key(a.subset), "degree": a.degree},
-                    "right": {"subset": _subset_key(b.subset), "degree": b.degree},
+                    "left": {"subset": subset_label(a.subset), "degree": a.degree},
+                    "right": {"subset": subset_label(b.subset), "degree": b.degree},
                     "zero": class_is_zero_in_cohomology(K, prod),
                 }
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceeded, OracleMismatch, ValidationError
+from .errors import OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
 from .homology import RestrictionDims, cohomology_trace, reduced_cohomology
 from .perms import (
@@ -39,7 +39,7 @@ from .perms import (
     subset_orbit_reps,
 )
 from .records import FrozenRecord
-from .simplicial import SimplicialComplex, full_subcomplex
+from .simplicial import SimplicialComplex, full_subcomplex, subset_label
 from .symrep import (
     ClassFunction,
     Partition,
@@ -132,8 +132,10 @@ def _ambient_dims(restricted: RestrictionDims, pair: SpherePair, J) -> dict[int,
 
 
 class MultidegreeComponent:
-    __slots__ = ("rep", "orbit_size", "degree_p", "dim", "stabilizer_order",
-                 "generator_character", "element_character")
+    """One orbit summand of `equivariant_decomposition`: its representative's
+    stabiliser generators, and the character of every stabiliser element."""
+
+    __slots__ = ("rep", "orbit_size", "degree_p", "dim", "generators", "character")
 
     def __init__(
         self,
@@ -141,26 +143,15 @@ class MultidegreeComponent:
         orbit_size: int,
         degree_p: int,
         dim: int,
-        stabilizer_order: int | None,
-        generator_character: dict[Permutation, Fraction],
-        element_character: dict[Permutation, Fraction] | None,
+        generators: tuple[Permutation, ...],
+        character: dict[Permutation, Fraction],
     ):
         self.rep = rep
         self.orbit_size = orbit_size
         self.degree_p = degree_p
         self.dim = dim
-        self.stabilizer_order = stabilizer_order
-        self.generator_character = generator_character
-        self.element_character = element_character
-
-
-class EquivariantReport:
-    __slots__ = ("degree", "betti", "components")
-
-    def __init__(self, degree: int, betti: int):
-        self.degree = degree
-        self.betti = betti
-        self.components: list[MultidegreeComponent] = []
+        self.generators = generators
+        self.character = character
 
 
 def summand_character(
@@ -214,45 +205,36 @@ def _nonzero(K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable) 
 
 def equivariant_decomposition(
     K: SimplicialComplex,
-    G: PermGroup,
     pair: SpherePair,
-    i: int,
     found: NonzeroSummands,
     group_cap: int = DEFAULT_GROUP_CAP,
-) -> EquivariantReport:
+) -> list[MultidegreeComponent]:
     """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero,
     in the `face_key` order of the orbit table's representatives.
 
     `found` is `nonzero_summands(K, G, pair, i)`, computed by a caller that
-    has checked that G preserves K.  The generators are traced on their own
-    only when `group_cap` stops the enumeration of the stabiliser.
+    has checked that G preserves K.  Each summand's stabiliser is listed in
+    full and every element traced; a stabiliser past `group_cap` raises
+    `CapExceeded` naming the representative.
     """
     table, summands = found
-    report = EquivariantReport(degree=i, betti=0)
+    components = []
     for rep, p, dim in summands:
         gens = table.stabilizer_gens(rep)
-        try:
-            elements = enumerate_group(list(gens), cap=group_cap)
-        except CapExceeded:
-            order, elem_char = None, None
-            gen_char = summand_character(K, rep, gens, p, pair)
-        else:
-            order = len(elements)
-            elem_char = summand_character(K, rep, elements, p, pair)
-            gen_char = {g: elem_char[g] for g in gens}
-        report.components.append(
+        elements = enumerate_group(
+            list(gens), cap=group_cap, name=f"the stabiliser of {subset_label(rep)}"
+        )
+        components.append(
             MultidegreeComponent(
                 rep=rep,
                 orbit_size=table.orbit_sizes[rep],
                 degree_p=p,
                 dim=dim,
-                stabilizer_order=order,
-                generator_character=gen_char,
-                element_character=elem_char,
+                generators=gens,
+                character=summand_character(K, rep, elements, p, pair),
             )
         )
-        report.betti += table.orbit_sizes[rep] * dim
-    return report
+    return components
 
 
 # -- Σ_m irreducible decompositions ------------------------------------------

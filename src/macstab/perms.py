@@ -185,8 +185,11 @@ class PermGroup(FrozenRecord):
         return Permutation.identity(self.degree)
 
 
-def enumerate_group(gens: list[Permutation], cap: int = DEFAULT_GROUP_CAP) -> list[Permutation]:
-    """Full element list by breadth-first closure, deterministic order."""
+def enumerate_group(
+    gens: list[Permutation], cap: int = DEFAULT_GROUP_CAP, name: str = "the group"
+) -> list[Permutation]:
+    """Full element list by breadth-first closure, deterministic order; past
+    `cap` elements, `CapExceeded` names the group by `name`."""
     if not gens:
         raise ValidationError("need at least one generator")
     ident = Permutation.identity(gens[0].degree)
@@ -200,7 +203,7 @@ def enumerate_group(gens: list[Permutation], cap: int = DEFAULT_GROUP_CAP) -> li
                 e = g * h
                 if e not in seen:
                     if len(seen) >= cap:
-                        raise CapExceeded(f"group closure exceeds cap {cap}")
+                        raise CapExceeded(f"{name} exceeds the group cap {cap}")
                     seen.add(e)
                     order.append(e)
                     nxt.append(e)

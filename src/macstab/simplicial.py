@@ -64,6 +64,11 @@ def face_key(face) -> tuple:
     return tuple(sorted(v.sort_key for v in face))
 
 
+def subset_label(J) -> str:
+    """A vertex set as reports and messages print it: "{1,2,3}", in vertex order."""
+    return "{" + ",".join(str(v) for v in sorted(J)) + "}"
+
+
 class SimplicialComplex:
     """Immutable complex given by facets.
 
@@ -118,7 +123,7 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         fs = sorted(self.facets, key=face_key)
-        shown = ", ".join("{" + ",".join(str(v) for v in sorted(f)) + "}" for f in fs[:8])
+        shown = ", ".join(subset_label(f) for f in fs[:8])
         more = "" if len(fs) <= 8 else f", ... ({len(fs)} facets)"
         return f"SimplicialComplex(V={len(self.vertices)}, facets=[{shown}{more}])"
 

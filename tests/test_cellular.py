@@ -174,13 +174,13 @@ def test_vertex_cap():
 
 
 def test_compare_square(square, c4):
-    assert compare_with_hochster(square, c4, range(0, 8)).empty
+    assert compare_with_hochster(square, c4, range(0, 8)) == []
 
 
 def test_compare_flip_koszul_nonempty(square, c4):
     diff = compare_with_hochster(square, c4, range(0, 8), flip_koszul=True)
-    assert not diff.empty
-    assert all(e.kind == "trace" for e in diff.entries)
+    assert diff != []
+    assert all(e["kind"] == "trace" for e in diff)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -188,16 +188,16 @@ def test_compare_disjoint_points(m):
     diff = compare_with_hochster(
         skeleton(m, 0), PermGroup.symmetric(m), range(0, 2 * m + 1)
     )
-    assert diff.empty
+    assert diff == []
 
 
 def test_compare_skeleton41_and_pentagon():
     assert compare_with_hochster(
         skeleton(4, 1), PermGroup.symmetric(4), range(0, 9)
-    ).empty
+    ) == []
     assert compare_with_hochster(
         vc_cube_dual(2), PermGroup.symmetric(2), range(0, 11)
-    ).empty
+    ) == []
 
 
 def _random_complex(rng, n=5):
@@ -226,4 +226,4 @@ def test_compare_random_complexes():
         K = _random_complex(rng)
         G = _symmetry_group(K)
         assert is_g_complex(K, G)
-        assert compare_with_hochster(K, G, range(0, 11)).empty
+        assert compare_with_hochster(K, G, range(0, 11)) == []

@@ -326,9 +326,11 @@ def test_cli_input_with_a_family_flag_is_a_conflict(tmp_path, capsys, command, e
          "--cap-group", "100"),
         ("product", "--family", "skeleton:0", "--m", "3", "--cap-subsets", "1"),
         ("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--cap-subsets", "1"),
+        ("decompose", "--family", "vccube", "--m", "3", "--degree", "5", "--cap-group", "1"),
     ],
     ids=["scan", "scan-betti-only", "scan-support", "scan-default-support", "oracle",
-         "check-family", "check-family-support", "check-family-group", "product", "decompose"],
+         "check-family", "check-family-support", "check-family-group", "product", "decompose",
+         "decompose-group"],
 )
 def test_cli_every_command_honours_its_caps(capsys, argv):
     from macstab.cli import main
@@ -360,7 +362,7 @@ def test_cli_pattern_scan_caps_the_representatives_it_lists(capsys, extra):
     assert "orbit representatives exceed the subset cap 3" in capsys.readouterr().err
 
 
-def test_cli_decompose_traces_each_stabiliser_element_once(monkeypatch, capsys):
+def test_cli_decompose_traces_each_stabiliser_element_once(monkeypatch, capsys, tmp_path):
     from macstab.cli import main
 
     argv = ["decompose", "--family", "vccube", "--m", "3", "--degree", "5"]
@@ -368,14 +370,30 @@ def test_cli_decompose_traces_each_stabiliser_element_once(monkeypatch, capsys):
     assert main(argv) == 0
     components = report_of(capsys.readouterr().out)["components"]
     assert len(traced) == sum(c["stabilizer_order"] for c in components) == 12
-    # with the enumeration stopped by the group cap, the generators alone are
-    # traced, to the same values
+    # a stabiliser past the group cap is a cap that is hit: no trace, no report
     traced.clear()
-    assert main([*argv, "--cap-group", "1"]) == 0
-    capped = report_of(capsys.readouterr().out)["components"]
-    assert len(traced) == sum(len(c["generator_traces"]) for c in capped)
-    assert [c["generator_traces"] for c in capped] == [c["generator_traces"] for c in components]
-    assert all(c["stabilizer_order"] is None and "character" not in c for c in capped)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--cap-group", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "cap exceeded: the stabiliser of {1,2,3} exceeds the group cap 1\n"
+    assert traced == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, m, degree, betti",
+    [("vccube", 3, 5, 2), ("skeleton:1", 5, 5, 10), ("skeleton:0", 5, 3, 10),
+     ("join:1,0", 4, 6, 3)],
+)
+def test_cli_decompose_betti_is_the_betti_commands(capsys, family, m, degree, betti):
+    # the sum of orbit size times dimension over the components, against the
+    # dimensions `betti` reads off K's own coboundary rows
+    from macstab.cli import main
+
+    argv = ["--family", family, "--m", str(m)]
+    assert main(["decompose", *argv, "--degree", str(degree)]) == 0
+    decomposed = report_of(capsys.readouterr().out)["betti"]
+    assert main(["betti", *argv]) == 0
+    assert decomposed == report_of(capsys.readouterr().out)["degrees"][str(degree)] == betti
 
 
 # the flags each command does not read, and abbreviations of the flags it does
@@ -461,6 +479,25 @@ def test_cli_decompose_report_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--family", "vccube", "--m", "3"),
+         "5a793560901e88da191062d34f83d10116b8ec47aa8207a957c69f7cd17d1518"),
+        (("--family", "skeleton:1", "--m", "4"),
+         "075debafd2edb52e1a6f147595d1d2cfd283c1800ad8ad592809f9513644192f"),
+    ],
+    ids=["vccube-m3", "skeleton1-m4"],
+)
+def test_cli_oracle_discrepancy_report_is_pinned(capsys, argv, digest):
+    # the benchmark pins only reports with no discrepancies; a corrupted
+    # smash twist lists them
+    from macstab.cli import main
+
+    assert main(["oracle", *argv, "--flip-koszul"]) == 3
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _count_stabilizer_calls(monkeypatch):
     """Record the representative of every OrbitTable.stabilizer_gens call."""
     from macstab.perms import OrbitTable
@@ -518,8 +555,9 @@ def test_cli_oracle_builds_stabilizer_generators_once_per_orbit(monkeypatch, tmp
 
 @pytest.mark.parametrize(
     "argv",
-    [("betti",), ("oracle",), ("betti", "--per-multidegree")],
-    ids=["betti", "oracle", "betti-per-multidegree"],
+    [("betti",), ("oracle",), ("betti", "--per-multidegree"), ("product",),
+     ("decompose", "--degree", "1")],
+    ids=["betti", "oracle", "betti-per-multidegree", "product", "decompose"],
 )
 def test_cli_group_must_preserve_the_complex(argv):
     doc = {"vertices": [{"id": "a", "index": 3}], "facets": [],

@@ -125,52 +125,51 @@ def test_betti_split_square(square):
 
 
 def test_equivariant_decomposition_square(square, c4):
-    report = equivariant_decomposition(
-        square, c4, MOMENT_ANGLE, 3, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
+    components = equivariant_decomposition(
+        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
     )
-    assert report.betti == 2
-    (comp,) = report.components
+    assert sum(c.orbit_size * c.dim for c in components) == 2
+    (comp,) = components
     v = {w.index: w for w in square.vertices}
     assert comp.rep == frozenset({v[1], v[3]})
     assert comp.orbit_size == 2 and comp.dim == 1
-    assert comp.stabilizer_order == 2
+    assert len(comp.character) == 2
     g = Permutation.from_cycles(4, (1, 3), (2, 4))
-    assert comp.element_character[g] == 1  # -1 trace times -1 twist
+    assert comp.character[g] == 1  # -1 trace times -1 twist
 
 
 def test_equivariant_decomposition_degree_zero(square, c4):
-    report = equivariant_decomposition(
-        square, c4, MOMENT_ANGLE, 0, nonzero_summands(square, c4, MOMENT_ANGLE, 0)
+    (comp,) = equivariant_decomposition(
+        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 0)
     )
-    (comp,) = report.components
     assert comp.rep == frozenset() and comp.dim == 1
-    assert all(v == 1 for v in comp.element_character.values())
+    assert all(v == 1 for v in comp.character.values())
 
 
 def test_equivariant_decomposition_skeleton_i3():
     m = 5
     K, G = skeleton(m, 0), PermGroup.symmetric(m)
-    report = equivariant_decomposition(K, G, MOMENT_ANGLE, 3, nonzero_summands(K, G, MOMENT_ANGLE, 3))
-    (comp,) = report.components
+    components = equivariant_decomposition(K, MOMENT_ANGLE, nonzero_summands(K, G, MOMENT_ANGLE, 3))
+    (comp,) = components
     assert comp.rep == frozenset({Vertex(1), Vertex(2)})
     assert comp.dim == 1 and comp.orbit_size == comb(m, 2)
-    assert report.betti == comb(m, 2)
+    assert sum(c.orbit_size * c.dim for c in components) == comb(m, 2)
 
 
 def test_character_constant_on_classes_and_dim(square, c4):
-    report = equivariant_decomposition(
-        square, c4, MOMENT_ANGLE, 3, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
+    components = equivariant_decomposition(
+        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
     )
-    comp = report.components[0]
+    comp = components[0]
     ident = Permutation.identity(4)
-    assert comp.element_character[ident] == comp.dim
+    assert comp.character[ident] == comp.dim
     # conjugation inside the stabilizer preserves the character
-    elems = list(comp.element_character)
+    elems = list(comp.character)
     for a in elems:
         for b in elems:
             conj = a * b * a.inverse()
-            if conj in comp.element_character:
-                assert comp.element_character[conj] == comp.element_character[b]
+            if conj in comp.character:
+                assert comp.character[conj] == comp.character[b]
 
 
 # -- stable decompositions -----------------------------------------------------
