@@ -29,7 +29,7 @@ from .perms import (
     restriction_sign,
     subset_orbit_reps,
 )
-from .simplicial import SimplicialComplex, full_subcomplex
+from .simplicial import SimplicialComplex, full_subcomplex, subset_label
 
 Cell = tuple[frozenset, frozenset]  # (L: circle coords, I: disc coords)
 
@@ -122,7 +122,7 @@ def _discrepancy(kind: str, subset, degree: int, element, combinatorial, cellula
     """One disagreement as the oracle report lists it."""
     return {
         "kind": kind,
-        "subset": tuple(sorted(str(v) for v in subset)),
+        "subset": subset_label(subset),
         "degree": degree,
         "element": str(element),
         "combinatorial": str(combinatorial),

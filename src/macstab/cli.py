@@ -14,16 +14,6 @@ import sys
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
 from .documents import dumps_report, expect, make_report, parse_complex, parse_int
-from .families import (
-    CustomFamily,
-    betti_growth,
-    check_consistent,
-    check_r_face_stable,
-    check_r_vertex_stable,
-    check_stabiliser_consistent,
-    multiplicity_scan,
-    parse_family,
-)
 from .hochster import (
     SpherePair,
     betti,
@@ -105,6 +95,8 @@ def _read_json(path: str):
 
 
 def _load_custom(path: str):
+    from .families import CustomFamily
+
     data = expect(_read_json(path), dict, f"custom family {path!r}")
     complexes = {}
     for key, doc in expect(data.get("complexes", {}), dict, f"{path!r}: 'complexes'").items():
@@ -134,6 +126,8 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
     if args.family:
         if args.m is None:
             raise ValidationError("--family needs --m")
+        from .families import parse_family  # a document reads no family module
+
         fam = parse_family(args.family, custom_loader=_load_custom)
         K, G = fam.instantiate(args.m)
         return K, G, args.m
@@ -243,6 +237,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_scan(args) -> int:
+    from .families import betti_growth, multiplicity_scan, parse_family
+
     fam = parse_family(args.family, custom_loader=_load_custom)
     pair = SpherePair(args.d)
     ms = _parse_range(args.m_range)
@@ -292,6 +288,14 @@ def _write_scan_csv(path, family, degree, scan, values, ms):
 
 
 def cmd_check_family(args) -> int:
+    from .families import (
+        check_consistent,
+        check_r_face_stable,
+        check_r_vertex_stable,
+        check_stabiliser_consistent,
+        parse_family,
+    )
+
     # with no size to check, "all_passed" would be vacuously true
     if args.max_r < 0:
         raise ValidationError(f"--max-r {args.max_r}: need at least 0")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .hochster import SpherePair, orbit_summands, padded_table, pattern_summands
@@ -33,7 +34,9 @@ from .simplicial import (
     skeleton,
     vc_cube_dual,
 )
-from .symrep import Partition, weight as table_weight
+
+if TYPE_CHECKING:  # symrep is imported by the multiplicity scan alone
+    from .symrep import Partition
 
 
 class Family(FrozenRecord):
@@ -311,6 +314,8 @@ def multiplicity_scan(
     rank's orbits are listed once, by fibre pattern, and give both its table
     and b_i(m); a summand met at several ranks is computed once.
     """
+    from .symrep import weight as table_weight
+
     if pair.d < 1:
         raise ValidationError("multiplicity scans need a sphere of dimension >= 1")
     ms = sorted(set(m_range))

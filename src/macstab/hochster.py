@@ -17,6 +17,7 @@ graded commutativity and strict associativity hold.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
@@ -40,18 +41,9 @@ from .perms import (
 )
 from .records import FrozenRecord
 from .simplicial import SimplicialComplex, full_subcomplex, subset_label
-from .symrep import (
-    ClassFunction,
-    Partition,
-    decompose,
-    hook_dim,
-    induce_from_young,
-    induce_young,
-    pad,
-    pieri_induce,
-    unpad,
-    young_classes,
-)
+
+if TYPE_CHECKING:  # symrep is imported where Σ_m characters are computed
+    from .symrep import ClassFunction, Partition
 
 
 class SpherePair(FrozenRecord):
@@ -332,6 +324,8 @@ def _summand_data(
     of it, at consecutive cycles inside each block, then class fusion to
     Sym(support) (`induce_from_young`).
     """
+    from .symrep import decompose, induce_from_young, young_classes
+
     by_fibre: dict[frozenset, list[int]] = {}
     for i in support:
         by_fibre.setdefault(frozenset(v.tag for v in rep if v.index == i), []).append(i)
@@ -375,6 +369,8 @@ def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
     Checked on every call: the irreducible dimensions add up to
     b_i(m) = Σ orbit_size · dim (`OracleMismatch` otherwise).
     """
+    from .symrep import hook_dim, pad, pieri_induce, unpad
+
     result: dict[Partition, int] = {}
     for summand in summands:
         for mu, mult in summand.mu_multiplicities.items():
@@ -388,51 +384,6 @@ def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
             f"rank {m}: the irreducible dimensions add up to {dims}, b_i(m) is {betti_m}"
         )
     return dict(sorted(result.items()))
-
-
-def sym_decomposition_by_fusion(
-    K: SimplicialComplex,
-    pair: SpherePair,
-    i: int,
-    m: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> dict[Partition, int]:
-    """Same decomposition through full character fusion at rank m.
-
-    Independent of the horizontal-strip route: induces each summand character
-    to Σ_m over cycle types and decomposes there, then translates to padded
-    coordinates.  Must agree with `sym_irreducible_decomposition`.
-    """
-    total: ClassFunction | None = None
-    for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
-        chi_m = induce_young(summand.finite_character, m)
-        total = chi_m if total is None else total.add(chi_m)
-    if total is None:
-        return {}
-    result: dict[Partition, int] = {}
-    for lam, mult in decompose(total).items():
-        base = unpad(lam)
-        result[base] = result.get(base, 0) + mult
-    return dict(sorted(result.items()))
-
-
-def summand_routes(
-    K: SimplicialComplex,
-    pair: SpherePair,
-    i: int,
-    m: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> list[tuple[frozenset, dict[Partition, int], dict[Partition, int]]]:
-    """Per-summand comparison data: (rep, fusion route, strip route) at rank m."""
-    out = []
-    for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
-        fusion = decompose(induce_young(summand.finite_character, m))
-        strips: dict[Partition, int] = {}
-        for mu, mult in summand.mu_multiplicities.items():
-            for lam in pieri_induce(mu, m):
-                strips[lam] = strips.get(lam, 0) + mult
-        out.append((summand.rep, fusion, dict(sorted(strips.items()))))
-    return out
 
 
 # -- ring structure -----------------------------------------------------------
@@ -477,7 +428,7 @@ def _rank_sign(face, ambient) -> int:
 
 def _cross_pairs_sign(A, B) -> int:
     """(-1)^{#{(a,b) in A×B : a < b}} in the global vertex order."""
-    count = sum(1 for a in A for b in B if a.sort_key < b.sort_key)
+    count = sum(1 for a in A for b in B if a < b)
     return -1 if count % 2 else 1
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OracleMismatch, ValidationError
-from .linalg import CochainComplex, Matrix, Vector, _keep, _reduce, apply_signed
+from .linalg import CochainComplex, Matrix, _keep, _reduce, apply_signed
 from .perms import Permutation, act_on_subset, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
@@ -157,34 +157,26 @@ def induced_cohomology_map(
 ) -> Matrix:
     """Matrix of g* on H̃^p(K_J) in the representative basis; g must fix J setwise.
 
-    The tests' reference for `cohomology_trace`, through a full basis.
+    The tests' reference for `cohomology_trace`, through a full basis: each
+    moved representative is written in the representatives modulo the
+    coboundaries by one dense solve of [columns of d_{p-1} | representatives].
     """
     basis = _stabilised(g, K, J)
     b = basis.dim(p)
     if b == 0:
         return Matrix(0, 0)
     action = cochain_action(g, basis.complex, p)
-    cols = [
-        representative_coordinates(basis, p, apply_signed(action, z))
-        for z in basis.representatives(p)
-    ]
+    d_in = basis.coboundary(p - 1) or []
+    image = [tuple(row.get(j, 0) for row in d_in) for j in range(basis.cochain_dims.get(p - 1, 0))]
+    reps = basis.representatives(p)
+    system = Matrix.from_columns(image + reps, nrows=basis.cochain_dims[p])
+    cols = []
+    for z in reps:
+        x = system.solve(apply_signed(action, z))
+        if x is None:
+            raise OracleMismatch("a symmetry maps a cocycle to a non-cocycle")
+        cols.append(x[len(image):])
     return Matrix.from_columns(cols, nrows=b)
-
-
-def representative_coordinates(coh: CochainComplex, p: int, cocycle) -> Vector:
-    """Coordinates of a cocycle in the representative basis, modulo coboundaries.
-
-    The tests' dense reader: one solve of [columns of d_{p-1} | representatives]
-    x = cocycle, whose last entries are unique because the representatives
-    are independent modulo the coboundaries.
-    """
-    d_in = coh.coboundary(p - 1) or []
-    image = [tuple(row.get(j, 0) for row in d_in) for j in range(coh.cochain_dims.get(p - 1, 0))]
-    columns = image + coh.representatives(p)
-    x = Matrix.from_columns(columns, nrows=coh.cochain_dims.get(p, 0)).solve(cocycle)
-    if x is None:
-        raise OracleMismatch("coordinates of a non-cocycle")
-    return x[len(image):]
 
 
 def lefschetz_cochain_sum(K: SimplicialComplex, g: Permutation) -> Fraction:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import OracleMismatch
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]  # exact entries, never a float
 
 
 def vec(entries: Iterable) -> Vector:
@@ -215,11 +215,12 @@ def _keep(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
         pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
 
 
-def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, Fraction]]:
+def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, int | Fraction]]:
     """A basis of the kernel of sparse integer rows on n columns, one sparse
     vector per free column f of the reduced echelon form: 1 at f and 0 at
     every other free column, so a kernel vector's coordinate along it is its
-    f-entry.  The free columns come in increasing order.
+    f-entry.  The free columns come in increasing order.  An entry is an
+    `int` where its pivot divides it, a `Fraction` otherwise.
     """
     pivots = _echelon(rows)
     # back-substitute from the last pivot: each row then vanishes at every
@@ -229,11 +230,13 @@ def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, Frac
         for c2 in sorted(j for j in row if j != c and j in pivots):
             row = _eliminate(row, pivots[c2], c2)
         pivots[c] = row
-    basis = {f: {f: Fraction(1)} for f in range(n) if f not in pivots}
+    basis = {f: {f: 1} for f in range(n) if f not in pivots}
     for c, row in pivots.items():
+        lead = row[c]
         for f, x in row.items():
             if f != c:
-                basis[f][c] = Fraction(-x, row[c])
+                q, r = divmod(-x, lead)
+                basis[f][c] = Fraction(-x, lead) if r else q
     return basis
 
 
@@ -375,7 +378,7 @@ class CochainComplex:
             spanned = dict(self._image(p))
             reps = []
             for v in self._cocycles(p).basis.values():
-                vector = tuple(v.get(j, Fraction(0)) for j in range(n))
+                vector = tuple(v.get(j, 0) for j in range(n))
                 rest = _reduce(_integer_row(vector), spanned)
                 if rest:
                     reps.append(vector)
@@ -410,14 +413,15 @@ class _Cocycles:
 
     def trace(self, action: list[tuple[int, int]]) -> Fraction:
         """Σ over free columns f of the f-entry of g·v_f: the coordinates of a
-        cocycle in this basis are its free entries, so no solve is needed."""
-        total = Fraction(0)
+        cocycle in this basis are its free entries, so no solve is needed.
+        The sums stay in integers until an entry is a `Fraction`."""
+        total = 0
         for f, v in self.basis.items():
-            moved: dict[int, Fraction] = {}
+            moved: dict[int, int | Fraction] = {}
             for j, x in v.items():
                 target, sign = action[j]
                 moved[target] = moved.get(target, 0) + sign * x
-            image: dict[int, Fraction] = {}
+            image: dict[int, int | Fraction] = {}
             for j, x in moved.items():
                 for r, y in self.columns.get(j, {}).items():
                     image[r] = image.get(r, 0) + y * x
@@ -425,7 +429,7 @@ class _Cocycles:
                 # every action traced is built by the program, so this is its fault
                 raise OracleMismatch("a symmetry maps a cocycle to a non-cocycle")
             total += moved.get(f, 0)
-        return total
+        return Fraction(total)
 
 
 def _columns(d: list[dict[int, int]] | None) -> dict[int, dict[int, int]]:

@@ -113,15 +113,13 @@ class Permutation:
     def sign(self) -> int:
         return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
-    def act_index(self, i: int) -> int:
-        if i > self.degree:
-            raise ValidationError("index exceeds permutation degree")
-        return self(i)
-
     def act_vertex(self, v: Vertex) -> Vertex:
-        if v.index is None:
+        unindexed, i, tag = v  # the vertex's sort key
+        if unindexed:
             return v
-        return Vertex(self.act_index(v.index), v.tag)
+        if i > len(self.images):
+            raise ValidationError("index exceeds permutation degree")
+        return Vertex(self.images[i - 1], tag)
 
     def __str__(self) -> str:
         cycs = self.cycles()
@@ -140,7 +138,7 @@ def sort_sign(keys: list) -> int:
 
 def action_sign(g: Permutation, face) -> int:
     """Sign ε(g, σ) of re-sorting the image of an oriented simplex."""
-    return sort_sign([g.act_vertex(v).sort_key for v in sorted(face)])
+    return sort_sign([g.act_vertex(v) for v in sorted(face)])
 
 
 def restriction_sign(g: Permutation, subset) -> int:

@@ -1,7 +1,8 @@
 """Immutable value records: equal and hashed by their fields, closed to assignment.
 
-`Vertex` and `Permutation` are hashed on every face operation, so they spell
-these methods out on their own fields instead of inheriting them from here.
+`Permutation` is hashed on every orbit step, so it spells these methods out
+on its own images instead of inheriting them from here; `Vertex` is a tuple
+and has them from `tuple`.
 """
 
 

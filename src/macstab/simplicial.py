@@ -19,40 +19,33 @@ from itertools import combinations
 from .errors import ValidationError
 
 
-class Vertex:
-    """Immutable label (index, tag), equal and hashed by those two fields."""
+class Vertex(tuple):
+    """Immutable label (index, tag), stored as its own sort key: (0, index,
+    tag), or (1, 0, tag) without an index.  Indexed vertices come first,
+    ordered by (index, tag), and equality, hashing and order are the tuple's."""
 
-    __slots__ = ("index", "tag")
+    __slots__ = ()
 
-    def __init__(self, index: int | None, tag: int = 0):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "tag", tag)
+    def __new__(cls, index: int | None, tag: int = 0):
+        return tuple.__new__(cls, (1, 0, tag) if index is None else (0, index, tag))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Vertex is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Vertex:
-            return NotImplemented
-        return self.index == other.index and self.tag == other.tag
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.tag))
+    def __getnewargs__(self):
+        # copy and pickle rebuild a vertex from its label, not from the tuple
+        return (self.index, self.tag)
 
     @property
-    def sort_key(self) -> tuple[int, int, int]:
-        # indexed vertices first, ordered by (index, tag); fixed vertices last
-        if self.index is not None:
-            return (0, self.index, self.tag)
-        return (1, 0, self.tag)
+    def index(self) -> int | None:
+        return None if self[0] else self[1]
 
-    def __lt__(self, other: "Vertex") -> bool:
-        return self.sort_key < other.sort_key
+    @property
+    def tag(self) -> int:
+        return self[2]
 
     def __str__(self) -> str:
-        if self.index is None:
-            return "*" if self.tag == 0 else f"*{self.tag}"
-        return str(self.index) if self.tag == 0 else f"{self.index}.{self.tag}"
+        unindexed, index, tag = self
+        if unindexed:
+            return "*" if tag == 0 else f"*{tag}"
+        return str(index) if tag == 0 else f"{index}.{tag}"
 
     __repr__ = __str__
 
@@ -61,7 +54,7 @@ Face = frozenset  # frozenset[Vertex]
 
 
 def face_key(face) -> tuple:
-    return tuple(sorted(v.sort_key for v in face))
+    return tuple(sorted(face))
 
 
 def subset_label(J) -> str:

@@ -1,10 +1,12 @@
 """Symmetric-group characters, induction and stable decompositions.
 
-Two independent induction routes are kept side by side on purpose: character
-inner products at a fixed rank m (class fusion through a Young subgroup), and
-the horizontal-strip rule symbolically for all m.  Stability statements are
+Two independent induction routes exist on purpose: character inner products
+at a fixed rank m (class fusion through a Young subgroup), and the
+horizontal-strip rule symbolically for all m.  Stability statements are
 exactly the assertion that the second route is the eventual truth, so the two
-must agree wherever both apply and the test suite enforces that.
+must agree wherever both apply and the test suite enforces that.  The
+commands take the strips to Σ_m; the fusion all the way to Σ_m, which only
+that check reads, lives with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -238,53 +240,6 @@ def induce_from_young(blocks: tuple[int, ...], chi: dict[YoungClass, Fraction]) 
 def young_centraliser_order(mus: YoungClass) -> int:
     """Order Π_j z_{μ_j} of the centraliser of the class (μ_j) in its Young subgroup."""
     return prod(z_order(mu) for mu in mus)
-
-
-def induce_young(psi: ClassFunction, m: int) -> ClassFunction:
-    """Induce ψ ⊠ triv from Σ_b × Σ_{m-b} to Σ_m, over cycle types.
-
-    Ind(ψ⊠1)(μ) = Σ over splittings μ = μ' ∪ μ'' with μ' ⊢ b of
-    z_μ / (z_{μ'} z_{μ''}) · ψ(μ').
-    """
-    b = psi.n
-    if m < b:
-        raise ValidationError("target rank below subgroup rank")
-    if m == b:
-        return psi
-    psi_d = psi.as_dict()
-    values: dict[Partition, Fraction] = {}
-    for mu in partitions(m):
-        zmu = z_order(mu)
-        total = Fraction(0)
-        for mu1 in _sub_multisets(mu, b):
-            mu2 = _multiset_minus(mu, mu1)
-            total += Fraction(zmu, z_order(mu1) * z_order(mu2)) * psi_d[mu1]
-        values[mu] = total
-    return ClassFunction.from_dict(m, values)
-
-
-def _sub_multisets(mu: Partition, b: int) -> list[Partition]:
-    """Distinct sub-multisets of the parts of μ summing to b."""
-    out: set[Partition] = set()
-
-    def rec(i: int, rest: int, chosen: tuple[int, ...]):
-        if rest == 0:
-            out.add(tuple(sorted(chosen, reverse=True)))
-            return
-        if i == len(mu) or rest < 0:
-            return
-        rec(i + 1, rest - mu[i], chosen + (mu[i],))
-        rec(i + 1, rest, chosen)
-
-    rec(0, b, ())
-    return sorted(out)
-
-
-def _multiset_minus(mu: Partition, mu1: Partition) -> Partition:
-    remaining = list(mu)
-    for part in mu1:
-        remaining.remove(part)
-    return tuple(sorted(remaining, reverse=True))
 
 
 def pieri_induce(mu: Partition, m: int) -> list[Partition]:

@@ -14,19 +14,28 @@ from math import factorial
 from hypothesis import strategies as st
 
 from macstab.cellular import MomentAngleCellComplex, block_action, block_trace
-from macstab.errors import ValidationError
-from macstab.hochster import CohomologyClass, class_is_zero_in_cohomology
-from macstab.homology import induced_cohomology_map, reduced_cohomology, representative_coordinates
-from macstab.linalg import apply_signed
-from macstab.perms import PermGroup, Permutation, enumerate_group
+from macstab.errors import OracleMismatch, ValidationError
+from macstab.hochster import (
+    CohomologyClass,
+    SpherePair,
+    class_is_zero_in_cohomology,
+    orbit_summands,
+)
+from macstab.homology import induced_cohomology_map, reduced_cohomology
+from macstab.linalg import CochainComplex, Matrix, Vector, apply_signed
+from macstab.perms import DEFAULT_SUPPORT_CAP, PermGroup, Permutation, enumerate_group
 from macstab.simplicial import SimplicialComplex, Vertex, face_key, full_subcomplex
 from macstab.symrep import (
     ClassFunction,
     Partition,
     _check_partition,
     class_size,
+    decompose,
     mn_character,
     partitions,
+    pieri_induce,
+    unpad,
+    z_order,
 )
 
 
@@ -107,12 +116,30 @@ def classes_equal_in_cohomology(
     return class_is_zero_in_cohomology(K, CohomologyClass(a.subset, a.degree, diff))
 
 
+def representative_coordinates(coh: CochainComplex, p: int, cocycle) -> Vector:
+    """Coordinates of a cocycle in the representative basis, modulo coboundaries.
+
+    The tests' dense reader: one solve of [columns of d_{p-1} | representatives]
+    x = cocycle, whose last entries are unique because the representatives
+    are independent modulo the coboundaries.
+    """
+    d_in = coh.coboundary(p - 1) or []
+    image = [tuple(row.get(j, 0) for row in d_in) for j in range(coh.cochain_dims.get(p - 1, 0))]
+    columns = image + coh.representatives(p)
+    x = Matrix.from_columns(columns, nrows=coh.cochain_dims.get(p, 0)).solve(cocycle)
+    if x is None:
+        raise OracleMismatch("coordinates of a non-cocycle")
+    return x[len(image):]
+
+
+
+
 def block_trace_by_projection(
     Z: MomentAngleCellComplex, g: Permutation, J: frozenset, i: int
 ) -> Fraction:
     """`cellular.block_trace` through the block's representative basis: each
     representative is moved by g and its coordinates read back by the dense
-    solve of `homology.representative_coordinates`."""
+    solve of `representative_coordinates`."""
     if frozenset(g.act_vertex(v) for v in J) != J:
         raise ValidationError("element does not stabilise the multidegree")
     block = Z.blocks[J]
@@ -238,3 +265,98 @@ def natural_permutation_character(n: int) -> ClassFunction:
         mu: Fraction(sum(1 for part in mu if part == 1)) for mu in partitions(n)
     }
     return ClassFunction.from_dict(n, values)
+
+
+# -- the fusion route to Σ_m, against the horizontal strips -----------------
+
+
+def induce_young(psi: ClassFunction, m: int) -> ClassFunction:
+    """Induce ψ ⊠ triv from Σ_b × Σ_{m-b} to Σ_m, over cycle types.
+
+    Ind(ψ⊠1)(μ) = Σ over splittings μ = μ' ∪ μ'' with μ' ⊢ b of
+    z_μ / (z_{μ'} z_{μ''}) · ψ(μ').
+    """
+    b = psi.n
+    if m < b:
+        raise ValidationError("target rank below subgroup rank")
+    if m == b:
+        return psi
+    psi_d = psi.as_dict()
+    values: dict[Partition, Fraction] = {}
+    for mu in partitions(m):
+        zmu = z_order(mu)
+        total = Fraction(0)
+        for mu1 in _sub_multisets(mu, b):
+            mu2 = _multiset_minus(mu, mu1)
+            total += Fraction(zmu, z_order(mu1) * z_order(mu2)) * psi_d[mu1]
+        values[mu] = total
+    return ClassFunction.from_dict(m, values)
+
+
+def _sub_multisets(mu: Partition, b: int) -> list[Partition]:
+    """Distinct sub-multisets of the parts of μ summing to b."""
+    out: set[Partition] = set()
+
+    def rec(i: int, rest: int, chosen: tuple[int, ...]):
+        if rest == 0:
+            out.add(tuple(sorted(chosen, reverse=True)))
+            return
+        if i == len(mu) or rest < 0:
+            return
+        rec(i + 1, rest - mu[i], chosen + (mu[i],))
+        rec(i + 1, rest, chosen)
+
+    rec(0, b, ())
+    return sorted(out)
+
+
+def _multiset_minus(mu: Partition, mu1: Partition) -> Partition:
+    remaining = list(mu)
+    for part in mu1:
+        remaining.remove(part)
+    return tuple(sorted(remaining, reverse=True))
+
+
+def sym_decomposition_by_fusion(
+    K: SimplicialComplex,
+    pair: SpherePair,
+    i: int,
+    m: int,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
+) -> dict[Partition, int]:
+    """Same decomposition through full character fusion at rank m.
+
+    Independent of the horizontal-strip route: induces each summand character
+    to Σ_m over cycle types and decomposes there, then translates to padded
+    coordinates.  Must agree with `hochster.sym_irreducible_decomposition`.
+    """
+    total: ClassFunction | None = None
+    for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
+        chi_m = induce_young(summand.finite_character, m)
+        total = chi_m if total is None else total.add(chi_m)
+    if total is None:
+        return {}
+    result: dict[Partition, int] = {}
+    for lam, mult in decompose(total).items():
+        base = unpad(lam)
+        result[base] = result.get(base, 0) + mult
+    return dict(sorted(result.items()))
+
+
+def summand_routes(
+    K: SimplicialComplex,
+    pair: SpherePair,
+    i: int,
+    m: int,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
+) -> list[tuple[frozenset, dict[Partition, int], dict[Partition, int]]]:
+    """Per-summand comparison data: (rep, fusion route, strip route) at rank m."""
+    out = []
+    for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
+        fusion = decompose(induce_young(summand.finite_character, m))
+        strips: dict[Partition, int] = {}
+        for mu, mult in summand.mu_multiplicities.items():
+            for lam in pieri_induce(mu, m):
+                strips[lam] = strips.get(lam, 0) + mult
+        out.append((summand.rep, fusion, dict(sorted(strips.items()))))
+    return out

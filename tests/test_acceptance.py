@@ -30,7 +30,6 @@ from macstab.hochster import (
     MOMENT_ANGLE,
     SpherePair,
     betti,
-    summand_routes,
     sym_irreducible_decomposition,
 )
 from macstab.perms import (
@@ -42,6 +41,8 @@ from macstab.perms import (
 )
 from macstab.simplicial import SimplicialComplex, Vertex, skeleton, vc_cube_dual
 from macstab.symrep import hook_dim, pad
+
+from oracles import summand_routes
 
 
 @contextmanager

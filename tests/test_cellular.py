@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from macstab.cellular import (
     MomentAngleCellComplex,
+    block_action,
     block_trace,
     compare_with_hochster,
 )
 from macstab.errors import CapExceeded, ValidationError
 from macstab.hochster import betti
+from macstab.linalg import kernel_basis
 from macstab.perms import PermGroup, Permutation, enumerate_group, is_g_complex
 from macstab.simplicial import (
     SimplicialComplex,
@@ -111,6 +114,26 @@ def test_block_trace_matches_the_projection_route(case, data):
         g = data.draw(st.sampled_from([h for h in sym if frozenset(map(h.act_vertex, J)) == J]))
         for i in range(len(J) - 1, 2 * len(J) + 2):
             assert block_trace(Z, g, J, i) == block_trace_by_projection(Z, g, J, i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma_closed_complexes(max_m=3, max_tags=2, max_free=1), st.data())
+def test_block_cocycles_and_traces_are_exact(case, data):
+    # the cocycle kernels hold ints and Fractions that the coboundary kills
+    # exactly, and a trace is a Fraction equal to the dense projection route
+    K, m = case
+    Z = MomentAngleCellComplex(K)
+    sym = enumerate_group(list(PermGroup.symmetric(m).generators))
+    for J, block in Z.blocks.items():
+        g = data.draw(st.sampled_from([h for h in sym if frozenset(map(h.act_vertex, J)) == J]))
+        for i, n in block.cochain_dims.items():
+            d = block.coboundary(i) or []
+            for v in kernel_basis(d, n).values():
+                assert all(type(x) in (int, Fraction) for x in v.values())
+                assert all(sum(x * v.get(j, 0) for j, x in row.items()) == 0 for row in d)
+            trace = block.trace(i, block_action(Z, g, J, i), block_action(Z, g, J, i - 1))
+            assert type(trace) is Fraction
+            assert trace == block_trace_by_projection(Z, g, J, i)
 
 
 @pytest.mark.parametrize("which", ["square", "skeleton41", "pentagon"])

@@ -483,9 +483,9 @@ def test_cli_decompose_report_is_pinned(capsys, argv, digest):
     "argv, digest",
     [
         (("--family", "vccube", "--m", "3"),
-         "5a793560901e88da191062d34f83d10116b8ec47aa8207a957c69f7cd17d1518"),
+         "02673aa7c325a4f8c3d93c0113813d84667c874214149e7cc85d94ce224384b2"),
         (("--family", "skeleton:1", "--m", "4"),
-         "075debafd2edb52e1a6f147595d1d2cfd283c1800ad8ad592809f9513644192f"),
+         "2a673b48b6a3cf1e35e17346e8c411bd28fbf14a6fedecdba065318a15ad99a9"),
     ],
     ids=["vccube-m3", "skeleton1-m4"],
 )
@@ -689,11 +689,11 @@ def test_cli_scan_report_is_pinned(capsys, argv, digest):
 )
 def test_cli_dropped_pieri_strip_is_an_internal_mismatch(monkeypatch, capsys, argv):
     # negative control: the irreducible dimensions must add up to b_i(m)
-    import macstab.hochster as hochster
+    import macstab.symrep as symrep
     from macstab.cli import main
 
-    pieri = hochster.pieri_induce
-    monkeypatch.setattr(hochster, "pieri_induce", lambda mu, m: pieri(mu, m)[1:])
+    pieri = symrep.pieri_induce
+    monkeypatch.setattr(symrep, "pieri_induce", lambda mu, m: pieri(mu, m)[1:])
     assert main(list(argv)) == 3
     assert "internal mismatch" in capsys.readouterr().err
 
@@ -1116,11 +1116,12 @@ def test_cli_non_cocycle_block_action_is_an_internal_mismatch(monkeypatch, capsy
 )
 def test_cli_checks_output_paths_before_computing(monkeypatch, tmp_path, capsys, unwritable):
     import macstab.cli as cli
+    import macstab.families as families
 
     def unreachable(*args, **kwargs):
         raise AssertionError("computed before checking the output paths")
 
-    monkeypatch.setattr(cli, "multiplicity_scan", unreachable)
+    monkeypatch.setattr(families, "multiplicity_scan", unreachable)
     paths = {"--output": str(tmp_path / "x.json"), "--csv": str(tmp_path / "s.csv")}
     paths[unwritable] = "/nonexistent/x"
     argv = ["scan", "--family", "skeleton:0", "--degree", "6", "--m", "6..12"]

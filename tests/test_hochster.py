@@ -21,16 +21,10 @@ from macstab.hochster import (
     orbit_summands,
     summand_character,
     summand_memo,
-    sym_decomposition_by_fusion,
     sym_irreducible_decomposition,
-    summand_routes,
     transported_action,
 )
-from macstab.homology import (
-    induced_cohomology_map,
-    reduced_cohomology,
-    representative_coordinates,
-)
+from macstab.homology import induced_cohomology_map, reduced_cohomology
 from macstab.perms import (
     PermGroup,
     Permutation,
@@ -46,7 +40,13 @@ from macstab.simplicial import (
 )
 from macstab.symrep import decompose, hook_dim, induce_to_sym, mn_character, pad, partitions
 
-from oracles import classes_equal_in_cohomology, sigma_closed_complexes
+from oracles import (
+    classes_equal_in_cohomology,
+    representative_coordinates,
+    sigma_closed_complexes,
+    summand_routes,
+    sym_decomposition_by_fusion,
+)
 
 
 def test_betti_square(square):

@@ -14,7 +14,6 @@ from macstab.homology import (
     induced_cohomology_map,
     lefschetz_cochain_sum,
     reduced_cohomology,
-    representative_coordinates,
 )
 from macstab.linalg import Matrix, extend_to_basis
 from macstab.perms import PermGroup, Permutation, act_on_subset, enumerate_group
@@ -27,7 +26,12 @@ from macstab.simplicial import (
     vc_cube_dual,
 )
 
-from oracles import character_on_cohomology, lefschetz_cohomology_sum, sigma_closed_complexes
+from oracles import (
+    character_on_cohomology,
+    lefschetz_cohomology_sum,
+    representative_coordinates,
+    sigma_closed_complexes,
+)
 
 
 def _dd_is_zero(K, composes_to_zero):

@@ -131,6 +131,22 @@ def test_kernel_basis_is_the_rref_nullspace(m):
     assert all(v[f] == 1 for f, v in kernel.items())
 
 
+def _is_exact(x) -> bool:
+    return type(x) in (int, Fraction)
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_kernel_basis_entries_are_exact(m):
+    # an int where the pivot divides the entry, a Fraction otherwise: never a
+    # float, and every row annihilates every kernel vector exactly
+    rows = [_integer_row(row) for row in m.data]
+    for v in kernel_basis(rows, m.cols).values():
+        assert all(_is_exact(x) for x in v.values())
+        products = [sum((x * v.get(j, 0) for j, x in row.items()), 0) for row in rows]
+        assert all(_is_exact(y) and y == 0 for y in products)
+
+
 def test_degree_trace_checks_its_kernels(monkeypatch):
     # C^0 = Q^2 -> C^1 = Q: the cocycles of x0 - x1 are spanned by (1, 1)
     d = [{0: 1, 1: -1}]

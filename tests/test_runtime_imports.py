@@ -1,10 +1,14 @@
 """The runtime is stdlib-only: every import in the package is stdlib or its own,
-and start-up imports only what every command needs."""
+start-up imports only what every command needs, and each command only the
+layers it runs."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macstab"
 
@@ -41,14 +45,46 @@ def _loaded_after(statement: str) -> set[str]:
 
 
 def test_cli_start_up_stays_lean():
-    # records are plain classes, CSV is for `scan --csv` and the cellular
-    # model for `oracle`: none of them is paid for by every command
+    # records are plain classes, CSV is for `scan --csv`, the cellular model
+    # for `oracle`, families for a family input and Σ_m characters for the
+    # commands that decompose: none of them is paid for by every command
     loaded = _loaded_after("import macstab.cli")
     assert "macstab.cli" in loaded
-    assert not loaded & {"dataclasses", "csv", "macstab.cellular"}
+    assert not loaded & {"dataclasses", "csv", "macstab.cellular", "macstab.families",
+                         "macstab.symrep"}
 
 
 def test_package_import_loads_no_submodule():
     loaded = _loaded_after("import macstab")
     assert "macstab" in loaded
     assert not {name for name in loaded if name.startswith("macstab.")}
+
+
+# a 4-cycle under its rotation group: small enough for every command
+_CYCLE = {
+    "vertices": [{"id": f"v{i}", "index": i, "tag": 0} for i in range(1, 5)],
+    "facets": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v1"]],
+    "group": {"degree": 4, "generators": [[2, 3, 4, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["betti", "--input", "DOC"], {"macstab.families", "macstab.symrep"}),
+        (["oracle", "--input", "DOC"], {"macstab.families", "macstab.symrep"}),
+        (["product", "--input", "DOC", "--check-equivariance"], {"macstab.symrep"}),
+        (["product", "--family", "skeleton:0", "--m", "3"], {"macstab.symrep"}),
+        (["scan", "--family", "skeleton:0", "--degree", "3", "--m", "2..3"],
+         {"macstab.cellular"}),
+    ],
+    ids=["betti-input", "oracle-input", "product-input", "product-family", "scan"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
+    doc = tmp_path / "cycle.json"
+    doc.write_text(json.dumps(_CYCLE))
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    argv += ["--output", str(tmp_path / "report.json")]
+    loaded = _loaded_after(f"from macstab.cli import main; assert main({argv!r}) == 0")
+    assert "macstab.hochster" in loaded
+    assert not loaded & unloaded

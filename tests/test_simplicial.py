@@ -1,6 +1,12 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,3 +194,46 @@ def test_facets_are_the_candidates_no_other_contains(drawn):
     candidates = {frozenset(verts[i] for i in f) for f in drawn}
     K = SimplicialComplex(verts, candidates)
     assert K.facets == {f for f in candidates if not any(f < g for g in candidates)}
+
+
+_LABELS = st.tuples(st.one_of(st.none(), st.integers(1, 20)), st.integers(0, 3))
+
+
+def _spelled(index, tag) -> str:
+    """A vertex as reports print it: its index, ".tag" past tag 0, "*" for no index."""
+    if index is None:
+        return "*" if tag == 0 else f"*{tag}"
+    return str(index) if tag == 0 else f"{index}.{tag}"
+
+
+@settings(max_examples=200)
+@given(st.lists(_LABELS, min_size=1, max_size=8))
+def test_vertex_is_a_value_ordered_by_index_then_tag(labels):
+    vertices = [Vertex(index, tag) for index, tag in labels]
+    for (a, u), (b, v) in product(zip(labels, vertices), repeat=2):
+        assert (u == v) == (a == b) and (u != v) == (a != b)
+        assert a != b or hash(u) == hash(v)
+    # indexed vertices by (index, tag), then the unindexed ones by tag
+    order = sorted(labels, key=lambda t: (t[0] is None, t[0] or 0, t[1]))
+    assert [(v.index, v.tag) for v in sorted(vertices)] == order
+    for (index, tag), v in zip(labels, vertices):
+        assert str(v) == repr(v) == _spelled(index, tag)
+        for name in ("index", "tag", "added"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 1)
+        assert (v.index, v.tag) == (index, tag)
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is Vertex and twin == v and str(twin) == str(v)
+
+
+def test_cone_vertex_hash_repeats_across_processes():
+    # hash(None) is its address on some Python versions, so a label holding
+    # None would order a set with the cone vertex differently in each run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from macstab.simplicial import Vertex; "
+            "print(hash(Vertex(None, 0)), hash(Vertex(None, 1)))")
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    runs = [subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]

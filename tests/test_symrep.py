@@ -14,7 +14,6 @@ from macstab.symrep import (
     hook_dim,
     induce_from_young,
     induce_to_sym,
-    induce_young,
     mn_character,
     pad,
     partitions,
@@ -27,6 +26,7 @@ from macstab.symrep import (
 
 from oracles import (
     character_table_by_projection,
+    induce_young,
     inner_product,
     irreducible_character,
     natural_permutation_character,
