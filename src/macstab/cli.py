@@ -8,12 +8,11 @@ internal oracle/consistency mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import CapExceeded, NotACharacter, OracleMismatch, ValidationError
-from .documents import dumps_report, expect, make_report, parse_complex, parse_int
+from .documents import dumps_report, make_report, parse_complex, parse_int, read_json
 from .hochster import (
     SpherePair,
     betti,
@@ -21,7 +20,6 @@ from .hochster import (
     class_is_zero_in_cohomology,
     equivariant_decomposition,
     g_algebra_equivariance_check,
-    nonzero_summands,
     orbit_summands,
     padded_table,
     product_table,
@@ -81,42 +79,6 @@ def _caps(args) -> dict:
             for flag, (key, default) in _CAPS.items()}
 
 
-def _read_json(path: str):
-    """Parsed JSON from a file, or from stdin when `path` is '-'."""
-    try:
-        if path == "-":
-            return json.loads(sys.stdin.read())
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read {path!r}: {err.strerror}") from None
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"{path!r} is not valid JSON: {err}") from None
-
-
-def _load_custom(path: str):
-    from .families import CustomFamily
-
-    data = expect(_read_json(path), dict, f"custom family {path!r}")
-    complexes = {}
-    for key, doc in expect(data.get("complexes", {}), dict, f"{path!r}: 'complexes'").items():
-        K, _ = parse_complex(doc)
-        m = parse_int(key, f"{path!r}: rank")
-        if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
-            raise ValidationError(f"{path!r}: the complex for m={m} uses indices outside 1..{m}")
-        # scans enumerate Σ_m-orbits; a complex Σ_m does not preserve gives wrong sums
-        if not is_g_complex(K, PermGroup.symmetric(m)):
-            raise ValidationError(f"{path!r}: the complex for m={m} is not closed under Σ_{m}")
-        complexes[m] = K
-
-    def builder(m: int) -> SimplicialComplex:
-        if m not in complexes:
-            raise ValidationError(f"custom family has no complex for m={m}")
-        return complexes[m]
-
-    return CustomFamily(data.get("name", path), builder)
-
-
 def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | None]:
     """Returns (complex, group, family rank when instantiated from a family)."""
     # a document and a family are two inputs: neither may be dropped silently
@@ -128,11 +90,11 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
             raise ValidationError("--family needs --m")
         from .families import parse_family  # a document reads no family module
 
-        fam = parse_family(args.family, custom_loader=_load_custom)
+        fam = parse_family(args.family)
         K, G = fam.instantiate(args.m)
         return K, G, args.m
     if args.input:
-        K, G = parse_complex(_read_json(args.input))
+        K, G = parse_complex(read_json(args.input))
         if G is not None and not is_g_complex(K, G):
             raise ValidationError("the group does not preserve the complex")
         return K, G, None
@@ -197,9 +159,9 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose needs a group (document group or --family)")
     if args.irreducibles and m is None:
         raise ValidationError("--irreducibles needs a family input (index action)")
-    # one orbit table for both reports; a family's group is the index action of Σ_m
-    found = nonzero_summands(K, G, pair, args.degree, cap=args.cap_subsets)
-    components = equivariant_decomposition(K, pair, found, args.cap_group)
+    components = equivariant_decomposition(
+        K, G, pair, args.degree, args.cap_subsets, args.cap_group
+    )
     payload = {
         "degree": args.degree,
         "betti": sum(c.orbit_size * c.dim for c in components),
@@ -217,7 +179,7 @@ def cmd_decompose(args) -> int:
         ],
     }
     if args.irreducibles:
-        summands = orbit_summands(K, pair, args.degree, m, args.cap_support, found=found)
+        summands = orbit_summands(K, pair, args.degree, m, args.cap_support, args.cap_subsets)
         payload["irreducibles"] = {
             _partition_key(b): mult for b, mult in padded_table(summands, m).items()
         }
@@ -239,7 +201,7 @@ def _parse_range(text: str) -> range:
 def cmd_scan(args) -> int:
     from .families import betti_growth, multiplicity_scan, parse_family
 
-    fam = parse_family(args.family, custom_loader=_load_custom)
+    fam = parse_family(args.family)
     pair = SpherePair(args.d)
     ms = _parse_range(args.m_range)
     payload: dict = {"family": fam.description, "degree": args.degree}
@@ -301,7 +263,7 @@ def cmd_check_family(args) -> int:
         raise ValidationError(f"--max-r {args.max_r}: need at least 0")
     if args.max_stab_size < 1:
         raise ValidationError(f"--max-stab-size {args.max_stab_size}: need at least 1")
-    fam = parse_family(args.family, custom_loader=_load_custom)
+    fam = parse_family(args.family)
     ms = _parse_range(args.m_range)
     d0 = min(ms)
     results: dict = {"family": fam.description}

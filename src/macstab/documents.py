@@ -9,6 +9,7 @@ deterministic run is byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from . import __version__
@@ -41,6 +42,19 @@ def serialize_complex(
             "generators": [list(g.images) for g in group.generators],
         }
     return doc
+
+
+def read_json(path: str):
+    """Parsed JSON from a file, or from stdin when `path` is '-'."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read {path!r}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{path!r} is not valid JSON: {err}") from None
 
 
 def parse_int(value, what: str) -> int:

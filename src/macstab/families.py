@@ -10,18 +10,22 @@ never claim anything beyond the scanned range.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations as iter_permutations
 from math import factorial
 from typing import TYPE_CHECKING
 
+from .documents import expect, parse_complex, parse_int, read_json
 from .errors import ValidationError
-from .hochster import SpherePair, orbit_summands, padded_table, pattern_summands
+from .hochster import SpherePair, nonzero_summands, orbit_summands, padded_table
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
     Permutation,
+    is_g_complex,
+    pattern_orbit_reps,
     prefix_subsets,
     stabilizer_order_in_sym,
     support_split,
@@ -40,97 +44,77 @@ if TYPE_CHECKING:  # symrep is imported by the multiplicity scan alone
 
 
 class Family(FrozenRecord):
-    __slots__ = ()
-    description: str = "family"
+    """A family spec: K_m is `build(m, *args)` under the index action of Σ_m; equal
+    when its fields are (a custom family builds through a closure over its file)."""
 
-    def complex_at(self, m: int) -> SimplicialComplex:
-        raise NotImplementedError
+    __slots__ = ("description", "build", "args")
+
+    def __init__(self, description: str, build, args: tuple = ()):
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "args", args)
 
     def instantiate(self, m: int) -> tuple[SimplicialComplex, PermGroup]:
         if m < 1:
             raise ValidationError("family rank must be >= 1")
-        K = self.complex_at(m)
-        for v in K.vertices:
-            if v.index is not None and not (1 <= v.index <= m):
-                raise ValidationError("family complex uses indices outside 1..m")
+        K = self.build(m, *self.args)
+        if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
+            raise ValidationError("family complex uses indices outside 1..m")
         return K, PermGroup.symmetric(m)
 
 
-class SkeletonFamily(Family):
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", k)
-
-    @property
-    def description(self) -> str:
-        return f"skeleton:{self.k}"
-
-    def complex_at(self, m: int) -> SimplicialComplex:
-        return skeleton(m, self.k)
+def join_of_skeleta(m: int, *ks: int) -> SimplicialComplex:
+    """The join of the k-skeleta on the indices 1..m, one for each k in `ks`."""
+    return reduce(join, (skeleton(m, k) for k in ks))
 
 
-class JoinSkeletonsFamily(Family):
-    __slots__ = ("ks",)
-
-    def __init__(self, ks: tuple[int, ...]):
-        if not ks or any(k < 0 for k in ks):
-            raise ValidationError("join family needs skeleton dimensions >= 0")
-        object.__setattr__(self, "ks", ks)
-
-    @property
-    def description(self) -> str:
-        return "join:" + ",".join(map(str, self.ks))
-
-    def complex_at(self, m: int) -> SimplicialComplex:
-        out = skeleton(m, self.ks[0])
-        for k in self.ks[1:]:
-            out = join(out, skeleton(m, k))
-        return out
-
-
-class VcCubeDualFamily(Family):
-    __slots__ = ()
-
-    @property
-    def description(self) -> str:
-        return "vccube"
-
-    def complex_at(self, m: int) -> SimplicialComplex:
-        return vc_cube_dual(m)
-
-
-class CustomFamily(Family):
-    __slots__ = ("name", "builder")
-
-    def __init__(self, name: str, builder):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "builder", builder)  # callable m -> SimplicialComplex
-
-    @property
-    def description(self) -> str:
-        return f"custom:{self.name}"
-
-    def complex_at(self, m: int) -> SimplicialComplex:
-        return self.builder(m)
-
-
-def parse_family(spec: str, custom_loader=None) -> Family:
+def parse_family(spec: str) -> Family:
+    """skeleton:k | join:k1,k2,... | vccube | custom:FILE ('-' for stdin)."""
     kind, _, arg = spec.partition(":")
+    if spec == "vccube":
+        return Family(spec, vc_cube_dual)
+    if kind == "custom":
+        return _load_custom(arg)
+    if kind not in ("skeleton", "join"):
+        raise ValidationError(f"unknown family {spec!r}")
     try:
-        if kind == "skeleton":
-            return SkeletonFamily(int(arg))
-        if kind == "join":
-            return JoinSkeletonsFamily(tuple(int(x) for x in arg.split(",")))
+        ks = tuple(int(x) for x in ([arg] if kind == "skeleton" else arg.split(",")))
     except ValueError:
         raise ValidationError(f"family {spec!r}: expected integers after ':'") from None
-    if spec == "vccube":
-        return VcCubeDualFamily()
-    if kind == "custom":
-        if custom_loader is None:
-            raise ValidationError("no loader available for custom families")
-        return custom_loader(arg)
-    raise ValidationError(f"unknown family {spec!r}")
+    if kind == "skeleton":
+        return Family(f"skeleton:{ks[0]}", skeleton, ks)
+    if any(k < 0 for k in ks):
+        raise ValidationError("join family needs skeleton dimensions >= 0")
+    return Family("join:" + ",".join(map(str, ks)), join_of_skeleta, ks)
+
+
+def _load_custom(path: str) -> Family:
+    """The family of a JSON file {"name": ..., "complexes": {m: complex document}}."""
+    data = expect(read_json(path), dict, f"custom family {path!r}")
+    complexes = {}
+    for key, doc in expect(data.get("complexes", {}), dict, f"{path!r}: 'complexes'").items():
+        m = parse_int(key, f"{path!r}: rank")
+        where = f"{path!r}: the complex for m={m}"
+        try:
+            K, _ = parse_complex(doc)
+        except ValidationError as err:
+            raise ValidationError(f"{where}: {err}") from None
+        if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
+            raise ValidationError(f"{where} uses indices outside 1..{m}")
+        # scans enumerate Σ_m-orbits; a complex Σ_m does not preserve gives wrong sums
+        if not is_g_complex(K, PermGroup.symmetric(m)):
+            raise ValidationError(f"{where} is not closed under Σ_{m}")
+        complexes[m] = K
+    name = data.get("name", path)
+    if not isinstance(name, str):
+        raise ValidationError(f"{path!r}: 'name' must be a string, not {name!r}")
+
+    def build(m: int) -> SimplicialComplex:
+        if m not in complexes:
+            raise ValidationError(f"custom family has no complex for m={m}")
+        return complexes[m]
+
+    return Family(f"custom:{name}", build)
 
 
 # -- structural checks --------------------------------------------------------
@@ -295,8 +279,8 @@ def betti_at_degree(
     """
     if group != PermGroup.symmetric(group.degree):
         raise ValidationError("betti_at_degree needs the index action of a symmetric group")
-    table, summands = pattern_summands(K, group.degree, pair, i, cap)
-    return sum(table.orbit_sizes[rep] * dim for rep, _, dim in summands)
+    table = pattern_orbit_reps(K, group.degree, pair.max_subset_size(i), cap)
+    return sum(table.orbit_sizes[rep] * dim for rep, _, dim in nonzero_summands(K, pair, i, table))
 
 
 def multiplicity_scan(

@@ -166,52 +166,39 @@ def summand_character(
     return out
 
 
-NonzeroSummands = tuple[OrbitTable, list[tuple[frozenset, int, int]]]
-
-
 def nonzero_summands(
-    K: SimplicialComplex, G: PermGroup, pair: SpherePair, i: int, cap: int = DEFAULT_SUBSET_CAP
-) -> NonzeroSummands:
-    """The orbit table of the subsets reaching ambient degree i, and (rep, p, dim)
-    for each representative with dim H̃^p(K_rep) > 0, p = i - d|rep| - 1."""
-    return _nonzero(K, pair, i, subset_orbit_reps(K, G, pair.max_subset_size(i), cap))
-
-
-def pattern_summands(
-    K: SimplicialComplex, m: int, pair: SpherePair, i: int, cap: int = DEFAULT_SUBSET_CAP
-) -> NonzeroSummands:
-    """`nonzero_summands` under the index action of Σ_m, its table listed by
-    fibre pattern (`pattern_orbit_reps`, no Schreier words)."""
-    return _nonzero(K, pair, i, pattern_orbit_reps(K, m, pair.max_subset_size(i), cap))
-
-
-def _nonzero(K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable) -> NonzeroSummands:
+    K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable
+) -> list[tuple[frozenset, int, int]]:
+    """(rep, p, dim) for each representative of `table`, in its order, with
+    dim H̃^p(K_rep) > 0 at p = i - d|rep| - 1."""
     summands = []
     for rep in table.representatives:
         p = pair.simplicial_degree(i, len(rep))
         dim = reduced_cohomology(full_subcomplex(K, rep)).dim(p)
         if dim:
             summands.append((rep, p, dim))
-    return table, summands
+    return summands
 
 
 def equivariant_decomposition(
     K: SimplicialComplex,
+    G: PermGroup,
     pair: SpherePair,
-    found: NonzeroSummands,
+    i: int,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
     group_cap: int = DEFAULT_GROUP_CAP,
 ) -> list[MultidegreeComponent]:
     """One summand per orbit representative J with H̃^{i-d|J|-1}(K_J) nonzero,
-    in the `face_key` order of the orbit table's representatives.
+    in `face_key` order.
 
-    `found` is `nonzero_summands(K, G, pair, i)`, computed by a caller that
-    has checked that G preserves K.  Each summand's stabiliser is listed in
-    full and every element traced; a stabiliser past `group_cap` raises
-    `CapExceeded` naming the representative.
+    The orbits are those of G, which the caller has checked preserves K,
+    listed by search (`subset_orbit_reps`) for their Schreier generators.
+    Each summand's stabiliser is listed in full and every element traced; a
+    stabiliser past `group_cap` raises `CapExceeded` naming the representative.
     """
-    table, summands = found
+    table = subset_orbit_reps(K, G, pair.max_subset_size(i), subset_cap)
     components = []
-    for rep, p, dim in summands:
+    for rep, p, dim in nonzero_summands(K, pair, i, table):
         gens = table.stabilizer_gens(rep)
         elements = enumerate_group(
             list(gens), cap=group_cap, name=f"the stabiliser of {subset_label(rep)}"
@@ -230,12 +217,6 @@ def equivariant_decomposition(
 
 
 # -- Σ_m irreducible decompositions ------------------------------------------
-
-
-def _validate_indexed(K: SimplicialComplex, m: int) -> None:
-    for v in K.vertices:
-        if v.index is not None and not (1 <= v.index <= m):
-            raise ValidationError(f"vertex index {v.index} outside 1..{m}")
 
 
 class OrbitSummand:
@@ -279,22 +260,18 @@ def orbit_summands(
     m: int,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    found: NonzeroSummands | None = None,
 ) -> list[OrbitSummand]:
     """Per-orbit data feeding both induction routes (index action of Σ_m).
 
-    `found`, when given, is `nonzero_summands` of K under Σ_m at degree i;
-    otherwise the orbits are listed by fibre pattern.  Each summand's data is
+    The orbits are listed by fibre pattern (`pattern_orbit_reps`, which
+    checks that Σ_m preserves the vertex set); each summand's data is
     computed once per command through `summand_memo`.
     """
     if pair.d < 1:
         raise ValidationError("representation routines need a sphere of dimension >= 1")
-    _validate_indexed(K, m)
-    if found is None:
-        found = pattern_summands(K, m, pair, i, cap=subset_cap)
-    table, summands = found
+    table = pattern_orbit_reps(K, m, pair.max_subset_size(i), subset_cap)
     out: list[OrbitSummand] = []
-    for rep, p, dim in summands:
+    for rep, p, dim in nonzero_summands(K, pair, i, table):
         support = index_support(rep, cap=support_cap)
         key = (rep, full_subcomplex(K, rep), p, pair.d)
         if key not in summand_memo:

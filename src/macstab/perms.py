@@ -377,9 +377,10 @@ def pattern_orbit_reps(
     if indexed != {Vertex(i, t) for i in range(1, m + 1) for t in tags}:
         raise ValidationError(f"the vertex set is not closed under Σ_{m}")
     top, total = _checked_sizes(len(K.vertices), max_size, 1 << len(K.vertices))
+    past = max(tags, default=0) + 1  # above every tag: a fibre sorts after its extensions
     fibres = sorted(
         (c for r in range(1, len(tags) + 1) for c in combinations(tags, r)),
-        key=lambda c: c + (float("inf"),),
+        key=lambda c: c + (past,),
     )
     table = OrbitTable(group=PermGroup.symmetric(m), orbits=None, total_subsets=total)
     for b in range(min(m, top) + 1):

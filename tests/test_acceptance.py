@@ -17,14 +17,12 @@ from math import comb
 
 from macstab.cellular import MomentAngleCellComplex, compare_with_hochster
 from macstab.families import (
-    JoinSkeletonsFamily,
-    SkeletonFamily,
-    VcCubeDualFamily,
     betti_growth,
     check_consistent,
     check_r_vertex_stable,
     check_stabiliser_consistent,
     multiplicity_scan,
+    parse_family,
 )
 from macstab.hochster import (
     MOMENT_ANGLE,
@@ -254,13 +252,13 @@ def test_criterion_06_induction_route_equivalence():
 
 def test_criterion_07a_stability_onset_degree_4():
     with criterion("7a", "degree-4 scan stabilises from rank 5"):
-        report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 10))
+        report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 10))
         assert report.certified and report.onset == 5
 
 
 def test_criterion_07b_stability_onset_degree_3():
     with criterion("7b", "degree-3 scan stabilises from rank 4"):
-        report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 9))
+        report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, 3, range(3, 9))
         assert report.certified
         # V_(m-2,2) enters at rank 4; rank 3 has the two one-row-short shapes
         assert report.onset == 4, f"onset {report.onset}: {report.tables}"
@@ -273,7 +271,7 @@ def test_criterion_07c_scan_weight_bound():
         # degree i - 1, and Pieri puts every mu |- i - 1 under a long first
         # row: the weight is exactly i - 1
         for i, window in ((3, range(3, 9)), (4, range(4, 10))):
-            report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, i, window)
+            report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, i, window)
             assert report.weight == i - 1, (
                 f"degree {i}: weight {report.weight}, tables {report.tables}"
             )
@@ -284,10 +282,10 @@ def test_criterion_07c_scan_weight_bound():
 
 def test_criterion_08_polynomial_growth():
     with criterion("8", "exact Betti polynomials for the points family"):
-        fit3, _, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 10))
+        fit3, _, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 3, range(3, 10))
         assert fit3 is not None and fit3.degree == 2
         assert all(fit3.predict(m) == m * (m - 1) // 2 for m in range(3, 40))
-        fit4, _, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 11))
+        fit4, _, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 11))
         assert fit4 is not None and fit4.degree == 3
         assert all(
             fit4.predict(m) == m * (m - 1) * (m - 2) // 3 for m in range(4, 40)
@@ -297,12 +295,12 @@ def test_criterion_08_polynomial_growth():
 # ---------------------------------------------------------------- criterion 9
 
 ACCEPTANCE_FAMILIES = [
-    SkeletonFamily(0),
-    SkeletonFamily(1),
-    SkeletonFamily(2),
-    JoinSkeletonsFamily((0, 0)),
-    JoinSkeletonsFamily((1, 0)),
-    VcCubeDualFamily(),
+    parse_family("skeleton:0"),
+    parse_family("skeleton:1"),
+    parse_family("skeleton:2"),
+    parse_family("join:0,0"),
+    parse_family("join:1,0"),
+    parse_family("vccube"),
 ]
 
 

@@ -606,6 +606,21 @@ def test_cli_custom_family_must_be_closed_under_the_symmetric_group(tmp_path):
     assert str(path) in err and "m=2" in err and "1..2" in err and "Traceback" not in err
 
 
+def test_cli_custom_family_errors_name_the_file_and_the_rank(tmp_path):
+    path = tmp_path / "points.json"
+    points = {str(m): serialize_complex(skeleton(m, 0)) for m in (2, 3)}
+    # a name that is not a string would reach the report as a Python repr
+    path.write_text(json.dumps({"name": {"oops": 1}, "complexes": points}))
+    rc, out, err = run_cli("scan", "--family", f"custom:{path}", "--degree", "3", "--m", "2..3")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+    assert str(path) in err and "'name'" in err and "Traceback" not in err
+    # an error inside one rank's document names the file and that rank
+    path.write_text(json.dumps({"name": "points", "complexes": {**points, "3": "nope"}}))
+    rc, out, err = run_cli("betti", "--family", f"custom:{path}", "--m", "2")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+    assert str(path) in err and "m=3" in err and "'nope'" in err and "Traceback" not in err
+
+
 def _count_bound_calls(monkeypatch, module, name):
     """Replace macstab.<module>.<name>, and every `from ... import` binding of
     it, by a wrapper recording the first argument of each call."""
@@ -774,9 +789,13 @@ def test_cli_decompose_irreducibles_builds_one_orbit_table(monkeypatch, capsys):
     from macstab.cli import main
 
     searched = _count_bound_calls(monkeypatch, "perms", "subset_orbit_reps")
+    listed = _count_bound_calls(monkeypatch, "perms", "pattern_orbit_reps")
     argv = ["decompose", "--family", "skeleton:1", "--m", "6", "--degree", "5", "--irreducibles"]
     assert main(argv) == 0
+    # one search for the components' stabilisers, one fibre-pattern listing
+    # for the irreducibles
     assert [len(K.vertices) for K in searched] == [6]
+    assert [len(K.vertices) for K in listed] == [6]
     rep = report_of(capsys.readouterr().out)
     assert rep["components"] and rep["irreducibles"]
 

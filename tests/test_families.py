@@ -1,54 +1,66 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from macstab.documents import serialize_complex
 from macstab.errors import ValidationError
 from macstab.families import (
-    CustomFamily,
-    JoinSkeletonsFamily,
-    SkeletonFamily,
-    VcCubeDualFamily,
+    Family,
     betti_at_degree,
     betti_growth,
     check_consistent,
     check_r_face_stable,
     check_r_vertex_stable,
     check_stabiliser_consistent,
+    join_of_skeleta,
     multiplicity_scan,
     parse_family,
 )
 from macstab.hochster import MOMENT_ANGLE, betti
-from macstab.perms import enumerate_group, is_g_complex
-from macstab.simplicial import SimplicialComplex, Vertex
+from macstab.perms import PermGroup, enumerate_group, is_g_complex
+from macstab.simplicial import SimplicialComplex, Vertex, skeleton, vc_cube_dual
 from macstab.symrep import hook_dim, pad
 
 FAMILIES = [
-    SkeletonFamily(0),
-    SkeletonFamily(1),
-    SkeletonFamily(2),
-    JoinSkeletonsFamily((0, 0)),
-    JoinSkeletonsFamily((1, 0)),
-    VcCubeDualFamily(),
+    parse_family("skeleton:0"),
+    parse_family("skeleton:1"),
+    parse_family("skeleton:2"),
+    parse_family("join:0,0"),
+    parse_family("join:1,0"),
+    parse_family("vccube"),
 ]
 
 
 def test_instantiate_examples():
-    K, G = SkeletonFamily(0).instantiate(4)
+    K, G = parse_family("skeleton:0").instantiate(4)
     assert len(K.faces_of_dim(0)) == 4 and K.dim == 0
     assert G.degree == 4 and len(enumerate_group(list(G.generators))) == 24
-    Kj, _ = JoinSkeletonsFamily((0, 0)).instantiate(2)
+    Kj, _ = parse_family("join:0,0").instantiate(2)
     assert len(Kj.vertices) == 4 and len(Kj.faces_of_dim(1)) == 4
-    Kv, _ = VcCubeDualFamily().instantiate(2)
+    Kv, _ = parse_family("vccube").instantiate(2)
     assert len(Kv.vertices) == 5 and len(Kv.faces_of_dim(1)) == 5
 
 
-def test_parse_family():
-    assert parse_family("skeleton:2") == SkeletonFamily(2)
-    assert parse_family("join:0,1") == JoinSkeletonsFamily((0, 1))
-    assert parse_family("vccube") == VcCubeDualFamily()
+def test_parse_family(tmp_path):
+    for fam in FAMILIES:
+        assert parse_family(fam.description) == fam
+    assert parse_family("skeleton:2") == Family("skeleton:2", skeleton, (2,))
+    assert parse_family("join:0,1") == Family("join:0,1", join_of_skeleta, (0, 1))
+    assert parse_family("vccube") == Family("vccube", vc_cube_dual)
     with pytest.raises(ValidationError):
         parse_family("frieze:7")
+    # a custom file loads through the spec alone, as the command line reads it
+    path = tmp_path / "points.json"
+    complexes = {str(m): serialize_complex(skeleton(m, 0)) for m in (2, 3)}
+    path.write_text(json.dumps({"name": "points", "complexes": complexes}))
+    fam = parse_family(f"custom:{path}")
+    assert fam.description == "custom:points"
+    K, G = fam.instantiate(3)
+    assert K.facets == skeleton(3, 0).facets and G == PermGroup.symmetric(3)
+    with pytest.raises(ValidationError, match="no complex for m=4"):
+        fam.instantiate(4)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.description)
@@ -70,7 +82,7 @@ def test_custom_family_violating_equivariance():
         facets.append(frozenset([verts[0], verts[-1]]))
         return SimplicialComplex(verts, facets)
 
-    fam = CustomFamily("lopsided", lopsided)
+    fam = Family("custom:lopsided", lopsided)
     assert not check_consistent(fam, range(2, 4))
 
 
@@ -81,8 +93,8 @@ def test_vertex_stability_at_r_plus_one(fam, r):
 
 
 @pytest.mark.parametrize("fam,r", [
-    (SkeletonFamily(0), 0), (SkeletonFamily(1), 1),
-    (JoinSkeletonsFamily((0, 0)), 1),
+    (parse_family("skeleton:0"), 0), (parse_family("skeleton:1"), 1),
+    (parse_family("join:0,0"), 1),
 ])
 def test_face_stability_examples(fam, r):
     assert check_r_face_stable(fam, r, r + 1, range(1, 6))
@@ -91,7 +103,7 @@ def test_face_stability_examples(fam, r):
 def test_vc_face_stability_needs_higher_degree():
     # the deleted-corner pole is a ghost vertex at rank 1, so 0-faces only
     # stabilise from rank 2 onwards
-    fam = VcCubeDualFamily()
+    fam = parse_family("vccube")
     assert not check_r_face_stable(fam, 0, 1, range(1, 5))
     assert check_r_face_stable(fam, 0, 2, range(2, 6))
 
@@ -105,7 +117,7 @@ def test_stabiliser_consistency_small_subsets(fam):
 
 
 def test_stabiliser_consistency_vc_with_cone_point():
-    fam = VcCubeDualFamily()
+    fam = parse_family("vccube")
     star = Vertex(None, 0)
     assert check_stabiliser_consistent(fam, frozenset({star}), range(1, 6))
     J = frozenset({star, Vertex(1, 0), Vertex(1, 1)})
@@ -113,7 +125,7 @@ def test_stabiliser_consistency_vc_with_cone_point():
 
 
 def test_multiplicity_scan_i3():
-    report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 9))
+    report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, 3, range(3, 9))
     assert report.tables[3] == {(): 1, (1,): 1}
     stable = {(): 1, (1,): 1, (2,): 1}
     for m in range(4, 9):
@@ -124,7 +136,7 @@ def test_multiplicity_scan_i3():
 
 
 def test_multiplicity_scan_i4():
-    report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 10))
+    report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 10))
     stable = {(1,): 1, (2,): 1, (1, 1): 1, (2, 1): 1}
     assert report.onset == 5 and report.certified
     for m in range(5, 10):
@@ -133,7 +145,7 @@ def test_multiplicity_scan_i4():
 
 
 def test_scan_dimension_identity():
-    report = multiplicity_scan(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 9))
+    report = multiplicity_scan(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 9))
     for m, table in report.tables.items():
         total = sum(mult * hook_dim(pad(b, m).realized) for b, mult in table.items())
         assert total == report.betti[m]
@@ -142,7 +154,7 @@ def test_scan_dimension_identity():
 def test_scan_weight_at_most_degree():
     for i in (3, 4, 5):
         report = multiplicity_scan(
-            SkeletonFamily(0), MOMENT_ANGLE, i, range(max(3, i), max(3, i) + 3)
+            parse_family("skeleton:0"), MOMENT_ANGLE, i, range(max(3, i), max(3, i) + 3)
         )
         assert report.weight <= i
 
@@ -154,14 +166,14 @@ def test_scan_matches_single_orbit_rule():
 
     k, i = 1, 6  # i >= 2k + 3
     for m in (6, 7):
-        K, _ = SkeletonFamily(k).instantiate(m)
+        K, _ = parse_family(f"skeleton:{k}").instantiate(m)
         summands = orbit_summands(K, MOMENT_ANGLE, i, m)
         assert len(summands) == 1
         assert len(summands[0].support) == i - k - 1
 
 
 def test_betti_growth_quadratic():
-    fit, values, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 3, range(3, 9))
+    fit, values, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 3, range(3, 9))
     assert values == [m * (m - 1) // 2 for m in range(3, 9)]
     assert fit.degree == 2
     assert fit.coefficients == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
@@ -169,25 +181,25 @@ def test_betti_growth_quadratic():
 
 
 def test_betti_growth_cubic():
-    fit, values, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 10))
+    fit, values, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 10))
     assert fit.degree == 3
     assert all(fit.predict(m) == m * (m - 1) * (m - 2) // 3 for m in range(4, 30))
 
 
 def test_betti_growth_vc_linear_tail():
-    fit, values, _ = betti_growth(VcCubeDualFamily(), MOMENT_ANGLE, 3, range(2, 7))
+    fit, values, _ = betti_growth(parse_family("vccube"), MOMENT_ANGLE, 3, range(2, 7))
     assert values == [5, 6, 8, 10, 12]
     assert fit.degree == 1 and fit.onset_m == 3
     assert fit.coefficients == (Fraction(0), Fraction(2))
 
 
 def test_betti_growth_insufficient_window():
-    fit, values, _ = betti_growth(SkeletonFamily(0), MOMENT_ANGLE, 4, range(4, 6))
+    fit, values, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 6))
     assert fit is None
 
 
 def test_betti_at_degree_matches_full_table():
-    for fam in (SkeletonFamily(1), VcCubeDualFamily()):
+    for fam in (parse_family("skeleton:1"), parse_family("vccube")):
         for m in (3, 4):
             K, G = fam.instantiate(m)
             full = betti(K, MOMENT_ANGLE, group=G)
@@ -204,8 +216,8 @@ def test_betti_at_degree_matches_full_table():
 )
 def test_summand_memo_is_exact(spec, i, ms):
     # a scan computes each summand once; recomputing every rank from scratch,
-    # orbits by search and no memo, gives the same tables and Betti numbers
-    from macstab.hochster import nonzero_summands, orbit_summands, padded_table, summand_memo
+    # with no memo, gives the same tables and Betti numbers
+    from macstab.hochster import orbit_summands, padded_table, summand_memo
 
     fam = parse_family(spec)
     summand_memo.clear()
@@ -214,9 +226,8 @@ def test_summand_memo_is_exact(spec, i, ms):
     met = 0
     for m in ms:
         summand_memo.clear()
-        K, G = fam.instantiate(m)
-        found = nonzero_summands(K, G, MOMENT_ANGLE, i)
-        summands = orbit_summands(K, MOMENT_ANGLE, i, m, found=found)
+        K, _ = fam.instantiate(m)
+        summands = orbit_summands(K, MOMENT_ANGLE, i, m)
         met += len(summands)
         assert scan.tables[m] == padded_table(summands, m)
         assert scan.betti[m] == sum(s.orbit_size * s.dim for s in summands)

@@ -17,7 +17,6 @@ from macstab.hochster import (
     cup_product,
     equivariant_decomposition,
     g_algebra_equivariance_check,
-    nonzero_summands,
     orbit_summands,
     summand_character,
     summand_memo,
@@ -125,9 +124,7 @@ def test_betti_split_square(square):
 
 
 def test_equivariant_decomposition_square(square, c4):
-    components = equivariant_decomposition(
-        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
-    )
+    components = equivariant_decomposition(square, c4, MOMENT_ANGLE, 3)
     assert sum(c.orbit_size * c.dim for c in components) == 2
     (comp,) = components
     v = {w.index: w for w in square.vertices}
@@ -139,9 +136,7 @@ def test_equivariant_decomposition_square(square, c4):
 
 
 def test_equivariant_decomposition_degree_zero(square, c4):
-    (comp,) = equivariant_decomposition(
-        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 0)
-    )
+    (comp,) = equivariant_decomposition(square, c4, MOMENT_ANGLE, 0)
     assert comp.rep == frozenset() and comp.dim == 1
     assert all(v == 1 for v in comp.character.values())
 
@@ -149,7 +144,7 @@ def test_equivariant_decomposition_degree_zero(square, c4):
 def test_equivariant_decomposition_skeleton_i3():
     m = 5
     K, G = skeleton(m, 0), PermGroup.symmetric(m)
-    components = equivariant_decomposition(K, MOMENT_ANGLE, nonzero_summands(K, G, MOMENT_ANGLE, 3))
+    components = equivariant_decomposition(K, G, MOMENT_ANGLE, 3)
     (comp,) = components
     assert comp.rep == frozenset({Vertex(1), Vertex(2)})
     assert comp.dim == 1 and comp.orbit_size == comb(m, 2)
@@ -157,9 +152,7 @@ def test_equivariant_decomposition_skeleton_i3():
 
 
 def test_character_constant_on_classes_and_dim(square, c4):
-    components = equivariant_decomposition(
-        square, MOMENT_ANGLE, nonzero_summands(square, c4, MOMENT_ANGLE, 3)
-    )
+    components = equivariant_decomposition(square, c4, MOMENT_ANGLE, 3)
     comp = components[0]
     ident = Permutation.identity(4)
     assert comp.character[ident] == comp.dim
@@ -293,9 +286,9 @@ def test_rep_routines_reject_flat_pair():
 
 
 def test_decomposition_join_family():
-    from macstab.families import JoinSkeletonsFamily
+    from macstab.families import parse_family
 
-    fam = JoinSkeletonsFamily((0, 0))
+    fam = parse_family("join:0,0")
     for m in (2, 3, 4):
         K, G = fam.instantiate(m)
         table = sym_irreducible_decomposition(K, MOMENT_ANGLE, 3, m)
@@ -355,9 +348,9 @@ def test_cup_product_skeleton_pairs():
     prod = cup_product(K, a, b)
     assert class_is_zero_in_cohomology(K, prod)
     # on the two-factor join the same pairing is nontrivial (torus-like block)
-    from macstab.families import JoinSkeletonsFamily
+    from macstab.families import parse_family
 
-    Kj, _ = JoinSkeletonsFamily((0, 0)).instantiate(2)
+    Kj, _ = parse_family("join:0,0").instantiate(2)
     zeros = sorted(v for v in Kj.vertices if v.tag == 0)
     ones = sorted(v for v in Kj.vertices if v.tag == 1)
     aj = basis_classes(Kj, frozenset(zeros))[0]

@@ -4,13 +4,29 @@ from fractions import Fraction
 
 import pytest
 
-from macstab.families import CustomFamily, JoinSkeletonsFamily, SkeletonFamily, VcCubeDualFamily
+from macstab.families import Family, join_of_skeleta, parse_family
 from macstab.hochster import CohomologyClass, SpherePair
 from macstab.perms import PermGroup, Permutation
 from macstab.simplicial import Vertex, skeleton
 from macstab.symrep import ClassFunction, PaddedPartition, partitions
 
 _one = frozenset({Vertex(1)})
+
+
+def _points(m):  # the builder of a custom family, fixed so that two records share it
+    return skeleton(m, 0)
+
+
+def _family_cases(make):
+    """A family afresh on each call, and records differing from it in its
+    description, its builder and its arguments."""
+    f = make()
+    return make, [
+        Family(f.description + "!", f.build, f.args),
+        Family(f.description, join_of_skeleta if f.build is skeleton else skeleton, f.args),
+        Family(f.description, f.build, f.args + (0,)),
+    ]
+
 
 # type: (a record built afresh on each call, records differing from it in one field each)
 CASES = {
@@ -37,18 +53,17 @@ CASES = {
             CohomologyClass(_one, 0, (Fraction(-1),)),
         ],
     ),
-    SkeletonFamily: (lambda: SkeletonFamily(1), [SkeletonFamily(2)]),
-    JoinSkeletonsFamily: (lambda: JoinSkeletonsFamily((0, 0)), [JoinSkeletonsFamily((0, 1))]),
-    # no fields: only a record of another type differs
-    VcCubeDualFamily: (lambda: VcCubeDualFamily(), [SkeletonFamily(0)]),
-    CustomFamily: (
-        lambda: CustomFamily("a", skeleton),
-        [CustomFamily("b", skeleton), CustomFamily("a", print)],
-    ),
+    # one case per kind of family; the key only names the case
+    "Family-skeleton": _family_cases(lambda: parse_family("skeleton:1")),
+    "Family-join": _family_cases(lambda: parse_family("join:0,0")),
+    "Family-vccube": _family_cases(lambda: parse_family("vccube")),
+    "Family-custom": _family_cases(lambda: Family("custom:points", _points)),
 }
 
 
-@pytest.mark.parametrize("make, others", CASES.values(), ids=[t.__name__ for t in CASES])
+@pytest.mark.parametrize(
+    "make, others", CASES.values(), ids=[getattr(t, "__name__", t) for t in CASES]
+)
 def test_frozen_record_is_a_value(make, others):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)

@@ -35,6 +35,18 @@ def test_runtime_imports_only_the_standard_library():
     assert not outside, f"non-stdlib imports in macstab: {sorted(outside)}"
 
 
+def test_the_package_has_no_floating_point():
+    # arithmetic is exact throughout: no float literal, and no use of `float`
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno}: float")
+    assert not found, f"floating point in macstab: {found}"
+
+
 def _loaded_after(statement: str) -> set[str]:
     """Modules a fresh interpreter holds after `statement`, run without `site`
     (-S) so that no start-up hook of the host imports anything first."""
