@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, ValidationError
 from .linalg import CochainComplex
-from .homology import reduced_cohomology
+from .homology import reduced_cohomology, vanishes
 from .hochster import MOMENT_ANGLE, betti as hochster_betti, summand_character
 from .perms import (
     DEFAULT_ORACLE_CAP,
@@ -142,10 +142,12 @@ def compare_with_hochster(
     returning the discrepancies found (none when the two agree).
 
     Verifies, per orbit representative J and ambient degree: the dimension of
-    H̃^{i-|J|-1}(K_J) against the block cohomology, and the trace of every
-    stabilizer generator (combinatorial character times smash twist against
-    the honest cellular action).  `flip_koszul` deliberately corrupts the
-    twist to demonstrate the comparison has teeth.
+    H̃^{i-|J|-1}(K_J) against the block cohomology, that the block is zero
+    wherever the facet masks say the summand vanishes (`vanishes`, which
+    lets the scans skip J), and the trace of every stabilizer generator
+    (combinatorial character times smash twist against the honest cellular
+    action).  `flip_koszul` deliberately corrupts the twist to demonstrate
+    the comparison has teeth.
     """
     if not is_g_complex(K, G):
         raise ValidationError("the group does not preserve the complex")
@@ -155,11 +157,14 @@ def compare_with_hochster(
     degrees = list(degrees)
     for rep in table.representatives:
         coh = reduced_cohomology(full_subcomplex(K, rep))
+        masks = K.restriction_masks(rep)
         gens = None
         for i in degrees:
             p = i - len(rep) - 1
             hoch_dim = coh.dim(p)
             cell_dim = Z.blocks[rep].dim(i)
+            if cell_dim and vanishes(masks, p):
+                found.append(_discrepancy("vanishing", rep, i, "-", 0, cell_dim))
             if hoch_dim != cell_dim:
                 found.append(_discrepancy("dimension", rep, i, "-", hoch_dim, cell_dim))
                 continue

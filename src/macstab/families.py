@@ -111,13 +111,22 @@ def _load_custom(path: str) -> Family:
 
     def build(m: int) -> SimplicialComplex:
         if m not in complexes:
-            raise ValidationError(f"custom family has no complex for m={m}")
+            raise ValidationError(f"custom family {path!r} has no complex for m={m}")
         return complexes[m]
 
     return Family(f"custom:{name}", build)
 
 
 # -- structural checks --------------------------------------------------------
+
+
+def _rank(f: Family, m: int, check: str) -> SimplicialComplex:
+    """K_m for a check that reads rank m, which may lie outside the window it
+    is given; a missing rank names the check."""
+    try:
+        return f.instantiate(m)[0]
+    except ValidationError as err:
+        raise ValidationError(f"{check} reads rank {m}: {err}") from None
 
 
 def _extend(g: Permutation, m_plus: int) -> Permutation:
@@ -129,7 +138,7 @@ def check_consistent(f: Family, m_range) -> bool:
     ms = list(m_range)
     for m in ms:
         K, G = f.instantiate(m)
-        K_next, _ = f.instantiate(m + 1)
+        K_next = _rank(f, m + 1, "consistency")
         if not set(K.vertices) <= set(K_next.vertices):
             return False
         for facet in K.facets:
@@ -158,7 +167,7 @@ def check_r_vertex_stable(
     f: Family, r: int, d: int, m_range, cap: int = DEFAULT_SUBSET_CAP
 ) -> bool:
     """Every (r+1)-vertex collection at rank m is Σ_m-equivalent to one from rank d."""
-    Kd, _ = f.instantiate(d)
+    Kd = _rank(f, d, f"vertex stability at r={r}")
     vd = set(Kd.vertices)
     for m in m_range:
         if m < d:
@@ -179,7 +188,7 @@ def check_r_vertex_stable(
 
 def check_r_face_stable(f: Family, r: int, d: int, m_range) -> bool:
     """Every r-face at rank m is Σ_m-equivalent to an r-face from rank d."""
-    Kd, _ = f.instantiate(d)
+    Kd = _rank(f, d, f"face stability at r={r}")
     for m in m_range:
         if m < d:
             continue

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import OracleMismatch, ValidationError
 from .linalg import Vector, zero_vec
-from .homology import RestrictionDims, cohomology_trace, reduced_cohomology
+from .homology import RestrictionDims, cohomology_trace, reduced_cohomology, vanishes
 from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
@@ -170,10 +170,16 @@ def nonzero_summands(
     K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable
 ) -> list[tuple[frozenset, int, int]]:
     """(rep, p, dim) for each representative of `table`, in its order, with
-    dim H̃^p(K_rep) > 0 at p = i - d|rep| - 1."""
+    dim H̃^p(K_rep) > 0 at p = i - d|rep| - 1.
+
+    A representative whose facet masks show H̃^p = 0 (`vanishes`) is skipped
+    with no restriction built; the others are read off K_rep's own basis.
+    """
     summands = []
     for rep in table.representatives:
         p = pair.simplicial_degree(i, len(rep))
+        if vanishes(K.restriction_masks(rep), p):
+            continue
         dim = reduced_cohomology(full_subcomplex(K, rep)).dim(p)
         if dim:
             summands.append((rep, p, dim))

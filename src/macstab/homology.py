@@ -65,15 +65,15 @@ class RestrictionDims:
     """
 
     def __init__(self, K: SimplicialComplex):
-        self._position = {v: k for k, v in enumerate(K.vertices)}
+        self._bits = K.vertex_bits()
         # (q, bit mask, row of d_{q-1}) for each q-face, listed under its last vertex
         self._faces: list[list[tuple[int, int, dict[int, int]]]] = [[] for _ in K.vertices]
         for p, rows in coboundaries(K).items():
             last = len(K.faces_of_dim(p)) - 1
             for tau, row in zip(K.faces_of_dim(p + 1), rows):
-                ks = [self._position[v] for v in tau]
-                self._faces[max(ks)].append(
-                    (p + 1, sum(1 << k for k in ks), {last - c: x for c, x in row.items()})
+                mask = sum(self._bits[v] for v in tau)
+                self._faces[mask.bit_length() - 1].append(
+                    (p + 1, mask, {last - c: x for c, x in row.items()})
                 )
         # one level per prefix of the last J, ∅ at the bottom: the position
         # pushed, the vertex mask, n_q for q = -1 .. dim and the pivots of d_q
@@ -83,7 +83,7 @@ class RestrictionDims:
 
     def dims(self, J) -> dict[int, int]:
         """The non-zero dimensions of H̃^*(K_J), by degree."""
-        ks = sorted(self._position[v] for v in J)
+        ks = sorted(self._bits[v].bit_length() - 1 for v in J)
         shared = 0
         for k, level in zip(ks, self._stack[1:]):
             if k != level[0]:
@@ -120,6 +120,77 @@ class RestrictionDims:
         """rank d_p for p = -2 .. dim of the top level's complex: its pivot
         counts, and 0 at both ends."""
         return [0, *map(len, self._stack[-1][3]), 0]
+
+
+def vanishes(masks, p: int) -> bool:
+    """Whether H̃^p = 0 follows from the facet masks alone, for the complex
+    whose faces are the subsets of `masks` (vertex sets as bit masks, as
+    `SimplicialComplex.restriction_masks` gives them).
+
+    True only where it holds: p < -1 or p > dim; p = -1 and the complex is
+    not {∅}; p = 0 and the masks are connected; or the complex
+    strong-collapses to one vertex, so that it is contractible (Barmak and
+    Minian, "Strong homotopy types, nerves and collapses", DCG 47, 2012).
+    False for the void complex, and for {∅} at p = -1.
+    """
+    if not masks:
+        return False
+    top = max(map(int.bit_count, masks))
+    if p < -1 or p >= top:
+        return True
+    if p == -1:
+        return top > 0
+    facets = _maximal(masks)
+    return (p == 0 and _connected(facets)) or _collapses(facets)
+
+
+def _maximal(masks) -> list[int]:
+    """The inclusion-maximal masks, largest first."""
+    kept: list[int] = []
+    for f in sorted(masks, key=int.bit_count, reverse=True):
+        for g in kept:
+            if f & g == f:
+                break
+        else:
+            kept.append(f)
+    return kept
+
+
+def _connected(facets: list[int]) -> bool:
+    """Whether the facets span one connected complex (facets non-empty)."""
+    reached, rest = facets[0], facets[1:]
+    while rest:
+        linked = [f for f in rest if f & reached]
+        if not linked:
+            return False
+        for f in linked:
+            reached |= f
+        rest = [f for f in rest if not f & reached]
+    return True
+
+
+def _collapses(facets: list[int]) -> bool:
+    """Whether the complex strong-collapses to one vertex: delete one vertex
+    v dominated by another (every facet through v contains it: the AND of
+    those facets has a bit besides v's) and repeat until one facet is left."""
+    while len(facets) > 1:
+        ground = 0
+        for f in facets:
+            ground |= f
+        for k in range(ground.bit_length()):
+            v = 1 << k
+            if not ground & v:
+                continue
+            common = ground
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                facets = _maximal([f & ~v for f in facets])
+                break
+        else:
+            return False
+    return True
 
 
 def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[int, int]]:

@@ -67,12 +67,13 @@ class SimplicialComplex:
 
     Its faces are listed once, on first read, into a table by dimension
     (each list sorted by `face_key`, [∅] at -1 unless void) that
-    `faces_of_dim`, `face_counts` and `all_faces` read.  Each restriction
-    K_J is built once and kept on K by `full_subcomplex`; both live exactly
-    as long as the complex.
+    `faces_of_dim`, `face_counts` and `all_faces` read.  Its vertex bits and
+    facet masks are listed once too (`vertex_bits`, `restriction_masks`).  Each
+    restriction K_J is built once and kept on K by `full_subcomplex`; all of
+    these live exactly as long as the complex.
     """
 
-    __slots__ = ("vertices", "facets", "_hash", "_faces", "_restrictions")
+    __slots__ = ("vertices", "facets", "_hash", "_faces", "_masks", "_restrictions")
 
     def __init__(self, vertices, facets):
         ground = set(vertices)
@@ -142,6 +143,30 @@ class SimplicialComplex:
         except AttributeError:
             object.__setattr__(self, "_faces", _list_faces(self.facets))
             return self._faces
+
+    def _mask_table(self) -> tuple[dict[Vertex, int], tuple[int, ...]]:
+        try:
+            return self._masks
+        except AttributeError:
+            bits = {v: 1 << k for k, v in enumerate(self.vertices)}
+            masks = tuple(sum(bits[v] for v in f) for f in self.facets)
+            object.__setattr__(self, "_masks", (bits, masks))
+            return self._masks
+
+    def vertex_bits(self) -> dict[Vertex, int]:
+        """{v: 1 << k} for v = `vertices[k]`: a vertex set as an int is the OR
+        of its vertices' bits.  The complex's own table: read it, do not modify it."""
+        return self._mask_table()[0]
+
+    def restriction_masks(self, J) -> set[int]:
+        """K_J as the masks {f & J} over K's facets, each the OR of its
+        vertices' bits: its faces are their subsets, with no restriction
+        built.  Void exactly when K is."""
+        bits, facets = self._mask_table()
+        mask = 0
+        for v in J:
+            mask |= bits[v]
+        return {f & mask for f in facets}
 
     def all_faces(self) -> list[Face]:
         """Every face, including the empty face of a non-void complex, by dimension."""

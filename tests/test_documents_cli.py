@@ -396,6 +396,25 @@ def test_cli_decompose_betti_is_the_betti_commands(capsys, family, m, degree, be
     assert decomposed == report_of(capsys.readouterr().out)["degrees"][str(degree)] == betti
 
 
+@pytest.mark.parametrize("degree, betti", [(5, [2, 4, 10, 20]), (7, [6, 7, 11, 21])])
+def test_cli_scan_betti_is_the_betti_commands(capsys, degree, betti):
+    # both scan routes skip the summands the facet masks show to vanish;
+    # `betti` reads every subset off K's own coboundary rows, with no skip
+    from macstab.cli import main
+
+    ms = range(3, 7)
+    scan = ["scan", "--family", "vccube", "--degree", str(degree), "--m", "3..6"]
+    assert main(scan) == 0
+    scanned = report_of(capsys.readouterr().out)["betti"]
+    assert main([*scan, "--betti-only"]) == 0
+    betti_only = report_of(capsys.readouterr().out)["betti_values"]
+    plain = []
+    for m in ms:
+        assert main(["betti", "--family", "vccube", "--m", str(m)]) == 0
+        plain.append(report_of(capsys.readouterr().out)["degrees"].get(str(degree), 0))
+    assert [scanned[str(m)] for m in ms] == [betti_only[str(m)] for m in ms] == plain == betti
+
+
 # the flags each command does not read, and abbreviations of the flags it does
 NOT_TAKEN = [
     ("betti", "--family", "skeleton:0", "--m", "3", "--cap-group", "5"),
@@ -496,6 +515,19 @@ def test_cli_oracle_discrepancy_report_is_pinned(capsys, argv, digest):
 
     assert main(["oracle", *argv, "--flip-koszul"]) == 3
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_oracle_checks_every_vanishing_the_scans_skip(monkeypatch, capsys):
+    # negative control: a vanishing rule that skips every summand must meet a
+    # non-zero cellular block
+    import macstab.cellular as cellular
+    from macstab.cli import main
+
+    monkeypatch.setattr(cellular, "vanishes", lambda masks, p: True)
+    assert main(["oracle", "--family", "vccube", "--m", "3"]) == 3
+    found = report_of(capsys.readouterr().out)["discrepancies"]
+    assert found and {d["kind"] for d in found} == {"vanishing"}
+    assert all(d["combinatorial"] == "0" and d["cellular"] != "0" for d in found)
 
 
 def _count_stabilizer_calls(monkeypatch):
@@ -621,6 +653,29 @@ def test_cli_custom_family_errors_name_the_file_and_the_rank(tmp_path):
     assert str(path) in err and "m=3" in err and "'nope'" in err and "Traceback" not in err
 
 
+def _points_family(tmp_path, ranks):
+    path = tmp_path / "points.json"
+    points = {str(m): serialize_complex(skeleton(m, 0)) for m in ranks}
+    path.write_text(json.dumps({"name": "points", "complexes": points}))
+    return path
+
+
+def test_cli_custom_family_missing_rank_names_the_file(tmp_path):
+    path = _points_family(tmp_path, (2, 3, 4))
+    rc, out, err = run_cli("scan", "--family", f"custom:{path}", "--degree", "3", "--m", "2..5")
+    assert rc == 1 and out == ""
+    assert err == f"error: custom family {str(path)!r} has no complex for m=5\n"
+
+
+def test_cli_check_family_names_the_check_that_reads_a_rank_outside_its_window(tmp_path):
+    # vertex stability at r compares with rank r + 1, here rank 1 below the window
+    path = _points_family(tmp_path, (2, 3, 4))
+    rc, out, err = run_cli("check-family", "--family", f"custom:{path}", "--m", "2..3")
+    assert rc == 1 and out == ""
+    assert err == (f"error: vertex stability at r=0 reads rank 1: "
+                   f"custom family {str(path)!r} has no complex for m=1\n")
+
+
 def _count_bound_calls(monkeypatch, module, name):
     """Replace macstab.<module>.<name>, and every `from ... import` binding of
     it, by a wrapper recording the first argument of each call."""
@@ -692,6 +747,29 @@ def test_cli_scan_report_is_pinned(capsys, argv, digest):
 
     assert main(["scan", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, bases",
+    [
+        (("--family", "skeleton:0", "--degree", "6", "--m", "6..12"), 1),
+        (("--family", "vccube", "--degree", "5", "--m", "3..7"), 4),
+        (("--family", "join:0,0", "--degree", "5", "--m", "3..7"), 2),
+    ],
+    ids=["skeleton0-d6-m6..12", "vccube-d5-m3..7", "join0,0-d5-m3..7"],
+)
+def test_cli_scan_builds_a_basis_only_where_the_masks_leave_a_summand(
+    monkeypatch, capsys, argv, bases
+):
+    # the benchmark's scans: every other representative is decided from the
+    # facet masks, with no restriction listed
+    from macstab.cli import main
+    from macstab.homology import CohomologyBasis
+
+    built = []
+    _count_calls(monkeypatch, CohomologyBasis, "__init__", built)
+    assert main(["scan", *argv]) == 0
+    assert len(built) == bases
 
 
 @pytest.mark.parametrize(
@@ -813,7 +891,7 @@ def test_cli_cohomology_cache_is_scoped_to_one_command(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cmd_scan", recording)
     for _ in range(2):
-        assert cli.main(["scan", "--family", "skeleton:0", "--degree", "2", "--m", "3..4"]) == 0
+        assert cli.main(["scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4"]) == 0
         # kept after the command returns, so its statistics can be read
         assert reduced_cohomology.cache_info().currsize > 0
     assert at_start == [0, 0]

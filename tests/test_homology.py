@@ -14,6 +14,7 @@ from macstab.homology import (
     induced_cohomology_map,
     lefschetz_cochain_sum,
     reduced_cohomology,
+    vanishes,
 )
 from macstab.linalg import Matrix, extend_to_basis
 from macstab.perms import PermGroup, Permutation, act_on_subset, enumerate_group
@@ -269,3 +270,48 @@ def test_sparse_ring_reads_match_the_dense_reference(K, data):
 def test_sparse_ring_reads_match_the_dense_reference_on_cellular_blocks(K, data):
     for block in MomentAngleCellComplex(K).blocks.values():
         _check_ring_reads(block, data)
+
+
+def _masks(K):
+    return K.restriction_masks(K.vertices)
+
+
+def test_vanishing_from_facet_masks_examples(square):
+    a, b, c, d, apex = (Vertex(i) for i in range(1, 6))
+    cone = SimplicialComplex([*square.vertices, apex],
+                             [f | {apex} for f in square.facets])
+    # a path on three vertices is the cone over its ends, apex the middle
+    # vertex; one on four is collapsible and no cone
+    paths = [SimplicialComplex([a, b, c], [{a, b}, {b, c}]),
+             SimplicialComplex([a, b, c, d], [{a, b}, {b, c}, {c, d}])]
+    void = SimplicialComplex([], [])
+    degrees = range(-3, 5)
+    assert [p for p in degrees if not vanishes(_masks(skeleton(2, -1)), p)] == [-1]
+    assert [p for p in degrees if not vanishes(_masks(void), p)] == list(degrees)
+    assert [p for p in degrees if not vanishes(_masks(cone), p)] == []
+    for path in paths:
+        assert [p for p in degrees if not vanishes(_masks(path), p)] == []
+    # the circle is kept where its cohomology is, and a point is never kept
+    assert [p for p in degrees if not vanishes(_masks(square), p)] == [1]
+    assert [p for p in degrees if not vanishes(_masks(point()), p)] == []
+    # two points: H̃^0 = 1, and no rule may claim otherwise
+    assert [p for p in degrees if not vanishes(_masks(skeleton(2, 0)), p)] == [0]
+    # the masks of a restriction, not of K: the square's two opposite corners
+    assert not vanishes(square.restriction_masks([Vertex(1), Vertex(3)]), 0)
+    assert vanishes(square.restriction_masks([Vertex(1), Vertex(2), Vertex(3)]), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    complexes_with_idle_vertices(),
+    sigma_closed_complexes(max_m=3, max_tags=2, max_free=1).map(lambda drawn: drawn[0]),
+))
+def test_vanishing_from_facet_masks_is_never_wrong(K):
+    # every skip the scans make is a zero of the built restriction's cohomology
+    for r in range(len(K.vertices) + 1):
+        for J in combinations(K.vertices, r):
+            masks = K.restriction_masks(J)
+            dims = reduced_cohomology(full_subcomplex(K, J)).dims()
+            for p in range(-3, r + 2):
+                if vanishes(masks, p):
+                    assert p not in dims, (J, p)
