@@ -266,7 +266,7 @@ def cmd_check_family(args) -> int:
     fam = parse_family(args.family)
     ms = _parse_range(args.m_range)
     d0 = min(ms)
-    results: dict = {"family": fam.description}
+    results: dict = {"family": fam.description, "m_range": [ms[0], ms[-1]]}
     results["consistent"] = check_consistent(fam, ms)
     stability = {}
     for r in range(args.max_r + 1):
@@ -282,7 +282,7 @@ def cmd_check_family(args) -> int:
     for J in prefix_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets):
         if not J:
             continue
-        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support, args.cap_group)
+        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support)
         stab_results[subset_label(J)] = ok
         ok_all = ok_all and ok
     results["stabiliser_consistent"] = stab_results
@@ -371,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check-family", help="structural checks over a family")
-    _add_common(p, ("--cap-subsets", "--cap-support", "--cap-group"),
-                inputs=False, pair=False)
+    _add_common(p, ("--cap-subsets", "--cap-support"), inputs=False, pair=False)
     p.add_argument("--m-range", "--m", dest="m_range", required=True)
     p.add_argument("--max-r", type=int, default=2)
     p.add_argument("--max-stab-size", type=int, default=3)

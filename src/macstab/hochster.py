@@ -32,6 +32,7 @@ from .perms import (
     act_on_subset,
     action_sign,
     enumerate_group,
+    fibre_blocks,
     index_support,
     is_g_complex,
     pattern_orbit_reps,
@@ -309,10 +310,7 @@ def _summand_data(
     """
     from .symrep import decompose, induce_from_young, young_classes
 
-    by_fibre: dict[frozenset, list[int]] = {}
-    for i in support:
-        by_fibre.setdefault(frozenset(v.tag for v in rep if v.index == i), []).append(i)
-    blocks = list(by_fibre.values())
+    blocks = fibre_blocks(rep, support)
     sizes = tuple(len(block) for block in blocks)
     reps = {mus: _young_class_rep(blocks, mus, m) for mus in young_classes(sizes)}
     traces = summand_character(K, rep, list(reps.values()), p, pair)

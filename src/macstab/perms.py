@@ -415,6 +415,16 @@ def index_support(J, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[int, ...]:
     return support
 
 
+def fibre_blocks(J, support) -> list[list[int]]:
+    """The indices of `support` grouped by their fibre (the tags J uses there),
+    blocks and indices in support order.  The elements of Sym(support) that
+    fix J are exactly those of the Young subgroup Π Sym(block)."""
+    blocks: dict[frozenset, list[int]] = {}
+    for i in support:
+        blocks.setdefault(frozenset(v.tag for v in J if v.index == i), []).append(i)
+    return list(blocks.values())
+
+
 def support_split(
     J,
     K: SimplicialComplex,
@@ -424,7 +434,7 @@ def support_split(
     """Split the stabilizer of J in Σ_m as (finite part on the support) × Σ_rest.
 
     The brute-force side of `check-family`; the scans take the finite part
-    to be the Young subgroup of J's fibres without listing it.
+    to be the Young subgroup of `fibre_blocks(J, support)` without listing it.
 
     support: indices appearing among the labels of J; finite part: elements of
     Sym(support), returned as degree-m permutations, that stabilise J setwise
@@ -447,17 +457,3 @@ def support_split(
         if frozenset(h.act_vertex(v) for v in Jw) == Jw:
             finite_part.append(h)
     return support, finite_part, m - len(support)
-
-
-def stabilizer_order_in_sym(J, K: SimplicialComplex, m: int, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """|stab(J, m)| inside Σ_m by brute force over its m! elements, at most `cap`."""
-    if factorial(m) > cap:
-        raise CapExceeded(f"the {m}! elements of Σ_{m} exceed the group cap {cap}")
-    Jw = frozenset(J)
-    count = 0
-    for imgs in iter_permutations(range(1, m + 1)):
-        g = Permutation(tuple(imgs))
-        if frozenset(g.act_vertex(v) for v in Jw) == Jw:
-            count += 1
-    return count
-

@@ -14,7 +14,7 @@ degree bookkeeping of polyhedral products rely on that.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .errors import ValidationError
 
@@ -84,17 +84,17 @@ class SimplicialComplex:
             if not fw <= ground:
                 raise ValidationError("facet uses a vertex not in the vertex list")
             fs.add(fw)
-        # drop non-maximal entries so the facet family is canonical: largest
-        # first, a candidate is kept unless a kept (so larger) facet contains
-        # it, and such a facet passes through each of the candidate's vertices
+        # drop non-maximal entries so the facet family is canonical: size by size, largest
+        # first, against the kept larger facets through a candidate's first vertex
         maximal: list[Face] = []
         through: dict[Vertex, list[Face]] = {}
-        for f in sorted(fs, key=len, reverse=True):
-            rivals = through.get(next(iter(f)), ()) if f else maximal
-            if not any(f < g for g in rivals):
-                maximal.append(f)
+        for _, level in groupby(sorted(fs, key=len, reverse=True), key=len):
+            kept = [f for f in level if not any(
+                f < g for g in (through.get(next(iter(f)), ()) if f else maximal))]
+            for f in kept:
                 for v in f:
                     through.setdefault(v, []).append(f)
+            maximal += kept
         self.vertices = vs
         self.facets = frozenset(maximal)
         self._restrictions = {}

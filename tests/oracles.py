@@ -9,6 +9,7 @@ what they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from hypothesis import strategies as st
@@ -78,6 +79,15 @@ def g_full_subcomplex_matches(K: SimplicialComplex, g: Permutation, J) -> bool:
         [frozenset(g.act_vertex(v) for v in f) for f in KJ.facets],
     )
     return mapped == KgJ
+
+
+def stabilizer_order_in_sym(J, m: int) -> int:
+    """|stab(J, m)| inside Σ_m by brute force over its m! elements."""
+    Jw = frozenset(J)
+    return sum(
+        frozenset(g.act_vertex(v) for v in Jw) == Jw
+        for g in map(Permutation, permutations(range(1, m + 1)))
+    )
 
 
 def character_on_cohomology(

@@ -169,6 +169,59 @@ def test_cli_check_family():
     assert rc == 0 and rep["all_passed"]
 
 
+def test_cli_check_family_reports_name_their_window(capsys):
+    from macstab.cli import main
+
+    reports = []
+    for window in ("4..6", "4..7"):
+        assert main(["check-family", "--family", "skeleton:1", "--m", window]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] != reports[1]
+    assert [report_of(out)["m_range"] for out in reports] == [[4, 6], [4, 7]]
+
+
+def test_cli_check_family_runs_past_m_factorial(capsys):
+    # the stabiliser is checked on Sym(support), b! elements, not on all of Σ_12
+    from macstab.cli import main
+
+    assert main(["check-family", "--family", "skeleton:1", "--m", "4..12"]) == 0
+    assert report_of(capsys.readouterr().out)["all_passed"] is True
+
+
+def test_cli_check_family_fails_a_support_split_that_drops_an_element(monkeypatch, capsys):
+    import macstab.families as families
+    from macstab.cli import main
+
+    real = families.support_split
+
+    def dropping(*args):
+        support, finite, comp = real(*args)
+        return support, finite[:-1], comp
+
+    monkeypatch.setattr(families, "support_split", dropping)
+    assert main(["check-family", "--family", "skeleton:1", "--m", "4..6"]) == 3
+    assert report_of(capsys.readouterr().out)["all_passed"] is False
+
+
+def test_cli_check_family_fails_fibre_blocks_that_merge_two_fibres(monkeypatch, capsys):
+    import macstab.families as families
+    import macstab.hochster as hochster
+    from macstab.cli import main
+    from macstab.perms import fibre_blocks
+
+    def merging(J, support):
+        blocks = fibre_blocks(J, support)
+        return [blocks[0] + blocks[1], *blocks[2:]] if len(blocks) > 1 else blocks
+
+    for module in (families, hochster):
+        monkeypatch.setattr(module, "fibre_blocks", merging)
+    # the subsets come from the window's first rank, so it needs two indices:
+    # {1, 2.1} has the fibres {0} and {1}, and only the identity fixes it
+    assert main(["check-family", "--family", "vccube", "--m", "2..4"]) == 3
+    checked = report_of(capsys.readouterr().out)["stabiliser_consistent"]
+    assert checked["{1,2.1}"] is False and checked["{1,2}"] is True
+
+
 def test_cli_oracle(square_doc):
     rc, out, _ = run_cli("oracle", "--input", square_doc)
     assert rc == 0 and report_of(out)["verdict"] == "no discrepancies"
@@ -321,15 +374,12 @@ def test_cli_input_with_a_family_flag_is_a_conflict(tmp_path, capsys, command, e
         ("oracle", "--family", "skeleton:0", "--m", "4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-subsets", "1"),
         ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-support", "1"),
-        # the brute-force stabiliser lists Σ_5's 5! = 120 elements
-        ("check-family", "--family", "skeleton:0", "--m", "3..5", "--max-stab-size", "1",
-         "--cap-group", "100"),
         ("product", "--family", "skeleton:0", "--m", "3", "--cap-subsets", "1"),
         ("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--cap-subsets", "1"),
         ("decompose", "--family", "vccube", "--m", "3", "--degree", "5", "--cap-group", "1"),
     ],
     ids=["scan", "scan-betti-only", "scan-support", "scan-default-support", "oracle",
-         "check-family", "check-family-support", "check-family-group", "product", "decompose",
+         "check-family", "check-family-support", "product", "decompose",
          "decompose-group"],
 )
 def test_cli_every_command_honours_its_caps(capsys, argv):
@@ -337,16 +387,6 @@ def test_cli_every_command_honours_its_caps(capsys, argv):
 
     assert main(list(argv)) == 2
     assert "cap exceeded" in capsys.readouterr().err
-
-
-def test_cli_check_family_stabiliser_count_is_bounded_by_the_group_cap(capsys):
-    from macstab.cli import main
-
-    argv = ["check-family", "--family", "skeleton:0", "--m", "3..5", "--max-stab-size", "1"]
-    assert main([*argv, "--cap-group", "100"]) == 2
-    assert "5! elements of Σ_5 exceed the group cap 100" in capsys.readouterr().err
-    assert main([*argv, "--cap-group", "120"]) == 0
-    assert report_of(capsys.readouterr().out)["all_passed"] is True
 
 
 @pytest.mark.parametrize("extra", [(), ("--betti-only",)], ids=["full", "betti-only"])
@@ -424,6 +464,7 @@ NOT_TAKEN = [
     ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--cap-group", "5"),
     ("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--cap-oracle", "5"),
     ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-oracle", "5"),
+    ("check-family", "--family", "skeleton:0", "--m", "3..4", "--cap-group", "5"),
     ("oracle", "--family", "skeleton:0", "--m", "3", "--cap-group", "5"),
     ("oracle", "--family", "skeleton:0", "--m", "3", "--cap-support", "5"),
     ("oracle", "--family", "skeleton:0", "--m", "3", "--d", "1"),
@@ -467,14 +508,14 @@ def test_cli_each_command_takes_the_flags_it_reads():
                       "--cap-support", "--degree", "--irreducibles"],
         "scan": ["--family", "--d", "--output", "--cap-subsets", "--cap-support", "--degree",
                  "--m-range", "--m", "--betti-only", "--csv"],
-        "check-family": ["--family", "--output", "--cap-subsets", "--cap-support", "--cap-group",
-                         "--m-range", "--m", "--max-r", "--max-stab-size"],
+        "check-family": ["--family", "--output", "--cap-subsets", "--cap-support", "--m-range",
+                         "--m", "--max-r", "--max-stab-size"],
         "oracle": [*document, "--output", "--cap-subsets", "--cap-oracle", "--degrees",
                    "--flip-koszul"],
         "product": [*document, "--output", "--cap-subsets", "--check-equivariance"],
     }
-    # one settable value per action: 48 across the six commands
-    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 48
+    # one settable value per action: 47 across the six commands
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 47
 
 
 @pytest.mark.parametrize(

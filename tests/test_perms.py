@@ -1,5 +1,5 @@
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +10,12 @@ from macstab.perms import (
     Permutation,
     act_on_subset,
     enumerate_group,
+    fibre_blocks,
+    index_support,
     is_g_complex,
     pattern_orbit_reps,
     prefix_subsets,
     restriction_sign,
-    stabilizer_order_in_sym,
     subset_orbit_reps,
     support_split,
 )
@@ -27,7 +28,7 @@ from macstab.simplicial import (
     vc_cube_dual,
 )
 
-from oracles import g_full_subcomplex_matches, sigma_closed_complexes
+from oracles import g_full_subcomplex_matches, sigma_closed_complexes, stabilizer_order_in_sym
 
 
 def perm(m, *cycles):
@@ -185,7 +186,7 @@ def test_support_split_skeleton():
     assert support == (1, 2, 3)
     assert len(finite) == 6  # all of Sym{1,2,3}
     assert comp == 3
-    assert stabilizer_order_in_sym(J, K, m) == len(finite) * factorial(comp)
+    assert stabilizer_order_in_sym(J, m) == len(finite) * factorial(comp)
 
 
 def test_support_split_vc():
@@ -196,6 +197,22 @@ def test_support_split_vc():
     J = {Vertex(1, 0), Vertex(1, 1)}
     support, finite, comp = support_split(J, K, 3)
     assert support == (1,) and len(finite) == 1 and comp == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma_closed_complexes())
+def test_stabiliser_is_the_young_subgroup_of_the_fibres(drawn):
+    # the brute-force count over Σ_m, the listed finite part and the fibre
+    # blocks the scans read all give |stab(J)| = Π_S c_S! · (m - b)!
+    K, m = drawn
+    for J in prefix_subsets(K.vertices, 3):
+        support = index_support(J)
+        blocks = fibre_blocks(J, support)
+        assert sorted(i for block in blocks for i in block) == list(support)
+        young = prod(factorial(len(block)) for block in blocks)
+        _, finite, comp = support_split(J, K, m)
+        assert len(finite) == young
+        assert stabilizer_order_in_sym(J, m) == young * factorial(comp)
 
 
 def test_support_split_cap():
