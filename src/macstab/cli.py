@@ -34,7 +34,7 @@ from .perms import (
     DEFAULT_SUPPORT_CAP,
     PermGroup,
     is_g_complex,
-    prefix_subsets,
+    pattern_orbit_reps,
 )
 from .simplicial import SimplicialComplex, subset_label
 
@@ -263,9 +263,8 @@ def cmd_check_family(args) -> int:
         raise ValidationError(f"--max-r {args.max_r}: need at least 0")
     if args.max_stab_size < 1:
         raise ValidationError(f"--max-stab-size {args.max_stab_size}: need at least 1")
-    fam = parse_family(args.family)
+    fam = parse_family(args.family).memoised()  # the checks read each K_m, built once
     ms = _parse_range(args.m_range)
-    d0 = min(ms)
     results: dict = {"family": fam.description, "m_range": [ms[0], ms[-1]]}
     results["consistent"] = check_consistent(fam, ms)
     stability = {}
@@ -273,24 +272,21 @@ def cmd_check_family(args) -> int:
         stability[str(r)] = {
             "vertex_stable_at_degree": r + 1,
             "vertex_stable": check_r_vertex_stable(fam, r, r + 1, ms, args.cap_subsets),
-            "face_stable": check_r_face_stable(fam, r, r + 1, ms),
+            "face_stable": check_r_face_stable(fam, r, r + 1, ms, args.cap_subsets),
         }
     results["stability"] = stability
-    Kd, _ = fam.instantiate(d0)
-    stab_results = {}
-    ok_all = True
-    for J in prefix_subsets(Kd.vertices, args.max_stab_size, args.cap_subsets):
-        if not J:
-            continue
-        ok = check_stabiliser_consistent(fam, J, ms, args.cap_support)
-        stab_results[subset_label(J)] = ok
-        ok_all = ok_all and ok
-    results["stabiliser_consistent"] = stab_results
+    # the subsets each scan reads: one per Σ_B-orbit at the window's last rank
+    KB, _ = fam.instantiate(ms[-1])
+    reps = pattern_orbit_reps(KB, ms[-1], args.max_stab_size, args.cap_subsets)
+    results["stabiliser_consistent"] = {
+        subset_label(J): check_stabiliser_consistent(fam, J, ms, args.cap_support)
+        for J in reps.representatives if J
+    }
     # vertex stability + stabiliser splitting is what the stability theory
     # needs; face stability at the same degree is reported informationally
     results["all_passed"] = bool(
         results["consistent"]
-        and ok_all
+        and all(results["stabiliser_consistent"].values())
         and all(v["vertex_stable"] for v in stability.values())
     )
     _emit(args, make_report("check-family", results, _caps(args)))
@@ -401,7 +397,10 @@ def main(argv=None) -> int:
             cap = getattr(args, flag[2:].replace("-", "_"), 0)  # 0: a cap it does not take
             if cap < 0:
                 raise ValidationError(f"{flag} {cap}: need at least 0")
-        for path in (args.output, getattr(args, "csv", None)):
+        paths = (args.output, getattr(args, "csv", None))
+        if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise ValidationError(f"--output and --csv both name {paths[1]!r}: give two files")
+        for path in paths:
             if path:
                 _check_writable(path)
         return args.func(args)

@@ -10,8 +10,7 @@ never claim anything beyond the scanned range.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import permutations as iter_permutations
+from functools import lru_cache, reduce
 from math import factorial, prod
 from typing import TYPE_CHECKING
 
@@ -26,13 +25,11 @@ from .perms import (
     fibre_blocks,
     is_g_complex,
     pattern_orbit_reps,
-    prefix_subsets,
     support_split,
 )
 from .records import FrozenRecord
 from .simplicial import (
     SimplicialComplex,
-    Vertex,
     join,
     skeleton,
     vc_cube_dual,
@@ -60,6 +57,10 @@ class Family(FrozenRecord):
         if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
             raise ValidationError("family complex uses indices outside 1..m")
         return K, PermGroup.symmetric(m)
+
+    def memoised(self) -> Family:
+        """The same family, building each K_m once for as long as it lives."""
+        return Family(self.description, lru_cache(self.build), self.args)
 
 
 def join_of_skeleta(m: int, *ks: int) -> SimplicialComplex:
@@ -152,55 +153,38 @@ def check_consistent(f: Family, m_range) -> bool:
     return True
 
 
-def _index_relabellings(src_indices, d: int):
-    """Injections of a small index set into 1..d, the order-preserving one first."""
-    src = sorted(src_indices)
-    return (dict(zip(src, img)) for img in iter_permutations(range(1, d + 1), len(src)))
+def _reps_of_size(f: Family, size: int, d: int, m_range, cap: int):
+    """(K_m, J) for each Σ_m-orbit representative J of `size` vertices, at each rank m >= d.
 
-
-def _relabel_set(S, mapping) -> frozenset:
-    return frozenset(v if v.index is None else Vertex(mapping[v.index], v.tag) for v in S)
+    K_m and K_d are Σ-closed (`parse_family` checks a custom file), so a subset
+    at rank m is Σ_m-equivalent to one from rank d exactly when its
+    representative, on the indices 1..b, is one from rank d: the stability
+    checks search no relabelling.
+    """
+    for m in m_range:
+        if m >= d:
+            Km, _ = f.instantiate(m)
+            for J in pattern_orbit_reps(Km, m, size, cap).representatives:
+                if len(J) == size:
+                    yield Km, J
 
 
 def check_r_vertex_stable(
     f: Family, r: int, d: int, m_range, cap: int = DEFAULT_SUBSET_CAP
 ) -> bool:
     """Every (r+1)-vertex collection at rank m is Σ_m-equivalent to one from rank d."""
-    Kd = _rank(f, d, f"vertex stability at r={r}")
-    vd = set(Kd.vertices)
-    for m in m_range:
-        if m < d:
-            continue
-        Km, _ = f.instantiate(m)
-        for S in prefix_subsets(Km.vertices, r + 1, cap):
-            if len(S) <= r:
-                continue
-            idx = {v.index for v in S if v.index is not None}
-            if len(idx) > d:
-                return False
-            if not any(
-                _relabel_set(S, mp) <= vd for mp in _index_relabellings(idx, d)
-            ):
-                return False
-    return True
+    vd = set(_rank(f, d, f"vertex stability at r={r}").vertices)
+    return all(J <= vd for _, J in _reps_of_size(f, r + 1, d, m_range, cap))
 
 
-def check_r_face_stable(f: Family, r: int, d: int, m_range) -> bool:
+def check_r_face_stable(
+    f: Family, r: int, d: int, m_range, cap: int = DEFAULT_SUBSET_CAP
+) -> bool:
     """Every r-face at rank m is Σ_m-equivalent to an r-face from rank d."""
     Kd = _rank(f, d, f"face stability at r={r}")
-    for m in m_range:
-        if m < d:
-            continue
-        Km, _ = f.instantiate(m)
-        for face in Km.faces_of_dim(r):
-            idx = {v.index for v in face if v.index is not None}
-            if len(idx) > d:
-                return False
-            if not any(
-                Kd.has_face(_relabel_set(face, mp)) for mp in _index_relabellings(idx, d)
-            ):
-                return False
-    return True
+    return all(
+        Kd.has_face(J) for Km, J in _reps_of_size(f, r + 1, d, m_range, cap) if Km.has_face(J)
+    )
 
 
 def check_stabiliser_consistent(
@@ -208,38 +192,22 @@ def check_stabiliser_consistent(
 ) -> bool:
     """stab(J, m) = (finite part on the support) × Σ_{m-b} with b = |support|.
 
-    Verified by listing the finite part (the b! elements of Sym(support)) and
-    counting it against the Young subgroup of J's fibres, Π_S c_S!, that the
-    scans take it to be, and by checking that the complement symmetric group
-    fixes J pointwise.
+    J must be a vertex subset at every rank m >= b of the window.  The finite
+    part, the b! elements of Sym(support) that fix J, is listed once and
+    counted against the Young subgroup of J's fibres, Π_S c_S!, that the
+    scans take it to be.  The complement holds by construction: a
+    permutation of the indices outside the support moves no vertex of J.
     """
     Jw = frozenset(J)
     b = len({v.index for v in Jw if v.index is not None})
-    for m in m_range:
-        if m < b:
-            continue
-        Km, _ = f.instantiate(m)
-        if not Jw <= set(Km.vertices):
-            return False
-        support, finite_part, comp_rank = support_split(Jw, Km, m, support_cap)
-        if comp_rank != m - len(support):
-            return False
-        if len(finite_part) != prod(factorial(len(s)) for s in fibre_blocks(Jw, support)):
-            return False
-        complement = [i for i in range(1, m + 1) if i not in support]
-        for gen in _sym_generators_on(complement, m):
-            if any(gen.act_vertex(v) != v for v in Jw):
-                return False
-    return True
-
-
-def _sym_generators_on(points: list[int], m: int) -> list[Permutation]:
-    if len(points) < 2:
-        return []
-    gens = [Permutation.from_cycles(m, (points[0], points[1]))]
-    if len(points) > 2:
-        gens.append(Permutation.from_cycles(m, tuple(points)))
-    return gens
+    ranks = {m: f.instantiate(m)[0] for m in m_range if m >= b}
+    if not all(Jw <= set(K.vertices) for K in ranks.values()):
+        return False
+    if not ranks:
+        return True
+    B = max(ranks)
+    support, finite_part, _ = support_split(Jw, ranks[B], B, support_cap)
+    return len(finite_part) == prod(factorial(len(s)) for s in fibre_blocks(Jw, support))
 
 
 # -- scans ---------------------------------------------------------------------

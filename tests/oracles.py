@@ -9,7 +9,7 @@ what they check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from hypothesis import strategies as st
@@ -88,6 +88,39 @@ def stabilizer_order_in_sym(J, m: int) -> int:
         frozenset(g.act_vertex(v) for v in Jw) == Jw
         for g in map(Permutation, permutations(range(1, m + 1)))
     )
+
+
+def _relabellings(S, d: int):
+    """S with its indices carried into 1..d by each injection, none when it has
+    more than d indices."""
+    src = sorted({v.index for v in S if v.index is not None})
+    for img in permutations(range(1, d + 1), len(src)):
+        to = dict(zip(src, img))
+        yield frozenset(v if v.index is None else Vertex(to[v.index], v.tag) for v in S)
+
+
+def vertex_stable_by_relabelling(fam, r: int, d: int, m_range) -> bool:
+    """`families.check_r_vertex_stable` by search: every (r+1)-subset of V(K_m),
+    m >= d, has an index relabelling into 1..d that lies in V(K_d)."""
+    vd = set(fam.instantiate(d)[0].vertices)
+    for m in m_range:
+        if m >= d:
+            for S in combinations(fam.instantiate(m)[0].vertices, r + 1):
+                if not any(T <= vd for T in _relabellings(S, d)):
+                    return False
+    return True
+
+
+def face_stable_by_relabelling(fam, r: int, d: int, m_range) -> bool:
+    """`families.check_r_face_stable` by search: every r-face of K_m, m >= d,
+    has an index relabelling into 1..d that is a face of K_d."""
+    Kd = fam.instantiate(d)[0]
+    for m in m_range:
+        if m >= d:
+            for face in fam.instantiate(m)[0].faces_of_dim(r):
+                if not any(Kd.has_face(T) for T in _relabellings(face, d)):
+                    return False
+    return True
 
 
 def character_on_cohomology(

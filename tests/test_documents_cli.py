@@ -203,10 +203,10 @@ def test_cli_check_family_fails_a_support_split_that_drops_an_element(monkeypatc
     assert report_of(capsys.readouterr().out)["all_passed"] is False
 
 
-def test_cli_check_family_fails_fibre_blocks_that_merge_two_fibres(monkeypatch, capsys):
+def _merge_two_fibres(monkeypatch):
+    """Patch in a `fibre_blocks` that merges a subset's first two fibres."""
     import macstab.families as families
     import macstab.hochster as hochster
-    from macstab.cli import main
     from macstab.perms import fibre_blocks
 
     def merging(J, support):
@@ -215,11 +215,37 @@ def test_cli_check_family_fails_fibre_blocks_that_merge_two_fibres(monkeypatch, 
 
     for module in (families, hochster):
         monkeypatch.setattr(module, "fibre_blocks", merging)
-    # the subsets come from the window's first rank, so it needs two indices:
+
+
+def test_cli_check_family_fails_fibre_blocks_that_merge_two_fibres(monkeypatch, capsys):
+    from macstab.cli import main
+
+    _merge_two_fibres(monkeypatch)
+    # the subsets are the orbit representatives at the window's last rank:
     # {1, 2.1} has the fibres {0} and {1}, and only the identity fixes it
     assert main(["check-family", "--family", "vccube", "--m", "2..4"]) == 3
     checked = report_of(capsys.readouterr().out)["stabiliser_consistent"]
     assert checked["{1,2.1}"] is False and checked["{1,2}"] is True
+
+
+@pytest.mark.parametrize("family, window", [("vccube", "1..6"), ("join:0,0", "1..5")])
+def test_cli_check_family_from_rank_one_fails_merged_fibres(monkeypatch, capsys, family, window):
+    # K_1 has one index, but the subsets come from the window's last rank
+    from macstab.cli import main
+
+    _merge_two_fibres(monkeypatch)
+    assert main(["check-family", "--family", family, "--m", window]) == 3
+    assert report_of(capsys.readouterr().out)["all_passed"] is False
+
+
+def test_cli_check_family_builds_each_rank_once(monkeypatch, capsys):
+    import macstab.families  # noqa: F401  (binds vc_cube_dual for the counter)
+    from macstab.cli import main
+
+    built = _count_bound_calls(monkeypatch, "simplicial", "vc_cube_dual")
+    assert main(["check-family", "--family", "vccube", "--m", "4..8"]) == 0
+    # consistency reads ranks 4..9, and stability at r = 0, 1, 2 reads 1, 2, 3
+    assert sorted(built) == list(range(1, 10))
 
 
 def test_cli_oracle(square_doc):
@@ -1247,6 +1273,18 @@ def test_cli_non_cocycle_block_action_is_an_internal_mismatch(monkeypatch, capsy
     assert main(["oracle", "--family", "skeleton:1", "--m", "5"]) == 3
     err = capsys.readouterr().err
     assert "internal mismatch" in err and "non-cocycle" in err
+
+
+def test_cli_scan_refuses_one_file_for_the_report_and_the_csv(monkeypatch, tmp_path, capsys):
+    # the report would be written over the CSV
+    import macstab.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..6"]
+    assert cli.main([*argv, "--output", str(tmp_path / "scan.out"), "--csv", "./scan.out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--output" in err and "--csv" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from macstab.hochster import MOMENT_ANGLE, betti
 from macstab.perms import PermGroup, enumerate_group, is_g_complex
 from macstab.simplicial import SimplicialComplex, Vertex, skeleton, vc_cube_dual
 from macstab.symrep import hook_dim, pad
+from oracles import face_stable_by_relabelling, vertex_stable_by_relabelling
 
 FAMILIES = [
     parse_family("skeleton:0"),
@@ -106,6 +107,36 @@ def test_vc_face_stability_needs_higher_degree():
     fam = parse_family("vccube")
     assert not check_r_face_stable(fam, 0, 1, range(1, 5))
     assert check_r_face_stable(fam, 0, 2, range(2, 6))
+
+
+def _late_tag(m: int) -> SimplicialComplex:
+    """Points on the indices 1..m, with a second tag's points from rank 3 on."""
+    verts = [Vertex(i, t) for i in range(1, m + 1) for t in ((0, 1) if m >= 3 else (0,))]
+    return SimplicialComplex(verts, [[v] for v in verts])
+
+
+LATE_TAG = Family("custom:late-tag", _late_tag)
+
+
+def test_vertex_stability_fails_for_a_tag_that_appears_late():
+    for check in (check_r_vertex_stable, vertex_stable_by_relabelling):
+        assert not check(LATE_TAG, 0, 1, range(1, 7))
+        assert check(LATE_TAG, 0, 3, range(1, 7))
+
+
+@pytest.mark.parametrize("window", [range(1, 7), range(2, 8)], ids=["1..6", "2..7"])
+@pytest.mark.parametrize("fam", FAMILIES + [LATE_TAG], ids=lambda f: f.description)
+def test_stability_checks_agree_with_the_relabelling_search(fam, window):
+    # the checks read one orbit representative per subset class; the search
+    # tries every subset (or face) at rank m under every relabelling into 1..d
+    for r in (0, 1, 2):
+        for d in (r + 1, r + 2):
+            assert check_r_vertex_stable(fam, r, d, window) == vertex_stable_by_relabelling(
+                fam, r, d, window
+            ), (r, d)
+            assert check_r_face_stable(fam, r, d, window) == face_stable_by_relabelling(
+                fam, r, d, window
+            ), (r, d)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.description)
