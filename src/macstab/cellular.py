@@ -25,7 +25,6 @@ from .perms import (
     PermGroup,
     Permutation,
     action_sign,
-    is_g_complex,
     restriction_sign,
     subset_orbit_reps,
 )
@@ -147,10 +146,8 @@ def compare_with_hochster(
     lets the scans skip J), and the trace of every stabilizer generator
     (combinatorial character times smash twist against the honest cellular
     action).  `flip_koszul` deliberately corrupts the twist to demonstrate
-    the comparison has teeth.
+    the comparison has teeth.  G is a group the caller has checked preserves K.
     """
-    if not is_g_complex(K, G):
-        raise ValidationError("the group does not preserve the complex")
     Z = MomentAngleCellComplex(K, cap=cap)
     table = subset_orbit_reps(K, G, cap=subset_cap)
     found: list[dict] = []

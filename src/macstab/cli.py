@@ -119,7 +119,7 @@ def _check_writable(path: str) -> None:
 
 def _emit(args, doc: dict) -> None:
     text = dumps_report(doc)
-    if args.output:
+    if args.output is not None:
         with _open_for_writing(args.output) as fh:
             fh.write(text)
     else:
@@ -229,7 +229,7 @@ def cmd_scan(args) -> int:
             "coefficients_ascending": fit.as_strings(),
             "onset_m": fit.onset_m,
         }
-    if args.csv:
+    if args.csv is not None:
         _write_scan_csv(args.csv, fam.description, args.degree, scan, values, sorted(set(ms)))
     _emit(args, make_report("scan", payload, _caps(args)))
     return 0
@@ -266,7 +266,7 @@ def cmd_check_family(args) -> int:
     fam = parse_family(args.family).memoised()  # the checks read each K_m, built once
     ms = _parse_range(args.m_range)
     results: dict = {"family": fam.description, "m_range": [ms[0], ms[-1]]}
-    results["consistent"] = check_consistent(fam, ms)
+    results["consistent"] = check_consistent(fam, ms, args.cap_subsets)
     stability = {}
     for r in range(args.max_r + 1):
         stability[str(r)] = {
@@ -299,7 +299,7 @@ def cmd_oracle(args) -> int:
     K, G, _ = _resolve_input(args)
     if G is None:
         G = PermGroup.trivial(max((v.index or 1 for v in K.vertices), default=1))
-    if args.degrees:
+    if args.degrees is not None:
         degrees = [parse_int(x, "--degrees entry") for x in args.degrees.split(",")]
     else:
         degrees = list(range(0, 2 * len(K.vertices) + 1))
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise ValidationError(f"--output and --csv both name {paths[1]!r}: give two files")
         for path in paths:
-            if path:
+            if path is not None:
                 _check_writable(path)
         return args.func(args)
     except ValidationError as err:

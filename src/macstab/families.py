@@ -21,7 +21,6 @@ from .perms import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
-    Permutation,
     fibre_blocks,
     is_g_complex,
     pattern_orbit_reps,
@@ -41,7 +40,11 @@ if TYPE_CHECKING:  # symrep is imported by the multiplicity scan alone
 
 class Family(FrozenRecord):
     """A family spec: K_m is `build(m, *args)` under the index action of Σ_m; equal
-    when its fields are (a custom family builds through a closure over its file)."""
+    when its fields are (a custom family builds through a closure over its file).
+
+    Each K_m is closed under Σ_m: the built-ins by construction, a custom file
+    by the check at load.  The checks and scans rely on this and test it no more.
+    """
 
     __slots__ = ("description", "build", "args")
 
@@ -53,10 +56,7 @@ class Family(FrozenRecord):
     def instantiate(self, m: int) -> tuple[SimplicialComplex, PermGroup]:
         if m < 1:
             raise ValidationError("family rank must be >= 1")
-        K = self.build(m, *self.args)
-        if any(v.index is not None and not 1 <= v.index <= m for v in K.vertices):
-            raise ValidationError("family complex uses indices outside 1..m")
-        return K, PermGroup.symmetric(m)
+        return self.build(m, *self.args), PermGroup.symmetric(m)
 
     def memoised(self) -> Family:
         """The same family, building each K_m once for as long as it lives."""
@@ -129,37 +129,30 @@ def _rank(f: Family, m: int, check: str) -> SimplicialComplex:
         raise ValidationError(f"{check} reads rank {m}: {err}") from None
 
 
-def _extend(g: Permutation, m_plus: int) -> Permutation:
-    return Permutation(g.images + tuple(range(g.degree + 1, m_plus + 1)))
+def check_consistent(f: Family, m_range, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+    """Each K_m includes into K_{m+1}: its vertices, and one facet per Σ_m-orbit.
 
-
-def check_consistent(f: Family, m_range) -> bool:
-    """Faces include into the next rank and the inclusions commute with Σ_m."""
-    ms = list(m_range)
-    for m in ms:
-        K, G = f.instantiate(m)
+    K_{m+1} is closed under Σ_{m+1}, which holds Σ_m, so a facet lies in it
+    exactly when its orbit representative does, and the inclusions commute
+    with Σ_m with nothing more to check.
+    """
+    for m in m_range:
+        K, _ = f.instantiate(m)
         K_next = _rank(f, m + 1, "consistency")
         if not set(K.vertices) <= set(K_next.vertices):
             return False
-        for facet in K.facets:
-            if not K_next.has_face(facet):
-                return False
-        for g in G.generators:
-            g_up = _extend(g, m + 1)
-            for facet in K.facets:
-                img = frozenset(g_up.act_vertex(v) for v in facet)
-                if not K_next.has_face(img):
-                    return False
+        reps = pattern_orbit_reps(K, m, K.dim + 1, cap).representatives
+        if not all(K_next.has_face(J) for J in reps if J in K.facets):
+            return False
     return True
 
 
 def _reps_of_size(f: Family, size: int, d: int, m_range, cap: int):
     """(K_m, J) for each Σ_m-orbit representative J of `size` vertices, at each rank m >= d.
 
-    K_m and K_d are Σ-closed (`parse_family` checks a custom file), so a subset
-    at rank m is Σ_m-equivalent to one from rank d exactly when its
-    representative, on the indices 1..b, is one from rank d: the stability
-    checks search no relabelling.
+    K_m and K_d are Σ-closed (the `Family` contract), so a subset at rank m is
+    Σ_m-equivalent to one from rank d exactly when its representative, on the
+    indices 1..b, is one from rank d: the stability checks search no relabelling.
     """
     for m in m_range:
         if m >= d:
@@ -250,10 +243,9 @@ def betti_at_degree(
 ) -> int:
     """b_i alone, over orbit representatives pruned by the vanishing bound.
 
-    `group` is the index action of Σ_m, whose orbits are listed by fibre pattern.
+    `group` is the index action of Σ_m, which preserves K (the `Family`
+    contract); its orbits are listed by fibre pattern.
     """
-    if group != PermGroup.symmetric(group.degree):
-        raise ValidationError("betti_at_degree needs the index action of a symmetric group")
     table = pattern_orbit_reps(K, group.degree, pair.max_subset_size(i), cap)
     return sum(table.orbit_sizes[rep] * dim for rep, _, dim in nonzero_summands(K, pair, i, table))
 

@@ -34,10 +34,8 @@ from .perms import (
     enumerate_group,
     fibre_blocks,
     index_support,
-    is_g_complex,
     pattern_orbit_reps,
     prefix_subsets,
-    restriction_sign,
     subset_orbit_reps,
 )
 from .records import FrozenRecord
@@ -84,17 +82,16 @@ def betti(
 ) -> dict[int, int]:
     """Betti numbers b_i = Σ_J dim H̃^{i - d|J| - 1}(K_J).
 
-    With a group the sum runs over orbit representatives weighted by orbit
-    size, which must agree with the plain sum over all subsets.  Each
-    dimension is read off K's own coboundary rows (`RestrictionDims`), so
-    no restriction and no cohomology basis is built.  Subsets and orbit
-    representatives both come in the prefix order of `perms.prefix_subsets`,
-    so each subset extends the elimination of one before it.
+    With a group, which the caller has checked preserves K, the sum runs over
+    orbit representatives weighted by orbit size, which must agree with the
+    plain sum over all subsets.  Each dimension is read off K's own coboundary
+    rows (`RestrictionDims`), so no restriction and no cohomology basis is
+    built.  Subsets and orbit representatives both come in the prefix order of
+    `perms.prefix_subsets`, so each subset extends the elimination of one
+    before it.
     """
     out: dict[int, int] = {}
     if group is not None:
-        if not is_g_complex(K, group):
-            raise ValidationError("the group does not preserve the complex")
         table = subset_orbit_reps(K, group, cap=cap)
         items = [(rep, table.orbit_sizes[rep]) for rep in table.representatives]
     else:
@@ -156,13 +153,14 @@ def summand_character(
 ) -> dict[Permutation, Fraction]:
     """Character of stabilising elements on the J-summand in degree p.
 
-    Trace on H̃^p(K_J) times the smash twist sign(g|_J)^d.
+    Trace on H̃^p(K_J) times the smash twist sign(g|_J)^d; `cohomology_trace`
+    checks that each element stabilises J.
     """
     out = {}
     for h in elements:
         tr = cohomology_trace(h, K, J, p)
         if pair.d % 2:
-            tr *= restriction_sign(h, J)
+            tr *= action_sign(h, J)
         out[h] = tr
     return out
 
@@ -503,13 +501,12 @@ def g_algebra_equivariance_check(
     cap: int = DEFAULT_SUBSET_CAP,
     products: list[list[CohomologyClass]] | None = None,
 ) -> bool:
-    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes.
+    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes and each
+    generator g of G, which the caller has checked preserves K.
 
     `products`, when given, is `product_table` of `spanning_classes(K, cap)`;
     each α⋆β is computed once and moved by every generator.
     """
-    if not is_g_complex(K, G):
-        raise ValidationError("the group does not preserve the complex")
     spanning = spanning_classes(K, cap)
     if products is None:
         products = product_table(K, spanning)

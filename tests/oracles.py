@@ -123,6 +123,29 @@ def face_stable_by_relabelling(fam, r: int, d: int, m_range) -> bool:
     return True
 
 
+def _extend(g: Permutation, m_plus: int) -> Permutation:
+    return Permutation(g.images + tuple(range(g.degree + 1, m_plus + 1)))
+
+
+def consistent_by_generators(fam, m_range) -> bool:
+    """`families.check_consistent` by the full walk: every facet of K_m, and its
+    image under each generator of Σ_m extended to m + 1, is a face of K_{m+1}."""
+    for m in m_range:
+        K, G = fam.instantiate(m)
+        K_next = fam.instantiate(m + 1)[0]
+        if not set(K.vertices) <= set(K_next.vertices):
+            return False
+        for facet in K.facets:
+            if not K_next.has_face(facet):
+                return False
+        for g in G.generators:
+            g_up = _extend(g, m + 1)
+            for facet in K.facets:
+                if not K_next.has_face(frozenset(g_up.act_vertex(v) for v in facet)):
+                    return False
+    return True
+
+
 def character_on_cohomology(
     K: SimplicialComplex, J, stab_elements, p: int
 ) -> dict[Permutation, Fraction]:

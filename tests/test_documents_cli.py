@@ -743,6 +743,81 @@ def test_cli_check_family_names_the_check_that_reads_a_rank_outside_its_window(t
                    f"custom family {str(path)!r} has no complex for m=1\n")
 
 
+def test_cli_check_family_refuses_a_family_not_closed_under_the_symmetric_group(
+    tmp_path, capsys
+):
+    # points on 1..m and an unindexed point x joined to index 1 alone: Σ_2
+    # moves the edge {1, x} to the non-edge {2, x}
+    from macstab.cli import main
+
+    def lopsided(m):
+        vertices = [{"id": f"v{i}", "index": i} for i in range(1, m + 1)] + [{"id": "x"}]
+        return {"vertices": vertices,
+                "facets": [[f"v{i}"] for i in range(2, m + 1)] + [["v1", "x"]]}
+
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps({"name": "lopsided",
+                                "complexes": {str(m): lopsided(m) for m in (2, 3)}}))
+    assert main(["check-family", "--family", f"custom:{path}", "--m", "2..3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {str(path)!r}: the complex for m=2 is not closed under Σ_2\n"
+
+
+def test_cli_check_family_fails_a_rank_that_drops_a_face(tmp_path, capsys):
+    # edges on 1..m up to rank 2, points from rank 3 on: each rank is closed
+    # under Σ_m, but K_2's edge is no face of K_3
+    from macstab.cli import main
+
+    path = tmp_path / "shrinking.json"
+    complexes = {str(m): serialize_complex(skeleton(m, 1 if m <= 2 else 0)) for m in range(1, 5)}
+    path.write_text(json.dumps({"name": "shrinking", "complexes": complexes}))
+    assert main(["check-family", "--family", f"custom:{path}", "--m", "2..3"]) == 3
+    assert report_of(capsys.readouterr().out)["consistent"] is False
+
+
+def test_cli_check_family_consistency_counts_toward_the_subset_cap(capsys):
+    # K_9 of vccube has more than 100 orbit representatives up to its facet size
+    from macstab.cli import main
+
+    assert main(["check-family", "--family", "vccube", "--m", "9..10", "--cap-subsets", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize(
+    "command", [("betti",), ("oracle",), ("product", "--check-equivariance")],
+    ids=["betti", "oracle", "product"],
+)
+def test_cli_checks_a_documents_group_once(monkeypatch, capsys, square_doc, command):
+    # where the document enters, in `_resolve_input`, and nowhere after
+    import macstab.cellular  # noqa: F401  (loaded, so its bindings are counted too)
+    from macstab.cli import main
+
+    checked = _count_bound_calls(monkeypatch, "perms", "is_g_complex")
+    assert main([*command, "--input", square_doc]) == 0
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("betti", "--family", "skeleton:0", "--m", "3", "--output", ""), "cannot write ''"),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4", "--csv", ""),
+         "cannot write ''"),
+        (("oracle", "--family", "skeleton:0", "--m", "3", "--degrees", ""),
+         "--degrees entry must be an integer, not ''"),
+    ],
+    ids=["betti-output", "scan-csv", "oracle-degrees"],
+)
+def test_cli_refuses_an_empty_flag_value(capsys, argv, message):
+    from macstab.cli import main
+
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def _count_bound_calls(monkeypatch, module, name):
     """Replace macstab.<module>.<name>, and every `from ... import` binding of
     it, by a wrapper recording the first argument of each call."""

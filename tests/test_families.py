@@ -19,10 +19,14 @@ from macstab.families import (
     parse_family,
 )
 from macstab.hochster import MOMENT_ANGLE, betti
-from macstab.perms import PermGroup, enumerate_group, is_g_complex
+from macstab.perms import PermGroup, enumerate_group, is_g_complex, pattern_orbit_reps
 from macstab.simplicial import SimplicialComplex, Vertex, skeleton, vc_cube_dual
 from macstab.symrep import hook_dim, pad
-from oracles import face_stable_by_relabelling, vertex_stable_by_relabelling
+from oracles import (
+    consistent_by_generators,
+    face_stable_by_relabelling,
+    vertex_stable_by_relabelling,
+)
 
 FAMILIES = [
     parse_family("skeleton:0"),
@@ -76,17 +80,6 @@ def test_families_consistent(fam):
     assert check_consistent(fam, range(1, 6))
 
 
-def test_custom_family_violating_equivariance():
-    def lopsided(m):
-        verts = [Vertex(i) for i in range(1, m + 1)] + [Vertex(None, 9)]
-        facets = [frozenset([v]) for v in verts[:-1]]
-        facets.append(frozenset([verts[0], verts[-1]]))
-        return SimplicialComplex(verts, facets)
-
-    fam = Family("custom:lopsided", lopsided)
-    assert not check_consistent(fam, range(2, 4))
-
-
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.description)
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_vertex_stability_at_r_plus_one(fam, r):
@@ -122,6 +115,49 @@ def test_vertex_stability_fails_for_a_tag_that_appears_late():
     for check in (check_r_vertex_stable, vertex_stable_by_relabelling):
         assert not check(LATE_TAG, 0, 1, range(1, 7))
         assert check(LATE_TAG, 0, 3, range(1, 7))
+
+
+def _shrinking(m: int) -> SimplicialComplex:
+    """Edges on the indices 1..m up to rank 2, points from rank 3 on: closed
+    under Σ_m at every rank, but K_2's edge is no face of K_3."""
+    return skeleton(m, 1 if m <= 2 else 0)
+
+
+SHRINKING = Family("custom:shrinking", _shrinking)
+
+
+def test_consistency_fails_where_a_rank_drops_a_face():
+    assert not check_consistent(SHRINKING, range(2, 4))
+    assert check_consistent(SHRINKING, range(3, 6))
+
+
+@pytest.mark.parametrize("window", [range(1, 7), range(2, 8)], ids=["1..6", "2..7"])
+@pytest.mark.parametrize(
+    "fam", FAMILIES + [LATE_TAG, SHRINKING], ids=lambda f: f.description
+)
+def test_consistency_agrees_with_the_generator_walk(fam, window):
+    # one facet per Σ_m-orbit against every facet and its image under each generator
+    assert check_consistent(fam, window) == consistent_by_generators(fam, window)
+
+
+def test_consistency_reads_one_facet_per_orbit(monkeypatch):
+    # the consistency walk of `check-family --family vccube --m 4..10`
+    looked_up = []
+    has_face = SimplicialComplex.has_face
+
+    def counting(K, face):
+        looked_up.append(face)
+        return has_face(K, face)
+
+    monkeypatch.setattr(SimplicialComplex, "has_face", counting)
+    fam = parse_family("vccube")
+    assert check_consistent(fam, range(4, 11))
+    facet_reps = []
+    for m in range(4, 11):
+        K, _ = fam.instantiate(m)
+        reps = pattern_orbit_reps(K, m, K.dim + 1).representatives
+        facet_reps += [J for J in reps if J in K.facets]
+    assert looked_up == facet_reps and len(looked_up) == 56
 
 
 @pytest.mark.parametrize("window", [range(1, 7), range(2, 8)], ids=["1..6", "2..7"])
