@@ -85,7 +85,7 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
     given = [f for f, v in (("--family", args.family), ("--m", args.m)) if v is not None]
     if args.input is not None and given:
         raise ValidationError(f"--input conflicts with {' and '.join(given)}: give one input")
-    if args.family:
+    if args.family is not None:
         if args.m is None:
             raise ValidationError("--family needs --m")
         from .families import parse_family  # a document reads no family module
@@ -93,7 +93,7 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
         fam = parse_family(args.family)
         K, G = fam.instantiate(args.m)
         return K, G, args.m
-    if args.input:
+    if args.input is not None:
         K, G = parse_complex(read_json(args.input))
         if G is not None and not is_g_complex(K, G):
             raise ValidationError("the group does not preserve the complex")

@@ -39,7 +39,7 @@ def serialize_complex(
     if group is not None:
         doc["group"] = {
             "degree": group.degree,
-            "generators": [list(g.images) for g in group.generators],
+            "generators": [list(g) for g in group.generators],
         }
     return doc
 

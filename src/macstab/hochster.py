@@ -29,7 +29,6 @@ from .perms import (
     OrbitTable,
     PermGroup,
     Permutation,
-    act_on_subset,
     action_sign,
     enumerate_group,
     fibre_blocks,
@@ -465,7 +464,7 @@ def transported_action(
     isomorphisms: σ* picks up ε(σ,J)·koszul(g, J∖σ)·ε(g·σ, g·J).
     """
     J = a.subset
-    gJ = act_on_subset(g, J, K)
+    gJ = g.act(J)
     src_faces = full_subcomplex(K, J).faces_of_dim(a.degree)
     dst_faces = full_subcomplex(K, gJ).faces_of_dim(a.degree)
     pos = {f: k for k, f in enumerate(dst_faces)}
@@ -474,7 +473,7 @@ def transported_action(
         val = a.cochain[k]
         if val == 0:
             continue
-        g_sigma = frozenset(g.act_vertex(v) for v in sigma)
+        g_sigma = g.act(sigma)
         sign = (
             _rank_sign(sigma, J)
             * action_sign(g, J - sigma)

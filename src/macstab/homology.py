@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import OracleMismatch, ValidationError
 from .linalg import CochainComplex, Matrix, _keep, _reduce, apply_signed
-from .perms import Permutation, act_on_subset, action_sign
+from .perms import Permutation, action_sign
 from .simplicial import SimplicialComplex, full_subcomplex
 
 
@@ -199,7 +199,7 @@ def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[i
     pos = {f: i for i, f in enumerate(faces)}
     action = []
     for sigma in faces:
-        img = frozenset(g.act_vertex(v) for v in sigma)
+        img = g.act(sigma)
         if img not in pos:
             raise ValidationError("image face missing from the complex")
         action.append((pos[img], action_sign(g, sigma)))
@@ -209,7 +209,7 @@ def cochain_action(g: Permutation, K: SimplicialComplex, p: int) -> list[tuple[i
 def _stabilised(g: Permutation, K: SimplicialComplex, J) -> CohomologyBasis:
     """The cohomology of K_J, after checking that g fixes J setwise."""
     Jw = frozenset(J)
-    if act_on_subset(g, Jw, K) != Jw:
+    if g.act(Jw) != Jw:
         raise ValidationError("element does not stabilise J")
     return reduced_cohomology(full_subcomplex(K, Jw))
 

@@ -1,11 +1,13 @@
 """Permutation groups acting on vertex labels through their index coordinate.
 
-Permutations are stored in one-line notation on {1..m}.  A group is a
-generator list; element lists are only materialised under a cap, and
-stabilizers come out of orbit breadth-first search as Schreier generators,
-computed on request.  Under the index action of Σ_m an orbit of vertex
-subsets is fixed by its fibre pattern, so `pattern_orbit_reps` lists those
-orbits without a search.
+A permutation is the tuple of its images on {1..m} (one-line notation),
+checked to be a bijection where it is built from outside images.  It acts on
+vertex subsets by `Permutation.act`, which trusts its degree to cover every
+index: inputs are checked where they enter.  A group is a generator list;
+element lists are only materialised under a cap, and stabilizers come out of
+orbit breadth-first search as Schreier generators, computed on request.
+Under the index action of Σ_m an orbit of vertex subsets is fixed by its
+fibre pattern, so `pattern_orbit_reps` lists those orbits without a search.
 """
 
 from __future__ import annotations
@@ -28,31 +30,23 @@ DEFAULT_SUPPORT_CAP = 8
 DEFAULT_ORACLE_CAP = 7  # vertices of the cellular model (`cellular`)
 
 
-class Permutation:
-    """One-line notation: images[i-1] = g(i) for i in 1..m.  Immutable, equal
-    and hashed by its images."""
+class Permutation(tuple):
+    """A bijection of {1..m} in one-line notation: g[i-1] = g(i).  A tuple of
+    its images, so equality, hashing and order are the tuple's."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: tuple[int, ...]):
+    def __new__(cls, images):
+        # the one check, for images from outside; products, inverses and the
+        # identity are bijections already and are built with tuple.__new__
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValidationError("not a bijection of {1..m}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Permutation:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
+        return tuple.__new__(cls, range(1, m + 1))
 
     @classmethod
     def from_cycles(cls, m: int, *cycles) -> "Permutation":
@@ -62,45 +56,38 @@ class Permutation:
                 images[a - 1] = b
             if cyc:
                 images[cyc[-1] - 1] = cyc[0]
-        return cls(tuple(images))
+        return cls(images)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self ∘ other: apply `other` first."""
-        if self.degree != other.degree:
-            raise ValidationError("degree mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return len(self)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
+        """self ∘ other: apply `other` first."""
+        if len(self) != len(other):
+            raise ValidationError("degree mismatch")
+        return tuple.__new__(Permutation, [self[j - 1] for j in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, j in enumerate(self, start=1):
             inv[j - 1] = i
-        return Permutation(tuple(inv))
+        return tuple.__new__(Permutation, inv)
 
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
+        return all(j == i for i, j in enumerate(self, start=1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()
         out = []
-        for i in range(1, self.degree + 1):
-            if i in seen or self(i) == i:
+        for i, j in enumerate(self, start=1):
+            if i in seen or j == i:
                 continue
             cyc = [i]
-            j = self(i)
             while j != i:
                 seen.add(j)
                 cyc.append(j)
-                j = self(j)
+                j = self[j - 1]
             out.append(tuple(cyc))
         return out
 
@@ -114,12 +101,13 @@ class Permutation:
         return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
     def act_vertex(self, v: Vertex) -> Vertex:
+        """g·v; the degree covers every index, as checked where g and v enter."""
         unindexed, i, tag = v  # the vertex's sort key
-        if unindexed:
-            return v
-        if i > len(self.images):
-            raise ValidationError("index exceeds permutation degree")
-        return Vertex(self.images[i - 1], tag)
+        return v if unindexed else Vertex(self[i - 1], tag)
+
+    def act(self, J) -> frozenset:
+        """The image {g·v : v ∈ J} of a vertex subset."""
+        return frozenset(map(self.act_vertex, J))
 
     def __str__(self) -> str:
         cycs = self.cycles()
@@ -143,7 +131,7 @@ def action_sign(g: Permutation, face) -> int:
 
 def restriction_sign(g: Permutation, subset) -> int:
     """Sign of g as a permutation of the vertex subset it stabilises."""
-    if {g.act_vertex(v) for v in subset} != set(subset):
+    if g.act(subset) != set(subset):
         raise ValidationError("element does not stabilise the subset")
     return action_sign(g, subset)
 
@@ -209,30 +197,19 @@ def enumerate_group(
     return order
 
 
-def act_on_subset(g: Permutation, J, K: SimplicialComplex) -> frozenset:
-    """Image {g·v : v ∈ J} of a vertex subset of K."""
-    Jw = frozenset(J)
-    if not Jw <= set(K.vertices):
-        raise ValidationError("J is not a subset of the vertex set")
-    top = max((v.index for v in K.vertices if v.index is not None), default=0)
-    if g.degree < top:
-        raise ValidationError("permutation degree smaller than the largest index")
-    return frozenset(g.act_vertex(v) for v in Jw)
-
-
 def is_g_complex(K: SimplicialComplex, G: PermGroup) -> bool:
     """True iff every generator maps every facet of K into K.
 
     Generators suffice: the action preserves face cardinality and groups are
     closed under composition.
     """
-    vertices = set(K.vertices)
+    vertices = frozenset(K.vertices)
     for g in G.generators:
-        if any(g.act_vertex(v) not in vertices for v in K.vertices):
+        if g.act(vertices) != vertices:
             return False
         # a vertex bijection that maps K into K is an automorphism, so it maps
         # facets onto facets
-        if any(frozenset(g.act_vertex(v) for v in f) not in K.facets for f in K.facets):
+        if any(g.act(f) not in K.facets for f in K.facets):
             return False
     return True
 
@@ -266,7 +243,7 @@ class OrbitTable:
         seen = set()
         for s, ws in words.items():
             for g in self.group.generators:
-                img = frozenset(g.act_vertex(v) for v in s)
+                img = g.act(s)
                 sg = words[img].inverse() * (g * ws)
                 if not sg.is_identity() and sg not in seen:
                     seen.add(sg)
@@ -341,7 +318,7 @@ def subset_orbit_reps(
             for s in frontier:
                 ts = orbit[s]
                 for g in G.generators:
-                    img = frozenset(g.act_vertex(v) for v in s)
+                    img = g.act(s)
                     if img not in orbit:
                         orbit[img] = g * ts
                         nxt.append(img)
@@ -453,7 +430,7 @@ def support_split(
         images = list(range(1, m + 1))
         for src, dst in zip(support, imgs):
             images[src - 1] = dst
-        h = Permutation(tuple(images))
-        if frozenset(h.act_vertex(v) for v in Jw) == Jw:
+        h = Permutation(images)
+        if h.act(Jw) == Jw:
             finite_part.append(h)
     return support, finite_part, m - len(support)

@@ -1,8 +1,7 @@
 """Immutable value records: equal and hashed by their fields, closed to assignment.
 
-`Permutation` is hashed on every orbit step, so it spells these methods out
-on its own images instead of inheriting them from here; `Vertex` is a tuple
-and has them from `tuple`.
+`Vertex` and `Permutation`, hashed on every orbit step, are tuples instead
+and have these methods from `tuple`.
 """
 
 

@@ -124,7 +124,7 @@ def face_stable_by_relabelling(fam, r: int, d: int, m_range) -> bool:
 
 
 def _extend(g: Permutation, m_plus: int) -> Permutation:
-    return Permutation(g.images + tuple(range(g.degree + 1, m_plus + 1)))
+    return Permutation(tuple(g) + tuple(range(g.degree + 1, m_plus + 1)))
 
 
 def consistent_by_generators(fam, m_range) -> bool:

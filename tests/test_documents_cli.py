@@ -47,7 +47,7 @@ def test_roundtrip(square, c4):
     doc = serialize_complex(square, c4)
     K, G = parse_complex(doc)
     assert K == square
-    assert G.degree == 4 and [g.images for g in G.generators] == [(2, 3, 4, 1)]
+    assert G.degree == 4 and [tuple(g) for g in G.generators] == [(2, 3, 4, 1)]
     again = serialize_complex(K, G)
     assert again == doc
 
@@ -363,6 +363,44 @@ def test_cli_malformed_input_is_a_validation_error(argv, stdin):
             assert path in err
     if argv in USAGE_ERRORS:
         assert USAGE_ERRORS[argv] in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("betti", "--input", ""), "cannot read ''"),
+        (("betti", "--family", "", "--m", "3"), "unknown family ''"),
+    ],
+    ids=["input", "family"],
+)
+def test_cli_an_empty_input_value_is_named(argv, message):
+    # the flag was given: the error names its value, not a missing input
+    rc, out, err = run_cli(*argv)
+    assert rc == 1 and out == "" and err.startswith(f"error: {message}")
+
+
+_POINTS = [{"id": str(i), "index": i} for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"generators": [[1, 1, 3]]}, "group generator #0 is not a bijection"),
+        ({"degree": 4, "generators": [[2, 1, 3]]},
+         "generator length disagrees with group degree"),
+        ({"degree": 2, "generators": [[2, 1]]},
+         "group degree smaller than the largest vertex index"),
+        ({"generators": [[2, 1, 3], [1, 3, 2, 4]]}, "generator degree mismatch"),
+    ],
+    ids=["not-a-bijection", "length-not-degree", "degree-below-index", "two-lengths"],
+)
+@pytest.mark.parametrize("command", [("betti",), ("decompose", "--degree", "3")])
+def test_cli_group_is_checked_where_the_document_enters(group, message, command):
+    # the engine acts on vertices with no degree check of its own: a group that
+    # cannot act on the document's indices stops here, with exit 1
+    doc = {"vertices": _POINTS, "facets": [[v["id"]] for v in _POINTS], "group": group}
+    rc, out, err = run_cli(*command, "--input", "-", stdin=json.dumps(doc))
+    assert rc == 1 and out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("scan", "--help")])

@@ -223,7 +223,7 @@ def _character_by_elements(K, rep, support, p, pair, m):
     _, finite_part, _ = support_split(rep, K, m, cap=len(support))
     char = summand_character(K, rep, finite_part, p, pair)
     rank = {s: a + 1 for a, s in enumerate(support)}
-    small = {Permutation(tuple(rank[h(s)] for s in support)): t for h, t in char.items()}
+    small = {Permutation(tuple(rank[h[s - 1]] for s in support)): t for h, t in char.items()}
     return induce_to_sym(list(small), small, cap=len(support))
 
 

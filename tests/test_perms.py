@@ -8,7 +8,6 @@ from macstab.errors import CapExceeded, OracleMismatch, ValidationError
 from macstab.perms import (
     PermGroup,
     Permutation,
-    act_on_subset,
     enumerate_group,
     fibre_blocks,
     index_support,
@@ -37,11 +36,11 @@ def perm(m, *cycles):
 
 def test_permutation_basics():
     g = perm(4, (1, 2, 3, 4))
-    assert g(1) == 2 and g(4) == 1
+    assert g[0] == 2 and g[3] == 1
     assert g.cycle_type() == (4,)
     assert g.sign() == -1
     assert (g * g).cycle_type() == (2, 2)
-    assert g.inverse().compose(g).is_identity()
+    assert (g.inverse() * g).is_identity()
     with pytest.raises(ValidationError):
         Permutation((1, 1, 3))
 
@@ -49,14 +48,13 @@ def test_permutation_basics():
 def test_act_on_subset_examples(square, c4):
     v = {w.index: w for w in square.vertices}
     g = perm(4, (1, 2, 3, 4))
-    assert act_on_subset(g, {v[1], v[3]}, square) == {v[2], v[4]}
+    assert g.act({v[1], v[3]}) == {v[2], v[4]}
     ident = Permutation.identity(4)
-    assert act_on_subset(ident, {v[1]}, square) == {v[1]}
-    vc = vc_cube_dual(2)
+    assert ident.act({v[1]}) == {v[1]}
     zero1 = Vertex(1, 0)
     star = Vertex(None, 0)
     g12 = perm(2, (1, 2))
-    assert act_on_subset(g12, {zero1, star}, vc) == {Vertex(2, 0), star}
+    assert g12.act({zero1, star}) == {Vertex(2, 0), star}
 
 
 def test_is_g_complex(square, c4):
@@ -116,7 +114,7 @@ def test_subset_orbit_reps_square(square, c4):
     assert sum(table.orbit_sizes.values()) == 16
     J13 = frozenset({v[1], v[3]})
     stab = enumerate_group(list(table.stabilizer_gens(J13)))
-    assert sorted(g.images for g in stab) == [(1, 2, 3, 4), (3, 4, 1, 2)]
+    assert sorted(tuple(g) for g in stab) == [(1, 2, 3, 4), (3, 4, 1, 2)]
 
 
 @pytest.mark.parametrize("m,k", [(3, 0), (4, 0), (5, 1)])
@@ -168,7 +166,7 @@ def test_transversal_carries_rep(square, c4):
     table = subset_orbit_reps(square, c4)
     for rep, orbit in table.orbits.items():
         for subset, g in orbit.items():
-            assert act_on_subset(g, rep, square) == subset
+            assert g.act(rep) == subset
 
 
 def test_full_subcomplex_equivariance(square, c4):
@@ -235,11 +233,10 @@ def test_restriction_sign(square):
 @given(st.permutations(range(1, 6)), st.permutations(range(1, 6)),
        st.sets(st.integers(min_value=1, max_value=5)))
 def test_action_is_functorial(imgs_g, imgs_h, idx):
-    K = skeleton(5, 0)
     g, h = Permutation(tuple(imgs_g)), Permutation(tuple(imgs_h))
     J = {Vertex(i) for i in idx}
-    lhs = act_on_subset(g * h, J, K)
-    rhs = act_on_subset(g, act_on_subset(h, J, K), K)
+    lhs = (g * h).act(J)
+    rhs = g.act(h.act(J))
     assert lhs == rhs
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from macstab.errors import ValidationError
+from macstab.perms import Permutation
 from macstab.simplicial import (
     SimplicialComplex,
     Vertex,
@@ -225,6 +226,26 @@ def test_vertex_is_a_value_ordered_by_index_then_tag(labels):
         assert (v.index, v.tag) == (index, tag)
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(twin) is Vertex and twin == v and str(twin) == str(v)
+
+
+@settings(max_examples=100)
+@given(st.permutations(range(1, 6)), st.permutations(range(1, 6)),
+       st.sets(st.tuples(st.one_of(st.none(), st.integers(1, 5)), st.integers(0, 2))))
+def test_permutation_is_a_tuple_of_its_images(imgs_g, imgs_h, labels):
+    g, h = Permutation(imgs_g), Permutation(imgs_h)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is Permutation and twin == g and str(twin) == str(g)
+    made = [
+        (g * h, tuple(imgs_g[j - 1] for j in imgs_h)),  # apply h first
+        (g.inverse(), tuple(imgs_g.index(j) + 1 for j in range(1, 6))),
+        (Permutation.identity(5), (1, 2, 3, 4, 5)),
+    ]
+    for p, images in made:
+        assert type(p) is Permutation and p == images and hash(p) == hash(images)
+    J = {Vertex(index, tag) for index, tag in labels}
+    image = {Vertex(None if i is None else imgs_g[i - 1], t) for i, t in labels}
+    assert g.act(J) == image and len(image) == len(J)
+    assert (g * h).act(J) == g.act(h.act(J))
 
 
 def test_cone_vertex_hash_repeats_across_processes():
