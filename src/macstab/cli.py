@@ -199,17 +199,14 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_scan(args) -> int:
-    from .families import betti_growth, multiplicity_scan, parse_family
+    from .families import multiplicity_scan, parse_family
 
     fam = parse_family(args.family)
     pair = SpherePair(args.d)
-    ms = _parse_range(args.m_range)
+    scan = multiplicity_scan(fam, pair, args.degree, _parse_range(args.m_range), args.cap_support,
+                             args.cap_subsets, characters=not args.betti_only)
     payload: dict = {"family": fam.description, "degree": args.degree}
-    scan = None
-    if args.betti_only:
-        fit, values, diffs = betti_growth(fam, pair, args.degree, ms, args.cap_subsets)
-    else:
-        scan = multiplicity_scan(fam, pair, args.degree, ms, args.cap_support, args.cap_subsets)
+    if not args.betti_only:
         payload["multiplicities"] = {
             str(m): {_partition_key(b): mult for b, mult in t.items()}
             for m, t in scan.tables.items()
@@ -218,35 +215,32 @@ def cmd_scan(args) -> int:
         payload["certified_within_window"] = scan.certified
         payload["weight"] = scan.weight
         payload["betti"] = {str(m): b for m, b in scan.betti.items()}
-        fit, values, diffs = scan.fit, list(scan.betti.values()), scan.diff_table
-    payload["betti_values"] = dict(zip(map(str, sorted(set(ms))), values))
-    payload["difference_table"] = diffs
-    if fit is None:
+    payload["betti_values"] = {str(m): b for m, b in scan.betti.items()}
+    payload["difference_table"] = scan.diff_table
+    if scan.fit is None:
         payload["growth"] = "not yet polynomial in the scanned window"
     else:
         payload["growth"] = {
-            "degree": fit.degree,
-            "coefficients_ascending": fit.as_strings(),
-            "onset_m": fit.onset_m,
+            "degree": scan.fit.degree,
+            "coefficients_ascending": [str(c) for c in scan.fit.coefficients],
+            "onset_m": scan.fit.onset_m,
         }
     if args.csv is not None:
-        _write_scan_csv(args.csv, fam.description, args.degree, scan, values, sorted(set(ms)))
+        _write_scan_csv(args.csv, fam.description, args.degree, scan)
     _emit(args, make_report("scan", payload, _caps(args)))
     return 0
 
 
-def _write_scan_csv(path, family, degree, scan, values, ms):
+def _write_scan_csv(path, family, degree, scan):
     import csv  # only `scan --csv` writes CSV; start-up stays lean
 
     with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
-        bases = sorted({b for t in scan.tables.values() for b in t}) if scan else []
+        bases = sorted({b for t in scan.tables.values() for b in t})
         writer.writerow(["family", "degree", "m", "betti"] + [_partition_key(b) for b in bases])
-        for m, b in zip(ms, values):
-            row = [family, degree, m, b]
-            if scan:
-                row += [scan.tables[m].get(base, 0) for base in bases]
-            writer.writerow(row)
+        for m, b in scan.betti.items():
+            row = [scan.tables[m].get(base, 0) for base in bases]
+            writer.writerow([family, degree, m, b, *row])
 
 
 def cmd_check_family(args) -> int:

@@ -18,21 +18,17 @@ from .perms import PermGroup, Permutation
 from .simplicial import SimplicialComplex, Vertex, face_key
 
 
-def vertex_id(v: Vertex) -> str:
-    return str(v)
-
-
 def serialize_complex(
     K: SimplicialComplex, group: PermGroup | None = None
 ) -> dict[str, Any]:
     verts = []
     for v in K.vertices:
-        rec: dict[str, Any] = {"id": vertex_id(v), "tag": v.tag}
+        rec: dict[str, Any] = {"id": str(v), "tag": v.tag}
         if v.index is not None:
             rec["index"] = v.index
         verts.append(rec)
     facets = [
-        sorted(vertex_id(v) for v in sorted(f))
+        sorted(str(v) for v in sorted(f))
         for f in sorted(K.facets, key=face_key)
     ]
     doc: dict[str, Any] = {"vertices": verts, "facets": facets}
@@ -109,6 +105,8 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
     if "group" in doc and doc["group"] is not None:
         grec = expect(doc["group"], dict, "'group'")
         degree = parse_int(grec.get("degree", 0), "group degree")
+        if degree < 0:
+            raise ValidationError(f"group degree must be >= 0, not {degree}")
         gens = []
         for k, images in enumerate(expect(grec.get("generators", []), list, "group generators")):
             what = f"group generator #{k}"
@@ -119,9 +117,12 @@ def parse_complex(doc: dict) -> tuple[SimplicialComplex, PermGroup | None]:
                 raise ValidationError(f"{what} is not a bijection") from None
         if not gens:
             gens = [Permutation.identity(max(degree, 1))]
-        if degree and any(g.degree != degree for g in gens):
-            raise ValidationError("generator length disagrees with group degree")
-        group = PermGroup(degree or gens[0].degree, tuple(gens))
+        size = degree or gens[0].degree
+        for k, g in enumerate(gens):
+            if g.degree != size:
+                but = f"the group degree is {degree}" if degree else f"generator #0 has {size}"
+                raise ValidationError(f"group generator #{k} has {g.degree} entries, but {but}")
+        group = PermGroup(size, tuple(gens))
         top = max((v.index for v in K.vertices if v.index is not None), default=0)
         if group.degree < top:
             raise ValidationError("group degree smaller than the largest vertex index")

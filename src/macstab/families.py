@@ -220,9 +220,6 @@ class PolynomialFit:
             acc += c * m**k
         return acc
 
-    def as_strings(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
-
 
 class StabilityScanReport:
     __slots__ = ("tables", "onset", "certified", "weight", "betti", "diff_table", "fit")
@@ -257,17 +254,19 @@ def multiplicity_scan(
     m_range,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
+    characters: bool = True,
 ) -> StabilityScanReport:
-    """Padded multiplicity tables over a window, with the observed onset.
+    """Padded multiplicity tables over a window, with the observed onset, and
+    the growth of b_i(m) over it.
 
     Stabilization is certified only within the window: the onset is the least
     scanned m from which the padded tables stay constant to the end.  Each
     rank's orbits are listed once, by fibre pattern, and give both its table
-    and b_i(m); a summand met at several ranks is computed once.
+    and b_i(m); a summand met at several ranks is computed once.  Without
+    `characters` each rank gives b_i(m) alone, by `betti_at_degree`, and the
+    report has no tables, onset or weight.
     """
-    from .symrep import weight as table_weight
-
-    if pair.d < 1:
+    if characters and pair.d < 1:
         raise ValidationError("multiplicity scans need a sphere of dimension >= 1")
     ms = sorted(set(m_range))
     if not ms:
@@ -275,23 +274,26 @@ def multiplicity_scan(
     report = StabilityScanReport()
 
     for m in ms:
-        K, _ = f.instantiate(m)
+        K, G = f.instantiate(m)
+        if not characters:
+            report.betti[m] = betti_at_degree(K, pair, i, G, subset_cap)
+            continue
         summands = orbit_summands(K, pair, i, m, support_cap, subset_cap)
         report.tables[m] = padded_table(summands, m)
         report.betti[m] = sum(s.orbit_size * s.dim for s in summands)
-    last = report.tables[ms[-1]]
-    onset = ms[-1]
-    for m in reversed(ms):
-        if report.tables[m] == last:
-            onset = m
-        else:
-            break
-    report.onset = onset
-    report.certified = onset < ms[-1]
-    report.weight = table_weight(last)
     values = list(report.betti.values())
     report.fit = _fit_tail(ms, values)
     report.diff_table = _difference_table(values)
+    if characters:
+        from .symrep import weight as table_weight
+
+        last = report.tables[ms[-1]]
+        for m in reversed(ms):
+            if report.tables[m] != last:
+                break
+            report.onset = m
+        report.certified = report.onset < ms[-1]
+        report.weight = table_weight(last)
     return report
 
 
@@ -320,29 +322,15 @@ def _fit_tail(ms: list[int], values: list[int]) -> PolynomialFit | None:
 
 
 def _newton_to_monomial(m0: int, leading_diffs: list[int]) -> tuple[Fraction, ...]:
-    """Exact coefficients of Σ_k Δ^k · C(m - m0, k) as a polynomial in m."""
-    poly = [Fraction(0)]
-
-    def add(p, q):
-        size = max(len(p), len(q))
-        return [
-            (p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0)
-            for k in range(size)
-        ]
-
-    def mul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for a, pa in enumerate(p):
-            for b, qb in enumerate(q):
-                out[a + b] += pa * qb
-        return out
-
-    for k, dk in enumerate(leading_diffs):
-        term = [Fraction(1)]
-        for j in range(k):
-            term = mul(term, [Fraction(-(m0 + j)), Fraction(1)])  # (m - m0 - j)
-        term = [c * Fraction(dk, factorial(k)) for c in term]
-        poly = add(poly, term)
+    """Exact coefficients of Σ_k Δ^k · C(m - m0, k) as a polynomial in m,
+    by Horner's rule on the Newton form: poly · (m - m0 - k) + Δ^k / k!."""
+    poly: list[Fraction] = []
+    for k in reversed(range(len(leading_diffs))):
+        shifted = [Fraction(0)] + poly  # poly · m
+        for j, c in enumerate(poly):
+            shifted[j] -= (m0 + k) * c
+        shifted[0] += Fraction(leading_diffs[k], factorial(k))
+        poly = shifted
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
@@ -361,10 +349,5 @@ def betti_growth(
     interpolates a maximal suffix of the window with zero residual; None means
     the window does not yet certify polynomiality.
     """
-    ms = sorted(set(m_range))
-    values = []
-    for m in ms:
-        K, G = f.instantiate(m)
-        values.append(betti_at_degree(K, pair, i, G, cap))
-    fit = _fit_tail(ms, values)
-    return fit, values, _difference_table(values)
+    report = multiplicity_scan(f, pair, i, m_range, subset_cap=cap, characters=False)
+    return report.fit, list(report.betti.values()), report.diff_table

@@ -387,12 +387,15 @@ _POINTS = [{"id": str(i), "index": i} for i in (1, 2, 3)]
     [
         ({"generators": [[1, 1, 3]]}, "group generator #0 is not a bijection"),
         ({"degree": 4, "generators": [[2, 1, 3]]},
-         "generator length disagrees with group degree"),
+         "group generator #0 has 3 entries, but the group degree is 4"),
         ({"degree": 2, "generators": [[2, 1]]},
          "group degree smaller than the largest vertex index"),
-        ({"generators": [[2, 1, 3], [1, 3, 2, 4]]}, "generator degree mismatch"),
+        ({"generators": [[2, 1, 3], [1, 3, 2, 4]]},
+         "group generator #1 has 4 entries, but generator #0 has 3"),
+        ({"degree": -1, "generators": []}, "group degree must be >= 0, not -1"),
     ],
-    ids=["not-a-bijection", "length-not-degree", "degree-below-index", "two-lengths"],
+    ids=["not-a-bijection", "length-not-degree", "degree-below-index", "two-lengths",
+         "negative-degree"],
 )
 @pytest.mark.parametrize("command", [("betti",), ("decompose", "--degree", "3")])
 def test_cli_group_is_checked_where_the_document_enters(group, message, command):
@@ -500,23 +503,52 @@ def test_cli_decompose_betti_is_the_betti_commands(capsys, family, m, degree, be
     assert decomposed == report_of(capsys.readouterr().out)["degrees"][str(degree)] == betti
 
 
-@pytest.mark.parametrize("degree, betti", [(5, [2, 4, 10, 20]), (7, [6, 7, 11, 21])])
-def test_cli_scan_betti_is_the_betti_commands(capsys, degree, betti):
+@pytest.mark.parametrize(
+    "d, degree, ms, betti",
+    [(1, 5, range(3, 7), [2, 4, 10, 20]), (1, 7, range(3, 7), [6, 7, 11, 21]),
+     (0, 4, range(3, 6), [0, 1, 41]), (2, 7, range(3, 6), [6, 10, 15])],
+    ids=["d1-degree5", "d1-degree7", "d0-degree4", "d2-degree7"],
+)
+def test_cli_scan_betti_is_the_betti_commands(capsys, d, degree, ms, betti):
     # both scan routes skip the summands the facet masks show to vanish;
-    # `betti` reads every subset off K's own coboundary rows, with no skip
+    # `betti` reads every subset off K's own coboundary rows, with no skip.
+    # The full scan needs d >= 1; the betti-only scan runs at every d.
     from macstab.cli import main
 
-    ms = range(3, 7)
-    scan = ["scan", "--family", "vccube", "--degree", str(degree), "--m", "3..6"]
-    assert main(scan) == 0
-    scanned = report_of(capsys.readouterr().out)["betti"]
+    scan = ["scan", "--family", "vccube", "--degree", str(degree), "--m", f"{ms[0]}..{ms[-1]}",
+            "--d", str(d)]
     assert main([*scan, "--betti-only"]) == 0
     betti_only = report_of(capsys.readouterr().out)["betti_values"]
     plain = []
     for m in ms:
-        assert main(["betti", "--family", "vccube", "--m", str(m)]) == 0
+        assert main(["betti", "--family", "vccube", "--m", str(m), "--d", str(d)]) == 0
         plain.append(report_of(capsys.readouterr().out)["degrees"].get(str(degree), 0))
-    assert [scanned[str(m)] for m in ms] == [betti_only[str(m)] for m in ms] == plain == betti
+    assert [betti_only[str(m)] for m in ms] == plain == betti
+    if d >= 1:
+        assert main(scan) == 0
+        scanned = report_of(capsys.readouterr().out)["betti"]
+        assert [scanned[str(m)] for m in ms] == betti
+
+
+def test_cli_scan_has_one_loop_for_both_reports(monkeypatch, capsys):
+    # a betti-only scan reads b_i(m) once per rank and computes no summand;
+    # a full scan reads b_i(m) off its summands, never by `betti_at_degree`
+    from macstab import cli, families, hochster
+
+    calls = {"betti_at_degree": 0, "_summand_data": 0}
+    for module, name in [(families, "betti_at_degree"), (hochster, "_summand_data")]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    hochster.summand_memo.clear()
+    argv = ["scan", "--family", "skeleton:0", "--degree", "4", "--m", "4..6"]
+    assert cli.main([*argv, "--betti-only"]) == 0
+    assert calls == {"betti_at_degree": 3, "_summand_data": 0}
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls["betti_at_degree"] == 3 and calls["_summand_data"] > 0
 
 
 # the flags each command does not read, and abbreviations of the flags it does

@@ -1,13 +1,16 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macstab.documents import serialize_complex
 from macstab.errors import ValidationError
 from macstab.families import (
     Family,
+    _newton_to_monomial,
     betti_at_degree,
     betti_growth,
     check_consistent,
@@ -263,6 +266,25 @@ def test_betti_growth_vc_linear_tail():
 def test_betti_growth_insufficient_window():
     fit, values, _ = betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(4, 6))
     assert fit is None
+
+
+def test_betti_growth_refuses_an_empty_window():
+    with pytest.raises(ValidationError, match="empty scan range"):
+        betti_growth(parse_family("skeleton:0"), MOMENT_ANGLE, 4, range(6, 4))
+
+
+@settings(max_examples=300)
+@given(st.integers(-20, 20), st.lists(st.integers(-50, 50), min_size=1, max_size=7))
+def test_newton_expansion_evaluates_to_the_newton_form(m0, diffs):
+    # the monomial coefficients of Σ_k Δ^k · C(m - m0, k), checked by evaluating
+    # both forms at t + 3 points, more than the t + 1 that fix a degree-t polynomial
+    coeffs = _newton_to_monomial(m0, diffs)
+    assert all(type(c) is Fraction for c in coeffs)
+    # C(m - m0, k) has degree k, so the degree is the last nonzero Δ^k's: no trailing 0
+    assert len(coeffs) - 1 == max((k for k, d in enumerate(diffs) if d), default=0)
+    for m in range(m0, m0 + len(diffs) + 2):
+        expected = sum(d * comb(m - m0, k) for k, d in enumerate(diffs))
+        assert sum(c * m**k for k, c in enumerate(coeffs)) == expected
 
 
 def test_betti_at_degree_matches_full_table():

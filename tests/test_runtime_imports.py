@@ -89,8 +89,12 @@ _CYCLE = {
         (["product", "--family", "skeleton:0", "--m", "3"], {"macstab.symrep"}),
         (["scan", "--family", "skeleton:0", "--degree", "3", "--m", "2..3"],
          {"macstab.cellular"}),
+        (["scan", "--family", "skeleton:0", "--degree", "3", "--m", "2..3", "--betti-only"],
+         {"macstab.cellular", "macstab.symrep"}),
+        (["decompose", "--input", "DOC", "--degree", "3"], {"macstab.cellular", "macstab.symrep"}),
     ],
-    ids=["betti-input", "oracle-input", "product-input", "product-family", "scan"],
+    ids=["betti-input", "oracle-input", "product-input", "product-family", "scan",
+         "scan-betti-only", "decompose"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
     doc = tmp_path / "cycle.json"
