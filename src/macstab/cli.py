@@ -20,11 +20,10 @@ from .hochster import (
     class_is_zero_in_cohomology,
     equivariant_decomposition,
     g_algebra_equivariance_check,
-    orbit_summands,
-    padded_table,
     product_table,
     spanning_classes,
     summand_memo,
+    sym_irreducible_decomposition,
 )
 from .homology import reduced_cohomology
 from .perms import (
@@ -33,8 +32,10 @@ from .perms import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
     PermGroup,
+    _checked_sizes,
     is_g_complex,
     pattern_orbit_reps,
+    subset_orbit_reps,
 )
 from .simplicial import SimplicialComplex, subset_label
 
@@ -88,6 +89,8 @@ def _resolve_input(args) -> tuple[SimplicialComplex, PermGroup | None, int | Non
     if args.family is not None:
         if args.m is None:
             raise ValidationError("--family needs --m")
+        if args.m < 1:
+            raise ValidationError(f"--m {args.m}: need at least 1")
         from .families import parse_family  # a document reads no family module
 
         fam = parse_family(args.family)
@@ -131,10 +134,17 @@ def _partition_key(p) -> str:
 
 
 def cmd_betti(args) -> int:
-    K, G, _ = _resolve_input(args)
+    K, G, m = _resolve_input(args)
     pair = SpherePair(args.d)
     if not args.per_multidegree:
-        table = betti(K, pair, group=G, cap=args.cap_subsets)
+        orbits = None  # the plain sum over every subset
+        if m is not None:
+            # the cap counts every subset, as a search for the same orbits would
+            _checked_sizes(len(K.vertices), None, args.cap_subsets)
+            orbits = pattern_orbit_reps(K, m, cap=args.cap_subsets)
+        elif G is not None:
+            orbits = subset_orbit_reps(K, G, cap=args.cap_subsets).orbit_sizes
+        table = betti(K, pair, orbits, args.cap_subsets)
         payload = {"degrees": {str(i): b for i, b in table.items()}}
     else:
         # every summand once: the Betti numbers are the sums of the split's rows
@@ -159,6 +169,8 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose needs a group (document group or --family)")
     if args.irreducibles and m is None:
         raise ValidationError("--irreducibles needs a family input (index action)")
+    if args.irreducibles and args.d < 1:
+        raise ValidationError(f"--d {args.d}: --irreducibles needs at least 1")
     components = equivariant_decomposition(
         K, G, pair, args.degree, args.cap_subsets, args.cap_group
     )
@@ -179,10 +191,10 @@ def cmd_decompose(args) -> int:
         ],
     }
     if args.irreducibles:
-        summands = orbit_summands(K, pair, args.degree, m, args.cap_support, args.cap_subsets)
-        payload["irreducibles"] = {
-            _partition_key(b): mult for b, mult in padded_table(summands, m).items()
-        }
+        table = sym_irreducible_decomposition(
+            K, pair, args.degree, m, args.cap_support, args.cap_subsets
+        )
+        payload["irreducibles"] = {_partition_key(b): mult for b, mult in table.items()}
     _emit(args, make_report("decompose", payload, _caps(args)))
     return 0
 
@@ -195,12 +207,16 @@ def _parse_range(text: str) -> range:
         raise ValidationError(f"range {text!r} must look like A..B") from None
     if not ms:
         raise ValidationError(f"range {text!r} is empty: A..B needs A <= B")
+    if ms[0] < 1:
+        raise ValidationError(f"--m {text}: need at least 1")
     return ms
 
 
 def cmd_scan(args) -> int:
     from .families import multiplicity_scan, parse_family
 
+    if not args.betti_only and args.d < 1:
+        raise ValidationError(f"--d {args.d}: a scan without --betti-only needs at least 1")
     fam = parse_family(args.family)
     pair = SpherePair(args.d)
     scan = multiplicity_scan(fam, pair, args.degree, _parse_range(args.m_range), args.cap_support,
@@ -274,7 +290,7 @@ def cmd_check_family(args) -> int:
     reps = pattern_orbit_reps(KB, ms[-1], args.max_stab_size, args.cap_subsets)
     results["stabiliser_consistent"] = {
         subset_label(J): check_stabiliser_consistent(fam, J, ms, args.cap_support)
-        for J in reps.representatives if J
+        for J in reps if J
     }
     # vertex stability + stabiliser splitting is what the stability theory
     # needs; face stability at the same degree is reported informationally
@@ -387,10 +403,10 @@ def main(argv=None) -> int:
     summand_memo.clear()
     try:
         args = build_parser().parse_args(argv)
-        for flag in _CAPS:
-            cap = getattr(args, flag[2:].replace("-", "_"), 0)  # 0: a cap it does not take
-            if cap < 0:
-                raise ValidationError(f"{flag} {cap}: need at least 0")
+        for flag in (*_CAPS, "--d"):
+            value = getattr(args, flag[2:].replace("-", "_"), 0)  # 0: a flag it does not take
+            if value < 0:
+                raise ValidationError(f"{flag} {value}: need at least 0")
         paths = (args.output, getattr(args, "csv", None))
         if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise ValidationError(f"--output and --csv both name {paths[1]!r}: give two files")

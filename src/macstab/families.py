@@ -141,7 +141,7 @@ def check_consistent(f: Family, m_range, cap: int = DEFAULT_SUBSET_CAP) -> bool:
         K_next = _rank(f, m + 1, "consistency")
         if not set(K.vertices) <= set(K_next.vertices):
             return False
-        reps = pattern_orbit_reps(K, m, K.dim + 1, cap).representatives
+        reps = pattern_orbit_reps(K, m, K.dim + 1, cap)
         if not all(K_next.has_face(J) for J in reps if J in K.facets):
             return False
     return True
@@ -157,7 +157,7 @@ def _reps_of_size(f: Family, size: int, d: int, m_range, cap: int):
     for m in m_range:
         if m >= d:
             Km, _ = f.instantiate(m)
-            for J in pattern_orbit_reps(Km, m, size, cap).representatives:
+            for J in pattern_orbit_reps(Km, m, size, cap):
                 if len(J) == size:
                     yield Km, J
 
@@ -243,8 +243,8 @@ def betti_at_degree(
     `group` is the index action of Σ_m, which preserves K (the `Family`
     contract); its orbits are listed by fibre pattern.
     """
-    table = pattern_orbit_reps(K, group.degree, pair.max_subset_size(i), cap)
-    return sum(table.orbit_sizes[rep] * dim for rep, _, dim in nonzero_summands(K, pair, i, table))
+    orbits = pattern_orbit_reps(K, group.degree, pair.max_subset_size(i), cap)
+    return sum(orbits[rep] * dim for rep, _, dim in nonzero_summands(K, pair, i, orbits))
 
 
 def multiplicity_scan(

@@ -26,7 +26,6 @@ from .perms import (
     DEFAULT_GROUP_CAP,
     DEFAULT_SUBSET_CAP,
     DEFAULT_SUPPORT_CAP,
-    OrbitTable,
     PermGroup,
     Permutation,
     action_sign,
@@ -76,23 +75,22 @@ REAL_MOMENT_ANGLE = SpherePair(0)
 def betti(
     K: SimplicialComplex,
     pair: SpherePair = MOMENT_ANGLE,
-    group: PermGroup | None = None,
+    orbits: dict[frozenset, int] | None = None,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[int, int]:
     """Betti numbers b_i = Σ_J dim H̃^{i - d|J| - 1}(K_J).
 
-    With a group, which the caller has checked preserves K, the sum runs over
-    orbit representatives weighted by orbit size, which must agree with the
-    plain sum over all subsets.  Each dimension is read off K's own coboundary
-    rows (`RestrictionDims`), so no restriction and no cohomology basis is
-    built.  Subsets and orbit representatives both come in the prefix order of
-    `perms.prefix_subsets`, so each subset extends the elimination of one
-    before it.
+    `orbits`, when given, maps each orbit representative of a group that
+    preserves K to its orbit size, and the sum runs over it; without it the
+    sum runs over all subsets, whose count is checked against `cap`.  Each
+    dimension is read off K's own coboundary rows (`RestrictionDims`), so no
+    restriction and no cohomology basis is built.  Subsets and both listings
+    of representatives come in the prefix order of `perms.prefix_subsets`,
+    so each subset extends the elimination of one before it.
     """
     out: dict[int, int] = {}
-    if group is not None:
-        table = subset_orbit_reps(K, group, cap=cap)
-        items = [(rep, table.orbit_sizes[rep]) for rep in table.representatives]
+    if orbits is not None:
+        items = orbits.items()
     else:
         items = ((J, 1) for J in prefix_subsets(K.vertices, cap=cap))
     restricted = RestrictionDims(K)
@@ -165,16 +163,16 @@ def summand_character(
 
 
 def nonzero_summands(
-    K: SimplicialComplex, pair: SpherePair, i: int, table: OrbitTable
+    K: SimplicialComplex, pair: SpherePair, i: int, reps
 ) -> list[tuple[frozenset, int, int]]:
-    """(rep, p, dim) for each representative of `table`, in its order, with
-    dim H̃^p(K_rep) > 0 at p = i - d|rep| - 1.
+    """(rep, p, dim) for each of the representatives `reps`, in their order,
+    with dim H̃^p(K_rep) > 0 at p = i - d|rep| - 1.
 
     A representative whose facet masks show H̃^p = 0 (`vanishes`) is skipped
     with no restriction built; the others are read off K_rep's own basis.
     """
     summands = []
-    for rep in table.representatives:
+    for rep in reps:
         p = pair.simplicial_degree(i, len(rep))
         if vanishes(K.restriction_masks(rep), p):
             continue
@@ -202,7 +200,7 @@ def equivariant_decomposition(
     """
     table = subset_orbit_reps(K, G, pair.max_subset_size(i), subset_cap)
     components = []
-    for rep, p, dim in nonzero_summands(K, pair, i, table):
+    for rep, p, dim in nonzero_summands(K, pair, i, table.representatives):
         gens = table.stabilizer_gens(rep)
         elements = enumerate_group(
             list(gens), cap=group_cap, name=f"the stabiliser of {subset_label(rep)}"
@@ -273,9 +271,9 @@ def orbit_summands(
     """
     if pair.d < 1:
         raise ValidationError("representation routines need a sphere of dimension >= 1")
-    table = pattern_orbit_reps(K, m, pair.max_subset_size(i), subset_cap)
+    orbits = pattern_orbit_reps(K, m, pair.max_subset_size(i), subset_cap)
     out: list[OrbitSummand] = []
-    for rep, p, dim in nonzero_summands(K, pair, i, table):
+    for rep, p, dim in nonzero_summands(K, pair, i, orbits):
         support = index_support(rep, cap=support_cap)
         key = (rep, full_subcomplex(K, rep), p, pair.d)
         if key not in summand_memo:
@@ -284,7 +282,7 @@ def orbit_summands(
         out.append(
             OrbitSummand(
                 rep=rep,
-                orbit_size=table.orbit_sizes[rep],
+                orbit_size=orbits[rep],
                 support=support,
                 dim=dim,
                 finite_character=psi,
@@ -332,31 +330,33 @@ def sym_irreducible_decomposition(
     i: int,
     m: int,
     support_cap: int = DEFAULT_SUPPORT_CAP,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[Partition, int]:
     """Stable decomposition in padded coordinates {base partition: multiplicity}.
 
     Route: decompose each orbit summand over the symmetric group of its index
     support, then add horizontal strips out to rank m.
     """
-    return padded_table(orbit_summands(K, pair, i, m, support_cap=support_cap), m)
+    return padded_table(orbit_summands(K, pair, i, m, support_cap, subset_cap), m)
 
 
 def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
-    """Sum of the horizontal-strip inductions of the summands to Σ_m, padded.
+    """Sum of the horizontal-strip inductions of the summands to Σ_m, padded:
+    each constituent λ is keyed by its base λ[1:], which with m fixes λ.
 
     Checked on every call: the irreducible dimensions add up to
     b_i(m) = Σ orbit_size · dim (`OracleMismatch` otherwise).
     """
-    from .symrep import hook_dim, pad, pieri_induce, unpad
+    from .symrep import hook_dim, pieri_induce
 
     result: dict[Partition, int] = {}
+    dims = 0
     for summand in summands:
         for mu, mult in summand.mu_multiplicities.items():
             for lam in pieri_induce(mu, m):
-                base = unpad(lam)
-                result[base] = result.get(base, 0) + mult
+                result[lam[1:]] = result.get(lam[1:], 0) + mult
+                dims += mult * hook_dim(lam)
     betti_m = sum(s.orbit_size * s.dim for s in summands)
-    dims = sum(mult * hook_dim(pad(base, m).realized) for base, mult in result.items())
     if dims != betti_m:
         raise OracleMismatch(
             f"rank {m}: the irreducible dimensions add up to {dims}, b_i(m) is {betti_m}"

@@ -7,7 +7,8 @@ index: inputs are checked where they enter.  A group is a generator list;
 element lists are only materialised under a cap, and stabilizers come out of
 orbit breadth-first search as Schreier generators, computed on request.
 Under the index action of Σ_m an orbit of vertex subsets is fixed by its
-fibre pattern, so `pattern_orbit_reps` lists those orbits without a search.
+fibre pattern, so `pattern_orbit_reps` lists those orbits without a search,
+as a map {representative: orbit size}.
 """
 
 from __future__ import annotations
@@ -215,29 +216,21 @@ def is_g_complex(K: SimplicialComplex, G: PermGroup) -> bool:
 
 
 class OrbitTable:
-    """Orbit representatives with sizes, and each orbit as a map from its
-    subsets to the BFS words carrying the representative to them (None for a
-    table listed by fibre pattern, which has no words)."""
+    """The orbit search's answer: representatives with sizes, and each orbit
+    as a map from its subsets to the BFS words carrying the representative to them."""
 
     __slots__ = ("group", "representatives", "orbit_sizes", "orbits", "total_subsets")
 
-    def __init__(
-        self,
-        group: PermGroup,
-        orbits: dict[frozenset, dict[frozenset, Permutation]] | None,
-        total_subsets: int,
-    ):
+    def __init__(self, group: PermGroup, total_subsets: int):
         self.group = group
         self.representatives: list[frozenset] = []
         self.orbit_sizes: dict[frozenset, int] = {}
-        self.orbits = orbits
+        self.orbits: dict[frozenset, dict[frozenset, Permutation]] = {}
         self.total_subsets = total_subsets
 
     def stabilizer_gens(self, rep: frozenset) -> tuple[Permutation, ...]:
         """Schreier generators of the stabilizer of rep, with duplicates and
         the identity removed; the identity alone when the stabilizer is trivial."""
-        if self.orbits is None:
-            raise OracleMismatch("an orbit table listed by fibre pattern has no Schreier words")
         words = self.orbits[rep]
         stab: list[Permutation] = []
         seen = set()
@@ -303,7 +296,7 @@ def subset_orbit_reps(
     `OrbitTable.stabilizer_gens` reports.
     """
     _, total = _checked_sizes(len(K.vertices), max_size, cap)
-    table = OrbitTable(group=G, orbits={}, total_subsets=total)
+    table = OrbitTable(group=G, total_subsets=total)
     ident = G.identity()
     assigned: set[frozenset] = set()
     # G permutes the vertices, so in face_key order the first unassigned seed is
@@ -335,18 +328,19 @@ def pattern_orbit_reps(
     m: int,
     max_size: int | None = None,
     cap: int = DEFAULT_SUBSET_CAP,
-) -> OrbitTable:
-    """Orbits of vertex subsets under the index action of Σ_m, by fibre pattern.
+) -> dict[frozenset, int]:
+    """Orbits of vertex subsets under the index action of Σ_m, by fibre
+    pattern, as {representative: orbit size} in `face_key` order.
 
     A subset J is its unindexed part U plus, at each index, the set of tags J
     uses there.  Σ_m only permutes the indices, so the orbit of J is fixed by
     U and the multiset of its non-empty fibres; with b fibres, c_S of them
     equal to S, the orbit has m!/((m-b)! · Π c_S!) subsets.  The `face_key`-
     least subset puts the fibres on the indices 1..b in the order of their
-    sorted tags, a fibre after its own extensions.  Same representatives, order,
-    sizes and count as `subset_orbit_reps` under `PermGroup.symmetric(m)`;
-    the table carries no BFS words.  `cap` bounds the representatives listed,
-    not the count of subsets they add up to.
+    sorted tags, a fibre after its own extensions.  Same representatives,
+    order and sizes as the `orbit_sizes` of `subset_orbit_reps` under
+    `PermGroup.symmetric(m)`, with no search and no BFS words.  `cap` bounds
+    the representatives listed, not the count of subsets they add up to.
     """
     unindexed = [v for v in K.vertices if v.index is None]
     tags = sorted({v.tag for v in K.vertices if v.index is not None})
@@ -359,7 +353,7 @@ def pattern_orbit_reps(
         (c for r in range(1, len(tags) + 1) for c in combinations(tags, r)),
         key=lambda c: c + (past,),
     )
-    table = OrbitTable(group=PermGroup.symmetric(m), orbits=None, total_subsets=total)
+    sizes: dict[frozenset, int] = {}
     for b in range(min(m, top) + 1):
         # multisets of b fibres, each listed in the order it is placed on 1..b
         for placed in combinations_with_replacement(fibres, b):
@@ -367,17 +361,15 @@ def pattern_orbit_reps(
                 Vertex(i, t) for i, fibre in enumerate(placed, start=1) for t in fibre
             }
             ties = prod(factorial(c) for c in Counter(placed).values())
+            size = factorial(m) // (factorial(m - b) * ties)
             for r in range(min(len(unindexed), top - len(indexed_part)) + 1):
                 for U in combinations(unindexed, r):
-                    if len(table.representatives) >= cap:
+                    if len(sizes) >= cap:
                         raise CapExceeded(f"orbit representatives exceed the subset cap {cap}")
-                    rep = frozenset(indexed_part.union(U))
-                    table.representatives.append(rep)
-                    table.orbit_sizes[rep] = factorial(m) // (factorial(m - b) * ties)
-    table.representatives.sort(key=face_key)
-    if sum(table.orbit_sizes.values()) != total:
+                    sizes[frozenset(indexed_part.union(U))] = size
+    if sum(sizes.values()) != total:
         raise OracleMismatch("fibre-pattern orbit sizes do not add up to the subset count")
-    return table
+    return {rep: sizes[rep] for rep in sorted(sizes, key=face_key)}
 
 
 def index_support(J, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[int, ...]:

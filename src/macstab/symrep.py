@@ -269,36 +269,8 @@ def pieri_induce(mu: Partition, m: int) -> list[Partition]:
     return sorted(set(out), reverse=True)
 
 
-# -- padded coordinates ------------------------------------------------------
-
-
-class PaddedPartition(FrozenRecord):
-    __slots__ = ("base", "m")
-
-    def __init__(self, base: Partition, m: int):
-        if base:
-            _check_partition(base)
-        if m < sum(base) + (base[0] if base else 0):
-            raise ValidationError("outside stable range")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def realized(self) -> Partition:
-        return (self.m - sum(self.base),) + self.base
-
-
-def pad(base: Partition, m: int) -> PaddedPartition:
-    return PaddedPartition(tuple(base), m)
-
-
-def unpad(lam: Partition) -> Partition:
-    """Drop the first row; inverse of pad on the stable range."""
-    _check_partition(lam)
-    return lam[1:]
-
-
 def weight(decomposition: dict[Partition, int]) -> int:
-    """Largest base-partition size among constituents, in padded coordinates."""
+    """Largest base-partition size among constituents, in padded coordinates:
+    each partition λ of m keyed by its base λ[1:] (`hochster.padded_table`)."""
     sizes = [sum(base) for base, mult in decomposition.items() if mult]
     return max(sizes, default=0)

@@ -35,7 +35,6 @@ from macstab.symrep import (
     mn_character,
     partitions,
     pieri_induce,
-    unpad,
     z_order,
 )
 
@@ -404,8 +403,7 @@ def sym_decomposition_by_fusion(
         return {}
     result: dict[Partition, int] = {}
     for lam, mult in decompose(total).items():
-        base = unpad(lam)
-        result[base] = result.get(base, 0) + mult
+        result[lam[1:]] = result.get(lam[1:], 0) + mult
     return dict(sorted(result.items()))
 
 

@@ -921,6 +921,79 @@ def test_cli_scan_builds_one_orbit_table_per_rank(monkeypatch, capsys, extra):
         assert rep["betti"] == rep["betti_values"]
 
 
+def test_cli_betti_on_a_family_runs_no_orbit_search(monkeypatch, capsys):
+    from macstab.cli import main
+
+    listed = _count_bound_calls(monkeypatch, "perms", "pattern_orbit_reps")
+    searched = _count_bound_calls(monkeypatch, "perms", "subset_orbit_reps")
+    assert main(["betti", "--family", "vccube", "--m", "5"]) == 0
+    assert [len(K.vertices) for K in listed] == [11]
+    assert searched == []
+
+
+def _betti_degrees(capsys, *argv):
+    from macstab.cli import main
+
+    assert main(["betti", *argv]) == 0
+    return report_of(capsys.readouterr().out)["degrees"]
+
+
+@pytest.mark.parametrize("spec", ["skeleton:0", "skeleton:1", "join:0,0", "join:1,0", "vccube"])
+def test_cli_betti_routes_agree_on_a_family(capsys, tmp_path, spec):
+    # the fibre-pattern listing, the plain sum over every subset of the same
+    # complex as a document, and the orbit search over the document's Σ_m
+    from macstab.families import parse_family
+
+    fam = parse_family(spec)
+    for m in range(3, 6):
+        K, G = fam.instantiate(m)
+        plain, grouped = tmp_path / "plain.json", tmp_path / "grouped.json"
+        plain.write_text(json.dumps(serialize_complex(K)))
+        grouped.write_text(json.dumps(serialize_complex(K, G)))
+        for d in ("0", "1", "2"):
+            listed = _betti_degrees(capsys, "--family", spec, "--m", str(m), "--d", d)
+            assert listed == _betti_degrees(capsys, "--input", str(plain), "--d", d), (m, d)
+            assert listed == _betti_degrees(capsys, "--input", str(grouped), "--d", d), (m, d)
+
+
+def test_cli_betti_cap_on_a_family_counts_every_subset(capsys):
+    # the cap counts the 2^13 subsets before any orbit is listed, not the
+    # representatives that the fibre patterns would list
+    from macstab.cli import main
+
+    assert main(["betti", "--family", "vccube", "--m", "6", "--cap-subsets", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "cap exceeded: subsets of 13 vertices exceed the subset cap 100\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("betti", "--family", "skeleton:0", "--m", "3", "--d", "-1"), "--d -1: need at least 0"),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "2..3", "--d", "-1",
+          "--betti-only"), "--d -1: need at least 0"),
+        (("betti", "--family", "skeleton:0", "--m", "0"), "--m 0: need at least 1"),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "0..2"),
+         "--m 0..2: need at least 1"),
+        (("check-family", "--family", "skeleton:0", "--m", "0..2"), "--m 0..2: need at least 1"),
+        (("decompose", "--family", "skeleton:0", "--m", "3", "--degree", "3", "--d", "0",
+          "--irreducibles"), "--d 0: --irreducibles needs at least 1"),
+        (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "2..3", "--d", "0"),
+         "--d 0: a scan without --betti-only needs at least 1"),
+    ],
+    ids=["betti-d", "scan-d", "betti-m", "scan-m", "check-family-m", "irreducibles-d",
+         "scan-full-d"],
+)
+def test_cli_refusals_name_their_flag_before_any_work(monkeypatch, capsys, argv, message):
+    from macstab.cli import main
+
+    searched = _count_bound_calls(monkeypatch, "perms", "subset_orbit_reps")
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"  # one line: no traceback
+    assert searched == []
+
+
 def test_cli_summands_are_induced_by_young_class_once_each(monkeypatch, capsys):
     from macstab.cli import main
     from macstab.hochster import summand_memo

@@ -8,7 +8,7 @@ from macstab.families import Family, join_of_skeleta, parse_family
 from macstab.hochster import CohomologyClass, SpherePair
 from macstab.perms import PermGroup, Permutation
 from macstab.simplicial import Vertex, skeleton
-from macstab.symrep import ClassFunction, PaddedPartition, partitions
+from macstab.symrep import ClassFunction, partitions
 
 _one = frozenset({Vertex(1)})
 
@@ -39,10 +39,6 @@ CASES = {
             ClassFunction.from_dict(3, {(3,): 1, (2, 1): 0, (1, 1, 1): 2}),
             ClassFunction.from_dict(4, {mu: 0 for mu in partitions(4)} | {(1, 1, 1, 1): 2}),
         ],
-    ),
-    PaddedPartition: (
-        lambda: PaddedPartition((1,), 3),
-        [PaddedPartition((1,), 4), PaddedPartition((), 3)],
     ),
     SpherePair: (lambda: SpherePair(1), [SpherePair(2)]),
     CohomologyClass: (

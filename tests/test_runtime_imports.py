@@ -84,6 +84,7 @@ _CYCLE = {
     "argv, unloaded",
     [
         (["betti", "--input", "DOC"], {"macstab.families", "macstab.symrep"}),
+        (["betti", "--family", "vccube", "--m", "3"], {"macstab.cellular", "macstab.symrep"}),
         (["oracle", "--input", "DOC"], {"macstab.families", "macstab.symrep"}),
         (["product", "--input", "DOC", "--check-equivariance"], {"macstab.symrep"}),
         (["product", "--family", "skeleton:0", "--m", "3"], {"macstab.symrep"}),
@@ -93,7 +94,7 @@ _CYCLE = {
          {"macstab.cellular", "macstab.symrep"}),
         (["decompose", "--input", "DOC", "--degree", "3"], {"macstab.cellular", "macstab.symrep"}),
     ],
-    ids=["betti-input", "oracle-input", "product-input", "product-family", "scan",
+    ids=["betti-input", "betti-family", "oracle-input", "product-input", "product-family", "scan",
          "scan-betti-only", "decompose"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):

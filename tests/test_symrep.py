@@ -15,10 +15,8 @@ from macstab.symrep import (
     induce_from_young,
     induce_to_sym,
     mn_character,
-    pad,
     partitions,
     pieri_induce,
-    unpad,
     weight,
     young_classes,
     z_order,
@@ -222,23 +220,9 @@ def test_induce_young_matches_explicit():
     assert decompose(ind) == {lam: 1 for lam in pieri_induce((2, 1), 6)}
 
 
-def test_pad_unpad():
-    assert pad((1,), 5).realized == (4, 1)
-    assert unpad((4, 1, 1)) == (1, 1)
-    with pytest.raises(ValidationError):
-        pad((3, 1), 5)  # 5 < 4 + 3
-
-
-@given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=3))
-def test_pad_unpad_roundtrip(parts):
-    base = tuple(sorted(parts, reverse=True))
-    m = sum(base) + (base[0] if base else 0) + 2
-    assert unpad(pad(base, m).realized) == base
-
-
 def test_weight():
     assert weight({}) == 0
     assert weight({(): 1}) == 0
     assert weight({(1,): 1, (1, 1): 1}) == 2
-    table = {unpad(lam): 1 for lam in pieri_induce((2, 1), 7)}
+    table = {lam[1:]: 1 for lam in pieri_induce((2, 1), 7)}
     assert weight(table) == 3
