@@ -329,6 +329,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_product(args) -> int:
     K, G, _ = _resolve_input(args)
+    if args.check_equivariance and G is None:
+        raise ValidationError("--check-equivariance needs a group")
     classes = spanning_classes(K, args.cap_subsets)
     products = product_table(K, classes)
     table = []
@@ -344,8 +346,6 @@ def cmd_product(args) -> int:
     payload: dict = {"classes": len(classes), "products": table}
     ok = True
     if args.check_equivariance:
-        if G is None:
-            raise ValidationError("--check-equivariance needs a group")
         ok = g_algebra_equivariance_check(K, G, args.cap_subsets, products)
         payload["equivariant"] = ok
     _emit(args, make_report("product", payload, _caps(args)))

@@ -82,9 +82,11 @@ def parse_family(spec: str) -> Family:
     except ValueError:
         raise ValidationError(f"family {spec!r}: expected integers after ':'") from None
     if kind == "skeleton":
+        if ks[0] < -1:
+            raise ValidationError(f"family {spec!r}: need k >= -1")
         return Family(f"skeleton:{ks[0]}", skeleton, ks)
     if any(k < 0 for k in ks):
-        raise ValidationError("join family needs skeleton dimensions >= 0")
+        raise ValidationError(f"family {spec!r}: need skeleton dimensions >= 0")
     return Family("join:" + ",".join(map(str, ks)), join_of_skeleta, ks)
 
 

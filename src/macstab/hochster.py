@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import OracleMismatch, ValidationError
-from .linalg import Vector, zero_vec
+from .linalg import Cochain
 from .homology import RestrictionDims, cohomology_trace, reduced_cohomology, vanishes
 from .perms import (
     DEFAULT_GROUP_CAP,
@@ -367,15 +367,17 @@ def padded_table(summands: list[OrbitSummand], m: int) -> dict[Partition, int]:
 # -- ring structure -----------------------------------------------------------
 
 
-class CohomologyClass(FrozenRecord):
-    """A cochain on the restriction to `subset`, in simplicial degree `degree`."""
+class CohomologyClass:
+    """A cochain on the restriction to `subset`, in simplicial degree `degree`,
+    indexed by `full_subcomplex(K, subset).faces_of_dim(degree)`.  It may be a
+    kernel's own vector (`CochainComplex.representatives`): do not modify it."""
 
     __slots__ = ("subset", "degree", "cochain")
 
-    def __init__(self, subset: frozenset, degree: int, cochain: Vector):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "cochain", cochain)
+    def __init__(self, subset: frozenset, degree: int, cochain: Cochain):
+        self.subset = subset
+        self.degree = degree
+        self.cochain = cochain
 
 
 def spanning_classes(
@@ -389,11 +391,8 @@ def spanning_classes(
 def basis_classes(K: SimplicialComplex, J) -> list[CohomologyClass]:
     Jw = frozenset(J)
     coh = reduced_cohomology(full_subcomplex(K, Jw))
-    out = []
-    for p in sorted(coh.cochain_dims):
-        for repv in coh.representatives(p):
-            out.append(CohomologyClass(Jw, p, repv))
-    return out
+    return [CohomologyClass(Jw, p, rep) for p in sorted(coh.cochain_dims)
+            for rep in coh.representatives(p)]
 
 
 def _rank_sign(face, ambient) -> int:
@@ -415,7 +414,9 @@ def cup_product(
 ) -> CohomologyClass:
     """Product landing on the union support, zero when supports meet.
 
-    The coefficient of (σ⊔τ)* is transported from the cellular model:
+    A (p+q+1)-face ρ of K_{I∪J} is σ ⊔ τ for exactly one pair σ = ρ ∩ I, τ = ρ ∩ J,
+    so only pairs from the two supports are visited.  The coefficient of
+    (σ⊔τ)* is transported from the cellular model:
         ε(σ,I) ε(τ,J) ε(σ⊔τ, I∪J) · (-1)^{#{(x,y) ∈ (J∖τ)×(I∖σ) : x < y}}
     which makes the product strictly associative, unital on the empty-support
     class, and graded-commutative in ambient degree.
@@ -423,36 +424,23 @@ def cup_product(
     I, J = a.subset, b.subset
     U = I | J
     p, q = a.degree, b.degree
-    target = full_subcomplex(K, U)
-    rho_faces = target.faces_of_dim(p + q + 1)
     if I & J:
-        return CohomologyClass(U, p + q + 1, zero_vec(len(rho_faces)))
+        return CohomologyClass(U, p + q + 1, {})
     src_a = full_subcomplex(K, I).faces_of_dim(p)
     src_b = full_subcomplex(K, J).faces_of_dim(q)
-    if len(a.cochain) != len(src_a) or len(b.cochain) != len(src_b):
+    if not all(k in range(len(src)) for c, src in ((a, src_a), (b, src_b)) for k in c.cochain):
         raise ValidationError("class vector length does not match its face basis")
-    pos_a = {f: k for k, f in enumerate(src_a)}
-    pos_b = {f: k for k, f in enumerate(src_b)}
-    coeffs = []
-    for rho in rho_faces:
-        sigma = rho & I
-        tau = rho & J
-        if len(sigma) != p + 1 or len(tau) != q + 1:
-            coeffs.append(Fraction(0))
-            continue
-        va = a.cochain[pos_a[sigma]]
-        vb = b.cochain[pos_b[tau]]
-        if va == 0 or vb == 0:
-            coeffs.append(Fraction(0))
-            continue
-        sign = (
-            _rank_sign(sigma, I)
-            * _rank_sign(tau, J)
-            * _rank_sign(rho, U)
-            * _cross_pairs_sign(J - tau, I - sigma)
-        )
-        coeffs.append(sign * va * vb)
-    return CohomologyClass(U, p + q + 1, tuple(coeffs))
+    pos = {f: k for k, f in enumerate(full_subcomplex(K, U).faces_of_dim(p + q + 1))}
+    out = {}
+    for i, va in a.cochain.items():
+        sigma = src_a[i]
+        for j, vb in b.cochain.items():
+            tau = src_b[j]
+            rho = sigma | tau
+            if rho in pos:
+                sign = _rank_sign(sigma, I) * _rank_sign(tau, J) * _rank_sign(rho, U)
+                out[pos[rho]] = sign * _cross_pairs_sign(J - tau, I - sigma) * va * vb
+    return CohomologyClass(U, p + q + 1, out)
 
 
 def transported_action(
@@ -468,19 +456,13 @@ def transported_action(
     src_faces = full_subcomplex(K, J).faces_of_dim(a.degree)
     dst_faces = full_subcomplex(K, gJ).faces_of_dim(a.degree)
     pos = {f: k for k, f in enumerate(dst_faces)}
-    out = [Fraction(0)] * len(dst_faces)
-    for k, sigma in enumerate(src_faces):
-        val = a.cochain[k]
-        if val == 0:
-            continue
+    out = {}
+    for k, val in a.cochain.items():
+        sigma = src_faces[k]
         g_sigma = g.act(sigma)
-        sign = (
-            _rank_sign(sigma, J)
-            * action_sign(g, J - sigma)
-            * _rank_sign(g_sigma, gJ)
-        )
-        out[pos[g_sigma]] += sign * val
-    return CohomologyClass(gJ, a.degree, tuple(out))
+        sign = _rank_sign(sigma, J) * action_sign(g, J - sigma) * _rank_sign(g_sigma, gJ)
+        out[pos[g_sigma]] = sign * val
+    return CohomologyClass(gJ, a.degree, out)
 
 
 def class_is_zero_in_cohomology(K: SimplicialComplex, a: CohomologyClass) -> bool:

@@ -240,7 +240,8 @@ def induced_cohomology_map(
     d_in = basis.coboundary(p - 1) or []
     image = [tuple(row.get(j, 0) for row in d_in) for j in range(basis.cochain_dims.get(p - 1, 0))]
     reps = basis.representatives(p)
-    system = Matrix.from_columns(image + reps, nrows=basis.cochain_dims[p])
+    dense = [tuple(z.get(j, 0) for j in range(len(action))) for z in reps]
+    system = Matrix.from_columns(image + dense, nrows=basis.cochain_dims[p])
     cols = []
     for z in reps:
         x = system.solve(apply_signed(action, z))

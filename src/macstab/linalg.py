@@ -9,10 +9,12 @@ every step (`_reduce`).  `CochainComplex` is the one cohomology kernel that
 both the split pipeline (`homology`) and the cellular model (`cellular`)
 build on.  Its dimensions come from ranks alone, its traces from the cocycle
 kernels, and its representatives and zero test from one sparse echelon form
-of the coboundaries; each is computed when first read.  No dense matrix is
-built on any command's path.  The dense `Matrix` over Q
-(``fractions.Fraction``; no floating point anywhere) and `extend_to_basis`
-are the tests' reference for that sparse code.
+of the coboundaries; each is computed when first read.  A cochain is a sparse
+{index: non-zero coefficient} dict, as `kernel_basis` returns it, from the
+kernel to the ring code: no dense matrix or cochain is built on any command's
+path.  The dense `Matrix` over Q (``fractions.Fraction``; no floating point
+anywhere), `extend_to_basis`, `vec`, `unit_vec` and `apply_signed` are the
+tests' dense reference for that sparse code.
 """
 
 from __future__ import annotations
@@ -24,14 +26,11 @@ from typing import Callable, Iterable, Sequence
 from .errors import OracleMismatch
 
 Vector = tuple[int | Fraction, ...]  # exact entries, never a float
+Cochain = dict[int, int | Fraction]  # {index: non-zero coefficient}
 
 
 def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
@@ -112,7 +111,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank of the rational matrix, by the sparse integer `rank`."""
-        return rank([_integer_row(r) for r in self.data])
+        return rank([_integer_row(dict(enumerate(r))) for r in self.data])
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -215,7 +214,7 @@ def _keep(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
         pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
 
 
-def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, int | Fraction]]:
+def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, Cochain]:
     """A basis of the kernel of sparse integer rows on n columns, one sparse
     vector per free column f of the reduced echelon form: 1 at f and 0 at
     every other free column, so a kernel vector's coordinate along it is its
@@ -240,9 +239,9 @@ def kernel_basis(rows: list[dict[int, int]], n: int) -> dict[int, dict[int, int 
     return basis
 
 
-def _integer_row(entries: Sequence[Fraction]) -> dict[int, int]:
-    """The non-zero entries of a rational row, scaled to coprime integers."""
-    nonzero = {j: x for j, x in enumerate(entries) if x}
+def _integer_row(entries: dict[int, int | Fraction]) -> dict[int, int]:
+    """The non-zero entries of a sparse rational row, scaled to coprime integers."""
+    nonzero = {j: x for j, x in entries.items() if x}
     if not nonzero:
         return {}
     scale = lcm(*(x.denominator for x in nonzero.values()))
@@ -312,7 +311,7 @@ class CochainComplex:
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, _Cocycles] = {}
         self._images: dict[int, dict[int, dict[int, int]]] = {}
-        self._representatives: dict[int, list[Vector]] = {}
+        self._representatives: dict[int, list[Cochain]] = {}
 
     def coboundary(self, p: int) -> list[dict[int, int]] | None:
         """The rows of d_p, built on first read; None unless C^p and C^{p+1}
@@ -369,19 +368,20 @@ class CochainComplex:
             self._images[p] = _echelon(_columns(self.coboundary(p - 1)).values())
         return self._images[p]
 
-    def representatives(self, p: int) -> list[Vector]:
+    def representatives(self, p: int) -> list[Cochain]:
         """Cocycles whose classes are a basis of H^p: the kernel vectors of d_p,
         in free-column order, that are independent modulo B^p of the ones
-        kept before them (the greedy choice of `extend_to_basis`)."""
+        kept before them (the greedy choice of `extend_to_basis`).
+
+        They are the kernel's own sparse vectors: read them, do not modify them.
+        """
         if p not in self._representatives:
-            n = self.cochain_dims.get(p, 0)
             spanned = dict(self._image(p))
             reps = []
             for v in self._cocycles(p).basis.values():
-                vector = tuple(v.get(j, 0) for j in range(n))
-                rest = _reduce(_integer_row(vector), spanned)
+                rest = _reduce(_integer_row(v), spanned)
                 if rest:
-                    reps.append(vector)
+                    reps.append(v)
                     _keep(spanned, rest)
             if len(reps) != self.dim(p):
                 raise OracleMismatch(
@@ -390,10 +390,10 @@ class CochainComplex:
             self._representatives[p] = reps
         return self._representatives[p]
 
-    def is_coboundary(self, p: int, cochain: Sequence) -> bool:
-        """Whether a cocycle of degree p is a coboundary, so zero in H^p."""
+    def is_coboundary(self, p: int, cochain: Cochain) -> bool:
+        """Whether a sparse cocycle of degree p is a coboundary, so zero in H^p."""
         d = self.coboundary(p)
-        if d is not None and any(_dot(row, cochain) for row in d):
+        if d is not None and any(sum(x * cochain.get(j, 0) for j, x in row.items()) for row in d):
             # every cochain tested is built by the program, so this is its fault
             raise OracleMismatch("a non-cocycle reached the zero test in cohomology")
         return not _reduce(_integer_row(cochain), self._image(p))
@@ -441,13 +441,10 @@ def _columns(d: list[dict[int, int]] | None) -> dict[int, dict[int, int]]:
     return columns
 
 
-def _dot(row: dict[int, Fraction | int], v: Sequence) -> Fraction:
-    return sum((x * v[j] for j, x in row.items()), Fraction(0))
-
-
-def apply_signed(action: list[tuple[int, int]], v: Sequence) -> Vector:
-    """The image of `v` under the map sending basis element j to sign · e_target."""
+def apply_signed(action: list[tuple[int, int]], v: Cochain) -> Vector:
+    """The dense image of `v` under the map sending basis element j to sign · e_target."""
     out = [Fraction(0)] * len(action)
-    for (target, sign), x in zip(action, v):
+    for j, x in v.items():
+        target, sign = action[j]
         out[target] += sign * x
     return tuple(out)

@@ -19,6 +19,8 @@ from macstab.errors import OracleMismatch, ValidationError
 from macstab.hochster import (
     CohomologyClass,
     SpherePair,
+    _cross_pairs_sign,
+    _rank_sign,
     class_is_zero_in_cohomology,
     orbit_summands,
 )
@@ -172,29 +174,65 @@ def lefschetz_cohomology_sum(K: SimplicialComplex, g: Permutation) -> Fraction:
     return total
 
 
+def densify(cochain: dict, n: int) -> Vector:
+    """A sparse {index: coefficient} cochain as a dense vector of length n."""
+    return tuple(Fraction(cochain.get(j, 0)) for j in range(n))
+
+
 def classes_equal_in_cohomology(
     K: SimplicialComplex, a: CohomologyClass, b: CohomologyClass
 ) -> bool:
     if a.subset != b.subset or a.degree != b.degree:
         return False
-    diff = tuple(x - y for x, y in zip(a.cochain, b.cochain))
+    diff = {j: a.cochain.get(j, 0) - b.cochain.get(j, 0) for j in a.cochain.keys() | b.cochain}
     return class_is_zero_in_cohomology(K, CohomologyClass(a.subset, a.degree, diff))
 
 
-def representative_coordinates(coh: CochainComplex, p: int, cocycle) -> Vector:
-    """Coordinates of a cocycle in the representative basis, modulo coboundaries.
+def representative_coordinates(coh: CochainComplex, p: int, cocycle: dict) -> Vector:
+    """Coordinates of a sparse cocycle in the representative basis, modulo
+    coboundaries.
 
     The tests' dense reader: one solve of [columns of d_{p-1} | representatives]
-    x = cocycle, whose last entries are unique because the representatives
-    are independent modulo the coboundaries.
+    x = cocycle, made dense here, whose last entries are unique because the
+    representatives are independent modulo the coboundaries.
     """
+    n = coh.cochain_dims.get(p, 0)
     d_in = coh.coboundary(p - 1) or []
     image = [tuple(row.get(j, 0) for row in d_in) for j in range(coh.cochain_dims.get(p - 1, 0))]
-    columns = image + coh.representatives(p)
-    x = Matrix.from_columns(columns, nrows=coh.cochain_dims.get(p, 0)).solve(cocycle)
+    columns = image + [densify(rep, n) for rep in coh.representatives(p)]
+    x = Matrix.from_columns(columns, nrows=n).solve(densify(cocycle, n))
     if x is None:
         raise OracleMismatch("coordinates of a non-cocycle")
     return x[len(image):]
+
+
+def cup_product_by_faces(
+    K: SimplicialComplex, a: CohomologyClass, b: CohomologyClass
+) -> CohomologyClass:
+    """`hochster.cup_product` by a walk over every (p+q+1)-face ρ of K_{I∪J}:
+    ρ contributes where ρ ∩ I and ρ ∩ J are p- and q-faces on which both
+    cochains are non-zero."""
+    I, J = a.subset, b.subset
+    U = I | J
+    p, q = a.degree, b.degree
+    out = {}
+    if not I & J:
+        pos_a = {f: k for k, f in enumerate(full_subcomplex(K, I).faces_of_dim(p))}
+        pos_b = {f: k for k, f in enumerate(full_subcomplex(K, J).faces_of_dim(q))}
+        for k, rho in enumerate(full_subcomplex(K, U).faces_of_dim(p + q + 1)):
+            sigma, tau = rho & I, rho & J
+            if len(sigma) != p + 1 or len(tau) != q + 1:
+                continue
+            va, vb = a.cochain.get(pos_a[sigma], 0), b.cochain.get(pos_b[tau], 0)
+            if va and vb:
+                sign = (
+                    _rank_sign(sigma, I)
+                    * _rank_sign(tau, J)
+                    * _rank_sign(rho, U)
+                    * _cross_pairs_sign(J - tau, I - sigma)
+                )
+                out[k] = sign * va * vb
+    return CohomologyClass(U, p + q + 1, out)
 
 
 
@@ -213,7 +251,8 @@ def block_trace_by_projection(
     action = block_action(Z, g, J, i)
     total = Fraction(0)
     for k, rep in enumerate(block.representatives(i)):
-        total += representative_coordinates(block, i, apply_signed(action, rep))[k]
+        moved = dict(enumerate(apply_signed(action, rep)))
+        total += representative_coordinates(block, i, moved)[k]
     return total
 
 

@@ -310,6 +310,8 @@ USAGE_ERRORS = {
         (("betti", "--family", "skeleton:x", "--m", "3"), None),
         (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..x"), None),
         (("betti", "--family", "join:1,,", "--m", "3"), None),
+        (("scan", "--family", "skeleton:-2", "--degree", "3", "--m", "3..4"), None),
+        (("betti", "--family", "join:1,-1", "--m", "2"), None),
         (("betti", "--input", "-"), json.dumps({"vertices": [1, 2], "facets": [[1, 2]]})),
         (("betti", "--family", "custom:-", "--m", "1"), "[1, 2]"),
         (("betti", "--family", "custom:-", "--m", "1"),
@@ -341,7 +343,8 @@ USAGE_ERRORS = {
           "--csv", "/nonexistent/x.csv"), None),
         *((argv, None) for argv in USAGE_ERRORS),
     ],
-    ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "bare-int-vertices",
+    ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "skeleton-dim", "join-dim",
+         "bare-int-vertices",
          "custom-list", "custom-rank-key", "index-q", "tag-z", "generator-x",
          "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d",
          "check-family-empty-range", "check-family-max-r", "check-family-max-stab-size",
@@ -358,6 +361,9 @@ def test_cli_malformed_input_is_a_validation_error(argv, stdin):
             assert flag in err
     if "5..3" in argv:
         assert "'5..3'" in err
+    for spec in ("skeleton:-2", "join:1,-1"):
+        if spec in argv:
+            assert f"family {spec!r}" in err
     for path in ("/nonexistent/x.json", "/nonexistent/x.csv"):
         if path in argv:
             assert path in err
@@ -1400,6 +1406,50 @@ def test_cli_product_computes_each_product_once(monkeypatch, capsys):
     assert len(products) == 3 * n * n == 972
 
 
+def test_cli_product_refuses_a_check_without_a_group_before_any_product(
+    monkeypatch, capsys, tmp_path
+):
+    # the refusal reads only the input: no product table is built first
+    from macstab.cli import main
+
+    products = _count_bound_calls(monkeypatch, "hochster", "cup_product")
+    path = tmp_path / "vccube3.json"
+    path.write_text(json.dumps(serialize_complex(vc_cube_dual(3))))
+    assert main(["product", "--input", str(path), "--check-equivariance"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --check-equivariance needs a group\n"
+    assert products == []
+
+
+def test_cli_product_leaves_the_kernels_it_shares_unchanged(monkeypatch, capsys):
+    # a class's cochain is its kernel's own vector: a ring computation that
+    # modified one would corrupt every later read of that kernel, so each
+    # kernel and representative list is kept as built and compared at the end
+    import copy
+
+    import macstab.linalg as linalg
+    from macstab.cli import main
+
+    built = []
+    init, representatives = linalg._Cocycles.__init__, linalg.CochainComplex.representatives
+
+    def kept_kernel(self, *args):
+        init(self, *args)
+        built.append((self.basis, copy.deepcopy(self.basis)))
+
+    def kept_representatives(self, p):
+        reps = representatives(self, p)
+        built.append((reps, copy.deepcopy(reps)))
+        return reps
+
+    monkeypatch.setattr(linalg._Cocycles, "__init__", kept_kernel)
+    monkeypatch.setattr(linalg.CochainComplex, "representatives", kept_representatives)
+    assert main(["product", "--family", "vccube", "--m", "3", "--check-equivariance"]) == 0
+    assert report_of(capsys.readouterr().out)["equivariant"] is True
+    assert any(reps for reps, _ in built)
+    assert all(live == kept for live, kept in built)
+
+
 def test_cli_rank_off_by_one_is_an_internal_mismatch(monkeypatch, capsys, tmp_path):
     # negative control: the ranks give the Betti numbers, which must not be
     # negative, and the cocycle kernels and the representatives must agree
@@ -1441,7 +1491,7 @@ def test_cli_non_cocycle_zero_test_is_an_internal_mismatch(monkeypatch, capsys):
         out = cup(K, a, b)
         if not out.cochain:
             return out
-        cochain = (out.cochain[0] + 1,) + out.cochain[1:]
+        cochain = {**out.cochain, 0: out.cochain.get(0, 0) + 1}
         return hochster.CohomologyClass(out.subset, out.degree, cochain)
 
     monkeypatch.setattr(hochster, "cup_product", corrupted)

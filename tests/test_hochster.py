@@ -18,6 +18,7 @@ from macstab.hochster import (
     equivariant_decomposition,
     g_algebra_equivariance_check,
     orbit_summands,
+    spanning_classes,
     summand_character,
     summand_memo,
     sym_irreducible_decomposition,
@@ -33,6 +34,7 @@ from macstab.perms import (
     support_split,
 )
 from macstab.simplicial import (
+    SimplicialComplex,
     Vertex,
     full_subcomplex,
     skeleton,
@@ -42,6 +44,7 @@ from macstab.symrep import decompose, hook_dim, induce_to_sym, mn_character, par
 
 from oracles import (
     classes_equal_in_cohomology,
+    cup_product_by_faces,
     representative_coordinates,
     sigma_closed_complexes,
     summand_routes,
@@ -340,7 +343,7 @@ def test_cup_product_square_top(square):
     assert not class_is_zero_in_cohomology(square, prod)
     # overlapping supports multiply to zero
     c = basis_classes(square, frozenset({v[1], v[3]}))[0]
-    assert all(x == 0 for x in cup_product(square, a, c).cochain)
+    assert cup_product(square, a, c).cochain == {}
 
 
 def test_cup_product_skeleton_pairs():
@@ -388,7 +391,7 @@ def test_cup_product_graded_commutative(build, square):
             left = cup_product(K, a, b)
             right = cup_product(K, b, a)
             sign = Fraction(-1 if (ia * ib) % 2 else 1)
-            assert left.cochain == tuple(sign * x for x in right.cochain)
+            assert left.cochain == {k: sign * x for k, x in right.cochain.items()}
 
 
 def test_cup_product_graded_commutative_square(square):
@@ -402,7 +405,7 @@ def test_cup_product_graded_commutative_square(square):
             left = cup_product(square, a, b)
             right = cup_product(square, b, a)
             sign = Fraction(-1 if (ia * ib) % 2 else 1)
-            assert left.cochain == tuple(sign * x for x in right.cochain)
+            assert left.cochain == {k: sign * x for k, x in right.cochain.items()}
 
 
 @pytest.mark.parametrize("build", [
@@ -424,6 +427,60 @@ def test_cup_product_associative(build):
                 lhs = cup_product(K, ab, c)
                 rhs = cup_product(K, a, cup_product(K, b, c))
                 assert lhs.cochain == rhs.cochain
+
+
+def _check_product_loop(K, generators):
+    # the product visits the pairs of faces of its two supports; the walk
+    # over every face of K_{I∪J} must give the same class, and no class the
+    # ring builds holds a zero entry
+    classes = spanning_classes(K)
+    assert all(0 not in c.cochain.values() for c in classes)
+    for a in classes:
+        for b in classes:
+            prod, ref = cup_product(K, a, b), cup_product_by_faces(K, a, b)
+            assert (prod.subset, prod.degree) == (ref.subset, ref.degree)
+            assert prod.cochain == ref.cochain and 0 not in prod.cochain.values()
+    for g in generators:
+        assert all(0 not in transported_action(K, g, a).cochain.values() for a in classes)
+
+
+@pytest.mark.parametrize("spec, m", [("vccube", 2), ("vccube", 3), ("join:0,0", 2)])
+def test_cup_product_matches_the_walk_over_every_face(spec, m):
+    from macstab.families import parse_family
+
+    K, G = parse_family(spec).instantiate(m)
+    _check_product_loop(K, G.generators)
+
+
+@st.composite
+def _small_complexes(draw):
+    """A complex on at most 6 indexed vertices, and a permutation preserving
+    it (the identity unless the one drawn does)."""
+    n = draw(st.integers(1, 6))
+    verts = [Vertex(i) for i in range(1, n + 1)]
+    K = SimplicialComplex(verts, draw(st.lists(st.sets(st.sampled_from(verts)), max_size=5)))
+    g = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    if {g.act(f) for f in K.facets} != K.facets:
+        g = Permutation.identity(n)
+    return K, g
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_complexes())
+def test_cup_product_matches_the_walk_over_every_face_on_small_complexes(case):
+    K, g = case
+    _check_product_loop(K, [g])
+
+
+def test_cup_product_refuses_an_index_past_the_face_basis(square):
+    v = {w.index: w for w in square.vertices}
+    a = basis_classes(square, frozenset({v[1], v[3]}))[0]
+    b = basis_classes(square, frozenset({v[2], v[4]}))[0]
+    n = len(full_subcomplex(square, a.subset).faces_of_dim(a.degree))
+    past = CohomologyClass(a.subset, a.degree, {**a.cochain, n: 1})
+    for left, right in ((past, b), (b, past)):
+        with pytest.raises(ValidationError, match="class vector length does not match its face basis"):
+            cup_product(square, left, right)
 
 
 def test_equivariance_check(square, c4):

@@ -29,6 +29,7 @@ from macstab.simplicial import (
 
 from oracles import (
     character_on_cohomology,
+    densify,
     lefschetz_cohomology_sum,
     representative_coordinates,
     sigma_closed_complexes,
@@ -247,14 +248,15 @@ def _check_ring_reads(coh, data):
     coefficient = st.integers(min_value=-3, max_value=3)
     for p, n in coh.cochain_dims.items():
         reps = coh.representatives(p)
-        assert reps == _dense_representatives(coh, p)
+        assert [densify(rep, n) for rep in reps] == _dense_representatives(coh, p)
         c = data.draw(st.lists(coefficient, min_size=len(reps), max_size=len(reps)))
-        cochain = [sum(ck * rep[j] for ck, rep in zip(c, reps)) for j in range(n)]
+        cochain = [sum(ck * rep.get(j, 0) for ck, rep in zip(c, reps)) for j in range(n)]
         if coh.coboundary(p - 1) is not None:
             n_in = coh.cochain_dims[p - 1]
             y = data.draw(st.lists(coefficient, min_size=n_in, max_size=n_in))
             d_y = [sum(x * y[j] for j, x in row.items()) for row in coh.coboundary(p - 1)]
             cochain = [a + b for a, b in zip(cochain, d_y)]
+        cochain = dict(enumerate(cochain))
         assert coh.is_coboundary(p, cochain) == (not any(c))
         assert representative_coordinates(coh, p, cochain) == tuple(c)
 

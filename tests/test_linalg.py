@@ -125,7 +125,7 @@ def test_rank_matches_rref_pivot_count(m):
 def test_kernel_basis_is_the_rref_nullspace(m):
     # the kernel vector that is 1 at a free column and 0 at the others is
     # unique, so the sparse echelon form must give the dense rref's vectors
-    kernel = kernel_basis([_integer_row(row) for row in m.data], m.cols)
+    kernel = kernel_basis([_integer_row(dict(enumerate(row))) for row in m.data], m.cols)
     dense = [tuple(v.get(j, Fraction(0)) for j in range(m.cols)) for v in kernel.values()]
     assert dense == m.nullspace()
     assert all(v[f] == 1 for f, v in kernel.items())
@@ -140,7 +140,7 @@ def _is_exact(x) -> bool:
 def test_kernel_basis_entries_are_exact(m):
     # an int where the pivot divides the entry, a Fraction otherwise: never a
     # float, and every row annihilates every kernel vector exactly
-    rows = [_integer_row(row) for row in m.data]
+    rows = [_integer_row(dict(enumerate(row))) for row in m.data]
     for v in kernel_basis(rows, m.cols).values():
         assert all(_is_exact(x) for x in v.values())
         products = [sum((x * v.get(j, 0) for j, x in row.items()), 0) for row in rows]
@@ -164,10 +164,10 @@ def test_degree_trace_checks_its_kernels(monkeypatch):
 def test_ring_reads_check_themselves(monkeypatch):
     # a point: C^-1 = Q -> C^0 = Q is onto, so H^0 is zero
     point = CochainComplex({-1: 1, 0: 1}, {-1: [{0: 1}]}.get)
-    assert point.representatives(0) == [] and point.is_coboundary(0, (Fraction(3),))
-    # C^0 = Q^2 -> C^1 = Q: (1, 0) is no cocycle of x0 - x1
+    assert point.representatives(0) == [] and point.is_coboundary(0, {0: Fraction(3)})
+    # C^0 = Q^2 -> C^1 = Q: e0 is no cocycle of x0 - x1
     with pytest.raises(OracleMismatch, match="non-cocycle"):
-        CochainComplex({0: 2, 1: 1}, {0: [{0: 1, 1: -1}]}.get).is_coboundary(0, (1, 0))
+        CochainComplex({0: 2, 1: 1}, {0: [{0: 1, 1: -1}]}.get).is_coboundary(0, {0: 1})
     # a rank of d_{-1} that is 0 gives H^0 a dimension no representative has
     monkeypatch.setattr(linalg, "rank", lambda rows: 0)
     point = CochainComplex({-1: 1, 0: 1}, {-1: [{0: 1}]}.get)

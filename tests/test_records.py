@@ -1,17 +1,12 @@
 """Frozen records are values: equal and hashed by their fields, closed to assignment."""
 
-from fractions import Fraction
-
 import pytest
 
 from macstab.families import Family, join_of_skeleta, parse_family
-from macstab.hochster import CohomologyClass, SpherePair
+from macstab.hochster import SpherePair
 from macstab.perms import PermGroup, Permutation
 from macstab.simplicial import Vertex, skeleton
 from macstab.symrep import ClassFunction, partitions
-
-_one = frozenset({Vertex(1)})
-
 
 def _points(m):  # the builder of a custom family, fixed so that two records share it
     return skeleton(m, 0)
@@ -41,14 +36,6 @@ CASES = {
         ],
     ),
     SpherePair: (lambda: SpherePair(1), [SpherePair(2)]),
-    CohomologyClass: (
-        lambda: CohomologyClass(_one, 0, (Fraction(1),)),
-        [
-            CohomologyClass(frozenset({Vertex(2)}), 0, (Fraction(1),)),
-            CohomologyClass(_one, 1, (Fraction(1),)),
-            CohomologyClass(_one, 0, (Fraction(-1),)),
-        ],
-    ),
     # one case per kind of family; the key only names the case
     "Family-skeleton": _family_cases(lambda: parse_family("skeleton:1")),
     "Family-join": _family_cases(lambda: parse_family("join:0,0")),
