@@ -225,8 +225,9 @@ class OrbitSummand:
     """One orbit summand of a fixed ambient degree, before induction to Σ_m.
 
     `finite_character` is the summand's character induced from the Young
-    subgroup of rep's fibres to Sym(support), over cycle types;
-    `mu_multiplicities` is its decomposition there.
+    subgroup of rep's fibres to Sym(support), {cycle type: value};
+    `mu_multiplicities` is its decomposition there.  Both are the values of
+    `summand_memo`, shared across ranks: read them, do not modify them.
     """
 
     __slots__ = ("rep", "orbit_size", "support", "dim", "finite_character",
@@ -251,7 +252,8 @@ class OrbitSummand:
 
 # (J, K_J, p, d) -> (finite character, μ-multiplicities) of the J-summand in
 # degree p.  The key holds everything the computation reads, so a hit is exact
-# at any rank; `cli.main` clears the memo when a command starts.
+# at any rank; `cli.main` clears the memo when a command starts.  Every rank
+# reads the same two dicts: do not modify them.
 summand_memo: dict[tuple, tuple[ClassFunction, dict[Partition, int]]] = {}
 
 
@@ -449,10 +451,13 @@ def transported_action(
     """Action of g moving the J-summand to the g·J-summand.
 
     Coefficients are the cellular ones pulled back through the multidegree
-    isomorphisms: σ* picks up ε(σ,J)·koszul(g, J∖σ)·ε(g·σ, g·J).
+    isomorphisms: σ* picks up ε(σ,J)·koszul(g, J∖σ)·ε(g·σ, g·J).  The zero
+    class moves with no face read.
     """
     J = a.subset
     gJ = g.act(J)
+    if not a.cochain:
+        return CohomologyClass(gJ, a.degree, {})
     src_faces = full_subcomplex(K, J).faces_of_dim(a.degree)
     dst_faces = full_subcomplex(K, gJ).faces_of_dim(a.degree)
     pos = {f: k for k, f in enumerate(dst_faces)}

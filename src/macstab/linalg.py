@@ -374,7 +374,10 @@ class CochainComplex:
         kept before them (the greedy choice of `extend_to_basis`).
 
         They are the kernel's own sparse vectors: read them, do not modify them.
+        Where the ranks give dim H^p = 0 there are none, and no kernel is built.
         """
+        if not self.dim(p):
+            return []
         if p not in self._representatives:
             spanned = dict(self._image(p))
             reps = []

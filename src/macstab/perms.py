@@ -298,6 +298,8 @@ def subset_orbit_reps(
     _, total = _checked_sizes(len(K.vertices), max_size, cap)
     table = OrbitTable(group=G, total_subsets=total)
     ident = G.identity()
+    # each generator's vertex images, read once per vertex of K
+    moves = [(g, {v: g.act_vertex(v) for v in K.vertices}.__getitem__) for g in G.generators]
     assigned: set[frozenset] = set()
     # G permutes the vertices, so in face_key order the first unassigned seed is
     # the least subset of its orbit: no rebasing and no sort are needed
@@ -310,8 +312,8 @@ def subset_orbit_reps(
             nxt = []
             for s in frontier:
                 ts = orbit[s]
-                for g in G.generators:
-                    img = g.act(s)
+                for g, image in moves:
+                    img = frozenset(map(image, s))
                     if img not in orbit:
                         orbit[img] = g * ts
                         nxt.append(img)

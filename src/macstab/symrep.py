@@ -7,6 +7,10 @@ exactly the assertion that the second route is the eventual truth, so the two
 must agree wherever both apply and the test suite enforces that.  The
 commands take the strips to Σ_m; the fusion all the way to Σ_m, which only
 that check reads, lives with the tests (`tests/oracles.py`).
+
+A class function of Σ_n is a plain dict {cycle type: value}, as each Young-
+class trace, each induction and `decompose` use it: keys in `partitions(n)`
+order, values exact `Fraction`s; a class left out counts as 0.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from math import factorial, lcm, prod
 
 from .errors import CapExceeded, NotACharacter, ValidationError
 from .perms import Permutation
-from .records import FrozenRecord
 
 Partition = tuple[int, ...]
 
@@ -128,46 +131,22 @@ def _strip_sum(betas: tuple[int, ...], mu: Partition) -> int:
 
 # -- class functions on Σ_n --------------------------------------------------
 
-
-class ClassFunction(FrozenRecord):
-    """Rational class function on Σ_n, stored over cycle types."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: tuple[tuple[Partition, Fraction], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dict(cls, n: int, values: dict[Partition, Fraction]) -> "ClassFunction":
-        classes = partitions(n)
-        missing = [mu for mu in classes if mu not in values]
-        if missing:
-            raise ValidationError(f"missing classes {missing[:3]}")
-        return cls(n, tuple((mu, Fraction(values[mu])) for mu in classes))
-
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.values)
-
-    def add(self, other: "ClassFunction") -> "ClassFunction":
-        if self.n != other.n:
-            raise ValidationError("rank mismatch")
-        o = other.as_dict()
-        return ClassFunction(
-            self.n, tuple((mu, v + o[mu]) for mu, v in self.values)
-        )
+# χ(μ) by cycle type μ, keyed in `partitions(n)` order
+ClassFunction = dict[Partition, Fraction]
 
 
 def decompose(chi: ClassFunction) -> dict[Partition, int]:
     """Multiplicities ⟨χ, χ_λ⟩ = Σ_μ |C_μ| χ(μ) χ_λ(μ) / n!, in `partitions`
-    order; aborts if any is negative or non-integral."""
-    weights = [(mu, class_size(mu) * val) for mu, val in chi.values if val]
+    order; aborts if any is negative or non-integral.  A class left out of χ
+    counts as 0, so `{}` decomposes to `{}`."""
+    n = sum(next(iter(chi), ()))
+    weights = [(mu, class_size(mu) * val) for mu, val in chi.items() if val]
     # integer weights over one common denominator: the sums over μ run in integers
     den = lcm(*(w.denominator for _, w in weights))
     weights = [(mu, int(w * den)) for mu, w in weights]
-    den *= factorial(chi.n)
+    den *= factorial(n)
     out: dict[Partition, int] = {}
-    for lam in partitions(chi.n):
+    for lam in partitions(n):
         betas = _beta_set(lam)
         c = Fraction(sum(w * _strip_sum(betas, mu) for mu, w in weights), den)
         if c.denominator != 1 or c < 0:
@@ -207,10 +186,7 @@ def induce_to_sym(
     sums: dict[Partition, Fraction] = {mu: Fraction(0) for mu in partitions(n)}
     for h in h_elements:
         sums[h.cycle_type()] += chi_h[h]
-    values = {
-        mu: Fraction(z_order(mu), order) * sums[mu] for mu in sums
-    }
-    return ClassFunction.from_dict(n, values)
+    return {mu: Fraction(z_order(mu), order) * total for mu, total in sums.items()}
 
 
 YoungClass = tuple[Partition, ...]
@@ -233,8 +209,8 @@ def induce_from_young(blocks: tuple[int, ...], chi: dict[YoungClass, Fraction]) 
     sums = {nu: Fraction(0) for nu in partitions(n)}
     for mus in young_classes(blocks):
         nu = tuple(sorted(chain.from_iterable(mus), reverse=True))
-        sums[nu] += chi[mus] / young_centraliser_order(mus)
-    return ClassFunction.from_dict(n, {nu: z_order(nu) * total for nu, total in sums.items()})
+        sums[nu] += Fraction(chi[mus], young_centraliser_order(mus))
+    return {nu: z_order(nu) * total for nu, total in sums.items()}
 
 
 def young_centraliser_order(mus: YoungClass) -> int:

@@ -343,32 +343,26 @@ def character_table_by_projection(n: int) -> dict[Partition, dict[Partition, int
 
 def irreducible_character(lam: Partition) -> ClassFunction:
     """χ_λ as a full table over the classes of Σ_|λ|."""
-    n = sum(lam)
-    return ClassFunction.from_dict(
-        n, {mu: Fraction(mn_character(lam, mu)) for mu in partitions(n)}
-    )
+    return {mu: Fraction(mn_character(lam, mu)) for mu in partitions(sum(lam))}
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """⟨f, g⟩ = Σ_μ |C_μ| f(μ) g(μ) / n!, term by term: the reference for
-    `symrep.decompose`."""
-    if f.n != g.n:
-        raise ValidationError("rank mismatch")
-    gd = g.as_dict()
-    return sum(class_size(mu) * val * gd[mu] for mu, val in f.values) / factorial(f.n)
+    """⟨f, g⟩ = Σ_μ |C_μ| f(μ) g(μ) / n!, term by term over every class of
+    Σ_n: the reference for `symrep.decompose`."""
+    if f.keys() != g.keys():
+        raise ValidationError("the class functions do not cover the same classes")
+    n = sum(next(iter(f), ()))
+    return sum(class_size(mu) * val * g[mu] for mu, val in f.items()) / factorial(n)
 
 
 def regular_character(n: int) -> ClassFunction:
     values = {mu: Fraction(0) for mu in partitions(n)}
     values[(1,) * n] = Fraction(factorial(n))
-    return ClassFunction.from_dict(n, values)
+    return values
 
 
 def natural_permutation_character(n: int) -> ClassFunction:
-    values = {
-        mu: Fraction(sum(1 for part in mu if part == 1)) for mu in partitions(n)
-    }
-    return ClassFunction.from_dict(n, values)
+    return {mu: Fraction(sum(1 for part in mu if part == 1)) for mu in partitions(n)}
 
 
 # -- the fusion route to Σ_m, against the horizontal strips -----------------
@@ -380,21 +374,20 @@ def induce_young(psi: ClassFunction, m: int) -> ClassFunction:
     Ind(ψ⊠1)(μ) = Σ over splittings μ = μ' ∪ μ'' with μ' ⊢ b of
     z_μ / (z_{μ'} z_{μ''}) · ψ(μ').
     """
-    b = psi.n
+    b = sum(next(iter(psi)))
     if m < b:
         raise ValidationError("target rank below subgroup rank")
     if m == b:
         return psi
-    psi_d = psi.as_dict()
     values: dict[Partition, Fraction] = {}
     for mu in partitions(m):
         zmu = z_order(mu)
         total = Fraction(0)
         for mu1 in _sub_multisets(mu, b):
             mu2 = _multiset_minus(mu, mu1)
-            total += Fraction(zmu, z_order(mu1) * z_order(mu2)) * psi_d[mu1]
+            total += Fraction(zmu, z_order(mu1) * z_order(mu2)) * psi[mu1]
         values[mu] = total
-    return ClassFunction.from_dict(m, values)
+    return values
 
 
 def _sub_multisets(mu: Partition, b: int) -> list[Partition]:
@@ -434,12 +427,10 @@ def sym_decomposition_by_fusion(
     to Σ_m over cycle types and decomposes there, then translates to padded
     coordinates.  Must agree with `hochster.sym_irreducible_decomposition`.
     """
-    total: ClassFunction | None = None
+    total = {mu: Fraction(0) for mu in partitions(m)}
     for summand in orbit_summands(K, pair, i, m, support_cap=support_cap):
-        chi_m = induce_young(summand.finite_character, m)
-        total = chi_m if total is None else total.add(chi_m)
-    if total is None:
-        return {}
+        for mu, val in induce_young(summand.finite_character, m).items():
+            total[mu] += val
     result: dict[Partition, int] = {}
     for lam, mult in decompose(total).items():
         result[lam[1:]] = result.get(lam[1:], 0) + mult

@@ -327,6 +327,37 @@ def test_transported_action_matches_twisted(square):
             assert coords == expected
 
 
+def test_a_zero_class_moves_without_reading_a_face(monkeypatch):
+    import macstab.hochster as hochster
+
+    def refuse(K, J):
+        raise AssertionError(f"the restriction to {sorted(map(str, J))} was read")
+
+    K = vc_cube_dual(3)
+    g = Permutation.from_cycles(3, (1, 2, 3))
+    J = frozenset(v for v in K.vertices if v.index in (1, 2))
+    monkeypatch.setattr(hochster, "full_subcomplex", refuse)
+    moved = transported_action(K, g, CohomologyClass(J, 1, {}))
+    assert (moved.subset, moved.degree, moved.cochain) == (g.act(J), 1, {})
+
+
+def test_representatives_build_a_kernel_only_where_there_is_cohomology(monkeypatch):
+    # the ring asks every degree of every subset for its basis; the ranks
+    # already say where H^p = 0, so no cocycle kernel is built there
+    import macstab.linalg as linalg
+
+    kernel_basis, built = linalg.kernel_basis, []
+
+    def counted(rows, n):
+        built.append(n)
+        return kernel_basis(rows, n)
+
+    reduced_cohomology.cache_clear()  # no basis left from an earlier read
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    classes = spanning_classes(vc_cube_dual(3))
+    assert classes and len(built) == len({(c.subset, c.degree) for c in classes})
+
+
 def test_cup_product_unit(square):
     unit = basis_classes(square, frozenset())[0]
     v = {w.index: w for w in square.vertices}

@@ -6,7 +6,6 @@ from macstab.families import Family, join_of_skeleta, parse_family
 from macstab.hochster import SpherePair
 from macstab.perms import PermGroup, Permutation
 from macstab.simplicial import Vertex, skeleton
-from macstab.symrep import ClassFunction, partitions
 
 def _points(m):  # the builder of a custom family, fixed so that two records share it
     return skeleton(m, 0)
@@ -28,13 +27,6 @@ CASES = {
     Vertex: (lambda: Vertex(1, 0), [Vertex(2, 0), Vertex(1, 1), Vertex(None, 0)]),
     Permutation: (lambda: Permutation((2, 1, 3)), [Permutation((1, 2, 3))]),
     PermGroup: (lambda: PermGroup.cyclic(3), [PermGroup.symmetric(3), PermGroup.cyclic(4)]),
-    ClassFunction: (
-        lambda: ClassFunction.from_dict(3, {(3,): -1, (2, 1): 0, (1, 1, 1): 2}),
-        [
-            ClassFunction.from_dict(3, {(3,): 1, (2, 1): 0, (1, 1, 1): 2}),
-            ClassFunction.from_dict(4, {mu: 0 for mu in partitions(4)} | {(1, 1, 1, 1): 2}),
-        ],
-    ),
     SpherePair: (lambda: SpherePair(1), [SpherePair(2)]),
     # one case per kind of family; the key only names the case
     "Family-skeleton": _family_cases(lambda: parse_family("skeleton:1")),

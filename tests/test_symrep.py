@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from macstab.errors import NotACharacter, ValidationError
 from macstab.perms import Permutation
 from macstab.symrep import (
-    ClassFunction,
     class_size,
     decompose,
     hook_dim,
@@ -104,6 +103,9 @@ def test_decompose_examples():
     assert decompose(regular_character(3)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
     for m in (3, 5, 6):
         assert decompose(natural_permutation_character(m)) == {(m,): 1, (m - 1, 1): 1}
+    # a class left out counts as 0: the regular character is its identity class alone
+    assert decompose({(1, 1, 1): Fraction(6)}) == decompose(regular_character(3))
+    assert decompose({}) == {}
 
 
 def test_decompose_swap_character_on_two_points():
@@ -116,9 +118,7 @@ def test_decompose_swap_character_on_two_points():
     swap = Permutation.from_cycles(2, (1, 2))
     traces = character_on_cohomology(K, frozenset(K.vertices),
                                      enumerate_group([swap]), 0)
-    chi = ClassFunction.from_dict(
-        2, {g.cycle_type(): traces[g] for g in traces}
-    )
+    chi = {g.cycle_type(): traces[g] for g in traces}
     assert decompose(chi) == {(1, 1): 1}
 
 
@@ -126,21 +126,20 @@ def test_decompose_swap_character_on_two_points():
 def test_decompose_recovers_random_characters(data):
     n = data.draw(st.integers(1, 7))
     coeffs = {lam: data.draw(st.integers(0, 3)) for lam in partitions(n)}
-    irreducibles = {lam: irreducible_character(lam).as_dict() for lam in coeffs}
-    values = {mu: sum(c * irreducibles[lam][mu] for lam, c in coeffs.items())
-              for mu in partitions(n)}
-    chi = ClassFunction.from_dict(n, values)
+    irreducibles = {lam: irreducible_character(lam) for lam in coeffs}
+    chi = {mu: sum(c * irreducibles[lam][mu] for lam, c in coeffs.items())
+           for mu in partitions(n)}
     expected = {lam: c for lam, c in coeffs.items() if c}
     assert decompose(chi) == expected
     assert {lam: inner_product(chi, irreducible_character(lam)) for lam in expected} == expected
     # off by 1/2 at one class, or a negative coefficient: not a character
     mu = data.draw(st.sampled_from(partitions(n)))
     with pytest.raises(NotACharacter):
-        decompose(ClassFunction.from_dict(n, {**values, mu: values[mu] + Fraction(1, 2)}))
+        decompose({**chi, mu: chi[mu] + Fraction(1, 2)})
     lam = data.draw(st.sampled_from(partitions(n)))
-    negative = {nu: values[nu] - (coeffs[lam] + 1) * irreducibles[lam][nu] for nu in values}
+    negative = {nu: chi[nu] - (coeffs[lam] + 1) * irreducibles[lam][nu] for nu in chi}
     with pytest.raises(NotACharacter):
-        decompose(ClassFunction.from_dict(n, negative))
+        decompose(negative)
 
 
 def test_decompose_rejects_non_characters():
@@ -148,7 +147,7 @@ def test_decompose_rejects_non_characters():
     vals[(1, 1, 1)] = Fraction(1)
     vals[(3,)] = Fraction(1, 2)
     with pytest.raises(NotACharacter):
-        decompose(ClassFunction.from_dict(3, vals))
+        decompose(vals)
 
 
 def test_induce_to_sym_examples():
@@ -161,12 +160,12 @@ def test_induce_to_sym_examples():
     # trivial character of the trivial subgroup induces the regular character
     ident = Permutation.identity(3)
     ind = induce_to_sym([ident], {ident: Fraction(1)})
-    assert ind.as_dict() == regular_character(3).as_dict()
+    assert ind == regular_character(3)
     # order-2 subgroup of rank 4, signed character: induced dimension 12
     g = Permutation.from_cycles(4, (1, 3), (2, 4))
     ind = induce_to_sym([Permutation.identity(4), g],
                         {Permutation.identity(4): Fraction(1), g: Fraction(-1)})
-    assert ind.as_dict()[(1, 1, 1, 1)] == 12
+    assert ind[(1, 1, 1, 1)] == 12
 
 
 @pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)])
@@ -185,6 +184,14 @@ def test_induce_from_young_matches_the_explicit_subgroup(blocks):
         explicit = induce_to_sym(elements, {h: chi(mus) for h, mus in zip(elements, classes)})
         by_class = induce_from_young(blocks, {mus: chi(mus) for mus in young_classes(blocks)})
         assert by_class == explicit, f"{lams} on blocks {blocks}"
+        assert list(by_class) == list(explicit) == partitions(sum(blocks))
+        # integer traces still give exact values: no division falls back to a float
+        for induced in (
+            induce_to_sym(elements, {h: int(chi(mus)) for h, mus in zip(elements, classes)}),
+            induce_from_young(blocks, {mus: int(chi(mus)) for mus in young_classes(blocks)}),
+        ):
+            assert induced == explicit
+            assert all(type(v) is Fraction for v in induced.values())
 
 
 def test_pieri_examples():
