@@ -346,7 +346,7 @@ def cmd_product(args) -> int:
     payload: dict = {"classes": len(classes), "products": table}
     ok = True
     if args.check_equivariance:
-        ok = g_algebra_equivariance_check(K, G, args.cap_subsets, products)
+        ok = g_algebra_equivariance_check(K, G, classes, products)
         payload["equivariant"] = ok
     _emit(args, make_report("product", payload, _caps(args)))
     return 0 if ok else 3

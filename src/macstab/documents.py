@@ -49,16 +49,19 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise ValidationError(f"cannot read {path!r}: {err.strerror}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, bad UTF-8 or an integer past Python's digit limit
         raise ValidationError(f"{path!r} is not valid JSON: {err}") from None
 
 
 def parse_int(value, what: str) -> int:
-    """int(value), or a ValidationError naming `what`."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
+    """`value` as an int, from a JSON integer or a string of one; a bool, a
+    fraction or anything else is a ValidationError naming `what`."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{what} must be an integer, not {value!r}")
 
 
 def expect(value, kind: type, what: str):

@@ -484,20 +484,17 @@ def product_table(
 def g_algebra_equivariance_check(
     K: SimplicialComplex,
     G: PermGroup,
-    cap: int = DEFAULT_SUBSET_CAP,
-    products: list[list[CohomologyClass]] | None = None,
+    classes: list[CohomologyClass],
+    products: list[list[CohomologyClass]],
 ) -> bool:
-    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for spanning classes and each
-    generator g of G, which the caller has checked preserves K.
+    """Verify g(α⋆β) = (gα)⋆(gβ) at cochain level for the spanning `classes`
+    and each generator g of G, which the caller has checked preserves K.
 
-    `products`, when given, is `product_table` of `spanning_classes(K, cap)`;
-    each α⋆β is computed once and moved by every generator.
+    `products` is `product_table(K, classes)`: each α⋆β is computed once and
+    moved by every generator.
     """
-    spanning = spanning_classes(K, cap)
-    if products is None:
-        products = product_table(K, spanning)
     for g in G.generators:
-        moved = [transported_action(K, g, a) for a in spanning]
+        moved = [transported_action(K, g, a) for a in classes]
         for row, ga in zip(products, moved):
             for ab, gb in zip(row, moved):
                 lhs = transported_action(K, g, ab)

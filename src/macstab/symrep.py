@@ -16,8 +16,7 @@ order, values exact `Fraction`s; a class left out counts as 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import factorial, lcm, prod
 
 from .errors import CapExceeded, NotACharacter, ValidationError
@@ -58,29 +57,14 @@ def z_order(lam: Partition) -> int:
     return prod(i**m * factorial(m) for i, m in mult.items())
 
 
-def class_size(lam: Partition) -> int:
-    _check_partition(lam)
-    return factorial(sum(lam)) // z_order(lam)
-
-
 def hook_dim(lam: Partition) -> int:
-    """Dimension of the irreducible labelled by λ, by the hook length formula."""
+    """Dimension of the irreducible labelled by λ, n! Π_{i<j}(β_i - β_j) / Π_i β_i!
+    on the beta numbers β of λ (Frobenius's form of the hook length formula)."""
     _check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    cols = _conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= (row - j) + (cols[j] - i) - 1
-    return factorial(n) // hooks
-
-
-def _conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for a in lam if a > j) for j in range(lam[0]))
+    mask = _beta_mask(lam)
+    betas = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    vandermonde = prod(b - a for a, b in combinations(betas, 2))
+    return factorial(sum(lam)) * vandermonde // prod(map(factorial, betas))
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -89,43 +73,41 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     _check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValidationError(f"character of mismatched sizes: {lam} and {mu}")
-    return _strip_sum(_beta_set(lam), tuple(mu))
+    return _strip_sum(_beta_mask(lam), tuple(mu), {})
 
 
-def _beta_set(lam: Partition) -> tuple[int, ...]:
-    """The beta numbers λ_i + ℓ - i of λ, decreasing; none is 0 for a partition."""
+def _beta_mask(lam: Partition) -> int:
+    """The beta numbers λ_i + ℓ - 1 - i of λ as the set bits of one int; bit 0
+    is clear for a partition, which has no zero part."""
     ell = len(lam)
-    return tuple(part + ell - 1 - i for i, part in enumerate(lam))
+    return sum(1 << (part + ell - 1 - i) for i, part in enumerate(lam))
 
 
-@lru_cache(maxsize=None)
-def _strip_sum(betas: tuple[int, ...], mu: Partition) -> int:
-    """χ_λ(μ) for λ given by its beta set, with no zero part.
+def _strip_sum(betas: int, mu: Partition, memo: dict[Partition, dict[int, int]]) -> int:
+    """χ_λ(μ) for λ given by its beta mask, memoised in `memo` as
+    {μ: {beta mask: value}}: each entry keys on one int.
 
-    Removing a border strip of length k lowers one beta number by k onto a
-    free value, with sign (-1)^(numbers jumped).
+    Removing a border strip of length k moves one set bit down k places onto
+    a clear bit, with sign (-1)^(set bits jumped).
     """
     if not mu:
         return 1
+    values = memo.setdefault(mu, {})
+    if betas in values:
+        return values[betas]
     k, rest = mu[0], mu[1:]
+    jumped = (1 << (k - 1)) - 1
     total = 0
-    for i, b in enumerate(betas):
-        low = b - k
-        if low < 0 or low in betas:
-            continue
-        j = i + 1
-        while j < len(betas) and betas[j] > low:
-            j += 1
-        lowered = betas[:i] + betas[i + 1 : j] + (low,) + betas[j:]
-        # trailing beta numbers 0, 1, …, zeros - 1 are zero parts: drop them,
-        # so that each partition has one cache key
-        zeros = 0
-        while zeros < len(lowered) and lowered[-1 - zeros] == zeros:
-            zeros += 1
-        if zeros:
-            lowered = tuple(x - zeros for x in lowered[: len(lowered) - zeros])
-        term = _strip_sum(lowered, rest)
-        total += -term if (j - i - 1) % 2 else term
+    landing = betas >> k & ~betas  # bit b - k, for each set bit b with b - k clear
+    while landing:
+        bit = landing & -landing
+        landing ^= bit
+        x = betas ^ bit ^ (bit << k)
+        # trailing set bits are zero parts: shift them out, one key per partition
+        x >>= (~x & (x + 1)).bit_length() - 1
+        term = _strip_sum(x, rest, memo)
+        total += -term if (betas >> bit.bit_length() & jumped).bit_count() % 2 else term
+    values[betas] = total
     return total
 
 
@@ -136,19 +118,19 @@ ClassFunction = dict[Partition, Fraction]
 
 
 def decompose(chi: ClassFunction) -> dict[Partition, int]:
-    """Multiplicities ⟨χ, χ_λ⟩ = Σ_μ |C_μ| χ(μ) χ_λ(μ) / n!, in `partitions`
-    order; aborts if any is negative or non-integral.  A class left out of χ
-    counts as 0, so `{}` decomposes to `{}`."""
+    """Multiplicities ⟨χ, χ_λ⟩ = Σ_μ χ(μ) χ_λ(μ) / z_μ, in `partitions` order;
+    aborts if any is negative or non-integral.  A class left out of χ counts
+    as 0, so `{}` decomposes to `{}`."""
     n = sum(next(iter(chi), ()))
-    weights = [(mu, class_size(mu) * val) for mu, val in chi.items() if val]
+    weights = [(mu, Fraction(val, z_order(mu))) for mu, val in chi.items() if val]
     # integer weights over one common denominator: the sums over μ run in integers
     den = lcm(*(w.denominator for _, w in weights))
     weights = [(mu, int(w * den)) for mu, w in weights]
-    den *= factorial(n)
+    memo: dict[Partition, dict[int, int]] = {}
     out: dict[Partition, int] = {}
     for lam in partitions(n):
-        betas = _beta_set(lam)
-        c = Fraction(sum(w * _strip_sum(betas, mu) for mu, w in weights), den)
+        betas = _beta_mask(lam)
+        c = Fraction(sum(w * _strip_sum(betas, mu, memo) for mu, w in weights), den)
         if c.denominator != 1 or c < 0:
             raise NotACharacter(
                 f"multiplicity of {lam} is {c}; the class function is not a character"

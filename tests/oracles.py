@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 from hypothesis import strategies as st
 
@@ -32,7 +32,6 @@ from macstab.symrep import (
     ClassFunction,
     Partition,
     _check_partition,
-    class_size,
     decompose,
     mn_character,
     partitions,
@@ -293,6 +292,12 @@ def sigma_closed_complexes(draw, max_m: int = 4, max_tags: int = 3, max_free: in
 # -- Σ_n characters from permutation modules, without border strips ----------
 
 
+def class_size(lam: Partition) -> int:
+    """|C_λ| = n! / z_λ, the class weight of the inner products in this section."""
+    _check_partition(lam)
+    return factorial(sum(lam)) // z_order(lam)
+
+
 def perm_module_character(mu: Partition, cycle_type: Partition) -> int:
     """Fixed points of a permutation of type `cycle_type` acting on tabloids.
 
@@ -339,6 +344,15 @@ def character_table_by_projection(n: int) -> dict[Partition, dict[Partition, int
                 psi = {mu: psi[mu] - mult * chi[mu] for mu in classes}
         table[lam] = psi
     return table
+
+
+def hook_dim_by_hooks(lam: Partition) -> int:
+    """dim V_λ = n! / Π hook lengths, cell by cell: the reference for
+    `symrep.hook_dim`, which reads the beta numbers instead."""
+    _check_partition(lam)
+    cols = [sum(1 for a in lam if a > j) for j in range(lam[0] if lam else 0)]
+    hooks = prod((row - j) + (cols[j] - i) - 1 for i, row in enumerate(lam) for j in range(row))
+    return factorial(sum(lam)) // hooks
 
 
 def irreducible_character(lam: Partition) -> ClassFunction:

@@ -303,6 +303,30 @@ USAGE_ERRORS = {
 }
 
 
+def _doc(index=1, group=None) -> str:
+    doc = {"vertices": [{"id": "a", "index": index}, {"id": "b", "index": 2}],
+           "facets": [["a", "b"]]}
+    return json.dumps({**doc, "group": group} if group else doc)
+
+
+# spliced in as text: `json.dumps` itself refuses an int of 5,001 digits
+_HUGE = _doc().replace('"index": 1', '"index": ' + "1" * 5001)
+
+# documents that JSON or `parse_int` refuses, each with the file or field its
+# error names; bytes are written to a file that stands for FILE in the arguments
+MALFORMED_DOCUMENTS = {
+    (("betti", "--input", "FILE"), b"\xff\xfe{}"): "FILE",
+    (("betti", "--family", "custom:FILE", "--m", "2"), b"\xff\xfe{}"): "FILE",
+    (("betti", "--input", "-"), _HUGE): "'-'",
+    (("betti", "--family", "custom:-", "--m", "2"), '{"2": %s}' % _HUGE): "'-'",
+    (("betti", "--input", "-"), _doc(index=1.5)): "vertex 'a': index",
+    (("betti", "--input", "-"), _doc(index=True)): "vertex 'a': index",
+    (("decompose", "--input", "-", "--degree", "1"),
+     _doc(group={"degree": 2, "generators": [[2.9, 1.2]]})): "group generator #0 entry",
+    (("betti", "--input", "-"), _doc(group={"degree": 2.7})): "group degree",
+}
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -341,6 +365,7 @@ USAGE_ERRORS = {
          None),
         (("scan", "--family", "skeleton:0", "--degree", "3", "--m", "3..4",
           "--csv", "/nonexistent/x.csv"), None),
+        *MALFORMED_DOCUMENTS,
         *((argv, None) for argv in USAGE_ERRORS),
     ],
     ids=["missing-file", "skeleton-arg", "range-end", "join-arg", "skeleton-dim", "join-dim",
@@ -349,12 +374,22 @@ USAGE_ERRORS = {
          "vertices-int", "facets-int", "group-list", "degrees-x", "oracle-d", "product-d",
          "check-family-empty-range", "check-family-max-r", "check-family-max-stab-size",
          "scan-empty-range", "output-missing-dir", "csv-missing-dir",
+         "input-utf16-bom", "custom-utf16-bom", "index-5001-digits", "custom-5001-digits",
+         "index-fraction", "index-bool", "generator-fractions", "degree-fraction",
          "m-not-int", "unknown-flag", "scan-no-degree", "check-family-d", "cap-subsets",
          "cap-group", "cap-support", "cap-oracle"],
 )
-def test_cli_malformed_input_is_a_validation_error(argv, stdin):
+def test_cli_malformed_input_is_a_validation_error(tmp_path, argv, stdin):
+    named = MALFORMED_DOCUMENTS.get((argv, stdin))
+    if isinstance(stdin, bytes):
+        path = tmp_path / "input.json"
+        path.write_bytes(stdin)
+        argv, stdin, named = (tuple(a.replace("FILE", str(path)) for a in argv), None,
+                              repr(str(path)))
     rc, _, err = run_cli(*argv, stdin=stdin)
     assert rc == 1 and err.startswith("error: ")
+    if named:
+        assert named in err
     assert "Traceback" not in err
     for flag in ("--d", "--max-r", "--max-stab-size"):
         if flag in argv:
@@ -1279,6 +1314,13 @@ def test_cli_betti_per_multidegree_computes_each_summand_once(monkeypatch, tmp_p
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "29a95d7702507c460d091aae360f0e32ca9f2bc7369711ae693e6ee066b41dca"
     )
+
+
+def test_cli_equivariance_check_honours_the_subset_cap(square_doc):
+    # the square's 16 vertex subsets: one past the cap exits 2 before any product
+    rc, out, err = run_cli("product", "--input", square_doc, "--check-equivariance",
+                           "--cap-subsets", "15")
+    assert rc == 2 and out == "" and err.startswith("cap exceeded:")
 
 
 def test_cli_cap_on_a_large_family_exits_before_any_quadratic_work():

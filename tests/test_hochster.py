@@ -18,6 +18,7 @@ from macstab.hochster import (
     equivariant_decomposition,
     g_algebra_equivariance_check,
     orbit_summands,
+    product_table,
     spanning_classes,
     summand_character,
     summand_memo,
@@ -514,17 +515,21 @@ def test_cup_product_refuses_an_index_past_the_face_basis(square):
             cup_product(square, left, right)
 
 
+def _equivariant(K, G, classes) -> bool:
+    return g_algebra_equivariance_check(K, G, classes, product_table(K, classes))
+
+
 def test_equivariance_check(square, c4):
-    assert g_algebra_equivariance_check(square, c4)
-    assert g_algebra_equivariance_check(skeleton(4, 0), PermGroup.symmetric(4))
-    assert g_algebra_equivariance_check(square, PermGroup.trivial(4))
-    assert g_algebra_equivariance_check(vc_cube_dual(2), PermGroup.symmetric(2))
+    assert _equivariant(square, c4, spanning_classes(square))
+    assert _equivariant(skeleton(4, 0), PermGroup.symmetric(4), spanning_classes(skeleton(4, 0)))
+    assert _equivariant(square, PermGroup.trivial(4), spanning_classes(square))
+    assert _equivariant(vc_cube_dual(2), PermGroup.symmetric(2), spanning_classes(vc_cube_dual(2)))
 
 
 def test_equivariance_check_honours_the_subset_cap(square, c4):
     with pytest.raises(CapExceeded):
-        g_algebra_equivariance_check(square, c4, cap=15)
-    assert g_algebra_equivariance_check(square, c4, cap=16)
+        _equivariant(square, c4, spanning_classes(square, 15))
+    assert _equivariant(square, c4, spanning_classes(square, 16))
 
 
 def test_sphere_pair_validation():

@@ -47,6 +47,25 @@ def test_the_package_has_no_floating_point():
     assert not found, f"floating point in macstab: {found}"
 
 
+def _decorator_name(node) -> str:
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+
+def test_no_module_level_function_caches_for_the_life_of_the_process():
+    # a cache on a module-level function outlives the command that filled it;
+    # the one exception is the cohomology cache, which `cli.main` clears and
+    # `bench/traced.py` reads
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    }
+    assert not found - {"homology.reduced_cohomology"}, f"module-level caches: {sorted(found)}"
+
+
 def _loaded_after(statement: str) -> set[str]:
     """Modules a fresh interpreter holds after `statement`, run without `site`
     (-S) so that no start-up hook of the host imports anything first."""

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from macstab.errors import NotACharacter, ValidationError
 from macstab.perms import Permutation
 from macstab.symrep import (
-    class_size,
     decompose,
     hook_dim,
     induce_from_young,
@@ -23,6 +22,8 @@ from macstab.symrep import (
 
 from oracles import (
     character_table_by_projection,
+    class_size,
+    hook_dim_by_hooks,
     induce_young,
     inner_product,
     irreducible_character,
@@ -70,7 +71,13 @@ def test_mn_standard_value():
     assert mn_character((2, 1), (3,)) == -1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hook_dim_matches_the_hook_length_formula():
+    for n in range(15):
+        for lam in partitions(n):
+            assert hook_dim(lam) == hook_dim_by_hooks(lam), lam
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_mn_matches_projection_table(n):
     # brute-force route through permutation modules, no border strips involved
     table = character_table_by_projection(n)
